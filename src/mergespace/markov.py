@@ -142,6 +142,21 @@ def three_leaf_pattern(regime: str, t: float, with_im: bool = True) -> np.ndarra
     return K
 
 
+def sector_exponents_match(g: TransitionGraph, regime: str) -> bool:
+    """Exact check of a weighted 3-leaf graph: every step's Fraction exponent
+    in g.weights equals its sector's entry of REGIME_EXPONENTS (IM steps
+    carry exponent 0), and all four sectors occur."""
+    a, b, c = REGIME_EXPONENTS[regime]
+    sector = {"IM": Fraction(0), "SM3": a, "SM1": b, "EM": c}
+    tags = {tag for step_tags in g.edge_tags.values() for tag in step_tags}
+    if g.weights is None or tags != set(sector):
+        return False
+    return all(
+        sorted(g.weights[edge]) == sorted(sector[tag] for tag in step_tags)
+        for edge, step_tags in g.edge_tags.items()
+    )
+
+
 def _assert_three_leaf_pattern(g: TransitionGraph, regime: str, t: float) -> None:
     want = three_leaf_pattern(regime, t, with_im=g.cfg.allow_im)
     if not np.allclose(g.K, want, rtol=0, atol=1e-12):
@@ -198,8 +213,15 @@ def strong_components(adj: list) -> list:
     return sccs
 
 
+def _adjacency(rows: np.ndarray, cols: np.ndarray, n: int) -> list:
+    """Successor lists from the edge arrays of ``np.nonzero(K)`` (rows ascending)."""
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    succ = cols.tolist()
+    return [succ[bounds[i]:bounds[i + 1]] for i in range(n)]
+
+
 def strong_connectivity(g: TransitionGraph, witness: bool = True) -> dict:
-    adj = [list(np.nonzero(g.K[i] > 0)[0]) for i in range(g.n)]
+    adj = _adjacency(*np.nonzero(g.K), g.n)
     sccs = strong_components(adj)
     connected = len(sccs) == 1
     out = {"strongly_connected": connected, "scc_count": len(sccs), "witness_paths": []}
@@ -234,6 +256,18 @@ def _bfs_path(adj, src, dst):
 
 @dataclass
 class PFData:
+    """Perron-Frobenius data of a nonnegative matrix K with strongly
+    connected support.
+
+    lam is the dominant eigenvalue, eta the right Perron vector scaled to
+    max 1, K_hat[i, j] = K[i, j] eta[j] / (lam eta[i]) the stochastic
+    normalization, and xi its stationary distribution.  iterations is the
+    number of matrix-vector products taken by the two power iterations
+    (right and left vector) together.  residual is the larger of their final
+    relative Collatz-Wielandt gaps (hi - lo) / lo; it bounds the relative
+    error of lam and the deviation of every row sum of K_hat from 1.
+    """
+
     lam: float
     eta: np.ndarray
     K_hat: np.ndarray
@@ -242,66 +276,70 @@ class PFData:
     residual: float
 
 
-def perron_frobenius(K: np.ndarray, tol: float = 1e-12, max_iter: int = 2 ** 50) -> PFData:
-    """Dominant eigendata by shifted power iteration.
+def perron_frobenius(K: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
+    """Dominant eigendata by shifted power iteration on the edge arrays of K.
 
-    The identity shift removes periodicity (the unweighted chain has zero
-    diagonal).  Iterations are batched by repeated squaring, so max_iter
-    bounds the equivalent number of single power steps.  Errors out on
-    matrices whose support is not strongly connected.
+    Each step is v <- (Kv + v) / max(Kv + v), with K v taken over the
+    nonzero entries only; the identity shift removes periodicity (the
+    unweighted chain has zero diagonal).  For v > 0 the Collatz-Wielandt
+    bracket lo = min_i (Kv)_i / v_i <= lam <= max_i (Kv)_i / v_i = hi holds,
+    and the iteration stops once hi - lo <= tol * lo, a rule that does not
+    depend on the size of K.  The same iteration on the transposed edges
+    gives the left vector u, and xi = u * eta normalized, because u K = lam u
+    makes (u * eta) K_hat = u * eta.  lam is the xi-weighted mean of the
+    final ratios (K eta)_i / eta_i, i.e. u K eta / u eta.
+
+    Raises MarkovError on negative entries, on support that is not strongly
+    connected, and when a bracket is still wider than tol after max_iter
+    steps.
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
     if (K < 0).any():
         raise MarkovError("negative entries")
-    adj = [list(np.nonzero(K[i] > 0)[0]) for i in range(n)]
-    if len(strong_components(adj)) != 1:
+    rows, cols = np.nonzero(K)
+    if len(strong_components(_adjacency(rows, cols, n))) != 1:
         raise MarkovError("reducible support; Perron-Frobenius theory needs strong connectivity")
-    M = K + np.eye(n)
-    P = M / M.max()
-    v = np.full(n, 1.0 / n)
-    iters = 0
-    lam = 0.0
-    residual = math.inf
-    loops = 0
-    while iters < max_iter:
-        v_new = P @ v
-        v_new /= v_new.sum()
-        loops += 1
-        iters = 2 ** loops - 1  # equivalent single power steps applied so far
-        ratios = (K @ v_new) / v_new
-        lam = float(ratios.mean())
-        residual = float(np.abs(K @ v_new - lam * v_new).max())
-        v = v_new
-        if residual <= tol * max(lam, 1.0):
-            break
-        P = P @ P
-        P /= P.max()
-    if residual > tol * max(lam, 1.0):
-        raise MarkovError(f"power iteration stalled at residual {residual}")
+    w = K[rows, cols]
+    eta, ratios, gap_right, steps_right = _perron_vector(rows, cols, w, n, tol, max_iter)
+    u, _, gap_left, steps_left = _perron_vector(cols, rows, w, n, tol, max_iter)
+    xi = u * eta
+    xi /= xi.sum()
+    lam = float(xi @ ratios)
     if lam <= 0:
         raise MarkovError("no positive dominant eigenvalue; some state has no successor")
-    eta = v / v.max()
-    K_hat = K * eta[None, :] / eta[:, None] / lam
-    xi = _stationary(K_hat, tol)
-    return PFData(lam=lam, eta=eta, K_hat=K_hat, xi=xi, iterations=iters, residual=residual)
+    K_hat = np.zeros_like(K)
+    K_hat[rows, cols] = w * eta[cols] / eta[rows] / lam
+    return PFData(
+        lam=lam,
+        eta=eta,
+        K_hat=K_hat,
+        xi=xi,
+        iterations=steps_right + steps_left,
+        residual=max(gap_right, gap_left),
+    )
 
 
-def _stationary(K_hat: np.ndarray, tol: float) -> np.ndarray:
-    n = K_hat.shape[0]
-    # lazy chain: same stationary vector, guaranteed aperiodic
-    Q = (K_hat + np.eye(n)) / 2.0
-    P = Q / Q.max()
-    x = np.full(n, 1.0 / n)
-    for _ in range(200):
-        x_new = x @ P
-        x_new /= x_new.sum()
-        if np.abs(x_new @ K_hat - x_new).max() <= tol:
-            return x_new
-        x = x_new
-        P = P @ P
-        P /= P.max()
-    raise MarkovError("stationary distribution did not converge")
+def _perron_vector(rows, cols, w, n: int, tol: float, max_iter: int):
+    """Perron vector (max 1) of the n x n matrix with entries w at (rows, cols).
+
+    Returns the vector, its ratios (Kv)_i / v_i, their relative gap and the
+    number of matrix-vector steps taken.
+    """
+    v = np.ones(n)
+    lo = hi = math.nan
+    for step in range(1, max_iter + 1):
+        Kv = np.bincount(rows, w * v[cols], n)
+        ratios = Kv / v
+        lo, hi = ratios.min(), ratios.max()
+        if hi - lo <= tol * lo:
+            return v, ratios, float((hi - lo) / lo) if lo else 0.0, step
+        Kv += v
+        v = Kv / Kv.max()
+    raise MarkovError(
+        f"power iteration stalled after {max_iter} steps: Collatz-Wielandt bracket "
+        f"[{lo:.12g}, {hi:.12g}] has relative gap {(hi - lo) / lo:.2e} > tol {tol:g}"
+    )
 
 
 # ---------------------------------------------------------------------------

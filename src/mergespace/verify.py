@@ -56,6 +56,7 @@ from mergespace.markov import (
     asymptotic_check,
     build_graph,
     perron_frobenius,
+    sector_exponents_match,
     strong_connectivity,
     structured_closed_form,
     three_leaf_pattern,
@@ -171,6 +172,7 @@ def check_weighted_chains(c: Check):
         for t in (0.1, 0.5, 0.9):
             g = weighted_matrix("abc", regime, t)  # raises if pattern deviates
             ok = ok and np.allclose(g.K, three_leaf_pattern(regime, t), atol=1e-12)
+            ok = ok and sector_exponents_match(g, regime)
         c.true(f"{regime} weighting matches the sector exponents symbolically", ok)
     for regime in ("ms", "my", "cl", "total"):
         a, b, cc = REGIME_EXPONENTS[regime]

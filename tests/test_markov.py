@@ -8,6 +8,7 @@ from mergespace.markov import (
     EXACT_T0_EXPONENT,
     MarkovError,
     REGIME_EXPONENTS,
+    REGIMES,
     SERIES_T0_EXPONENT,
     asymptotic_check,
     build_graph,
@@ -15,6 +16,7 @@ from mergespace.markov import (
     matrix_csv,
     perron_frobenius,
     pf_to_json,
+    sector_exponents_match,
     series_closed_form,
     step_cost,
     strong_connectivity,
@@ -137,6 +139,34 @@ class TestPerronFrobenius:
         with pytest.raises(MarkovError):
             perron_frobenius(g.K)
 
+    def test_stall_names_steps_and_gap(self):
+        with pytest.raises(MarkovError, match=r"stalled after 3 steps.*relative gap"):
+            perron_frobenius(build_graph("abcd").K, max_iter=3)
+
+
+LAPACK_CHAINS = [
+    pytest.param({}, None, 1.0, id="plain"),
+    # the dense repeated-squaring routine raised "stationary distribution did
+    # not converge" on the 5-leaf chain without internal merge
+    pytest.param({"allow_im": False}, None, 1.0, id="no-im"),
+    pytest.param({"allow_identity_sm": True}, None, 1.0, id="identity-sm"),
+    *(pytest.param({}, r, t, id=f"{r}-t{t}") for r in REGIMES for t in (0.1, 0.5)),
+]
+
+
+class TestAgainstLapack:
+    @pytest.mark.parametrize("labels", ["abcd", "abcde"])
+    @pytest.mark.parametrize("flags, regime, t", LAPACK_CHAINS)
+    def test_power_iteration_matches_eigvals(self, labels, flags, regime, t):
+        g = build_graph(labels, MergeConfig(mode="d", **flags), regime=regime, t=t)
+        pf = perron_frobenius(g.K)
+        lam = np.linalg.eigvals(g.K).real.max()
+        assert abs(pf.lam - lam) <= 1e-10 * lam
+        assert np.abs(pf.K_hat.sum(axis=1) - 1.0).max() <= 1e-10
+        assert np.abs(pf.xi @ pf.K_hat - pf.xi).max() <= 1e-12
+        assert (pf.eta > 0).all() and (pf.xi > 0).all()
+        assert pf.residual <= 1e-12
+
 
 class TestWeightedMatrices:
     @pytest.mark.parametrize("regime", ["ms", "my", "cl", "total"])
@@ -146,6 +176,14 @@ class TestWeightedMatrices:
         for t in (0.1, 0.5, 0.9):
             g = weighted_matrix("abc", regime, t)
             assert np.allclose(g.K, three_leaf_pattern(regime, t), atol=1e-12)
+            assert sector_exponents_match(g, regime)
+
+    def test_sector_check_is_exact(self):
+        g = weighted_matrix("abc", "ms", 0.5)
+        assert not sector_exponents_match(g, "cl")
+        edge = next(e for e, tags in g.edge_tags.items() if tags == ["SM3"])
+        g.weights[edge] = [float(REGIME_EXPONENTS["ms"][0])]  # 1/3 rounded
+        assert not sector_exponents_match(g, "ms")
 
     def test_t_equals_one_recovers_unweighted(self):
         for regime in ("ms", "my", "cl", "total"):
