@@ -213,24 +213,9 @@ def cmd_color_check(args):
     if args.scenario:
         with open(args.scenario) as f:
             blob = json.load(f)
-        tree = tree_from_json(blob["tree"])
-        rows = []
-        all_ok = True
-        for case in blob["cases"]:
-            rs = get_ruleset(case["ruleset"])
-            found = color_search(rs, tree, blob.get("constraints"))
-            verdict = "accept" if found else "reject"
-            ok = verdict == case["expect"]
-            if ok and case.get("min_colorings"):
-                ok = len(found) >= case["min_colorings"]
-            if ok and case.get("max_colorings") is not None:
-                ok = len(found) <= case["max_colorings"]
-            all_ok &= ok
-            rows.append(
-                {"ruleset": case["ruleset"], "verdict": verdict, "colorings": len(found), "ok": ok}
-            )
+        rows = coloring_mod.scenario_verdicts(blob)
         _emit(json.dumps({"name": blob.get("name"), "cases": rows}, indent=1), args.out)
-        return 0 if all_ok else 1
+        return 0 if all(r["ok"] for r in rows) else 1
     rs = get_ruleset(args.ruleset)
     if args.colored_tree:
         t = coloring_mod.colored_tree_from_json(json.loads(args.colored_tree))

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from mergespace.forest import Leaf, Node, SyntaxTree, leaf, trace_leaf
+from mergespace.forest import Leaf, Node, SyntaxTree, leaf, trace_leaf, tree_from_json
 
 WILDCARD = "*"
 
@@ -315,6 +315,26 @@ def color_search(
             if limit is not None and len(out) >= limit:
                 break
     return out
+
+
+def scenario_verdicts(blob: dict) -> list:
+    """One row per case of a scenario: the rule set, the verdict (accept when
+    any coloring is found), the number of colorings, and whether the case's
+    ``expect``, ``min_colorings`` and ``max_colorings`` all hold."""
+    from mergespace.rulesets import get_ruleset  # rulesets imports this module
+
+    tree = tree_from_json(blob["tree"])
+    rows = []
+    for case in blob["cases"]:
+        found = color_search(get_ruleset(case["ruleset"]), tree, blob.get("constraints"))
+        verdict = "accept" if found else "reject"
+        ok = verdict == case["expect"]
+        if ok and case.get("min_colorings"):
+            ok = len(found) >= case["min_colorings"]
+        if ok and case.get("max_colorings") is not None:
+            ok = len(found) <= case["max_colorings"]
+        rows.append({"ruleset": case["ruleset"], "verdict": verdict, "colorings": len(found), "ok": ok})
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -60,13 +60,8 @@ class CostError(ValueError):
 
 
 def _is_sibling_cut(step: MergeStep) -> bool:
-    paths = [s[2] for s in step.sources if s[0] == "term"]
-    return (
-        step.tag == SM3
-        and len(paths) == 2
-        and len(paths[0]) == len(paths[1])
-        and paths[0][:-1] == paths[1][:-1]
-    )
+    (_, p), (_, q) = step.sources
+    return step.tag == SM3 and p[:-1] == q[:-1]
 
 
 def ms_cost(step: MergeStep) -> Fraction:

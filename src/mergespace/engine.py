@@ -9,20 +9,19 @@ nothing in this module can insert material at an interior edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
+from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Iterator
 
 from mergespace.forest import (
-    AccessibleTermRef,
-    ForestError,
     Leaf,
     Node,
     SyntaxTree,
     Workspace,
     accessible_terms,
-    quotient,
+    nested,
     subtree_at,
-    workspace,
+    tree_quotient,
 )
 
 EM, IM, SM1, SM2, SM3, ID_SM = "EM", "IM", "SM1", "SM2", "SM3", "ID"
@@ -54,9 +53,10 @@ class MergeConfig:
 class MergeStep:
     """One application of a Merge operator.
 
+    ``sources`` is the source pair (a, b) the step was built from;
     ``extractions`` holds (subtree, host component) for each accessible term
-    pulled out; ``pair`` is the merged (S, S'); the classification tag is
-    fixed by the provenance of S and S'.
+    pulled out; ``pair`` is the merged (S, S'); the tag is fixed by the
+    provenance of S and S'.
     """
 
     input_ws: Workspace
@@ -65,213 +65,99 @@ class MergeStep:
     mode: str
     pair: tuple
     extractions: tuple = ()
-    sources: tuple = ()  # hashable signature for dedup / table lookups
+    sources: tuple = ()
 
     def __repr__(self):
         return f"<{self.tag} {self.input_ws!r} -> {self.output_ws!r}>"
 
 
-def _rest(ws: Workspace, drop: set) -> tuple:
-    return tuple(t for i, t in enumerate(ws.components) if i not in drop)
+# A source is (component index, path); the empty path is the whole
+# component.  For IM the second source is the host itself, after the cut.
 
 
-def _em_step(ws: Workspace, i: int, j: int, mode: str = "d") -> MergeStep:
-    ti, tj = ws.components[i], ws.components[j]
-    merged = Node(ti, tj)
-    out = Workspace(_rest(ws, {i, j}) + (merged,))
-    return MergeStep(
-        ws, out, EM, mode, (ti, tj), sources=(("comp", i), ("comp", j))
-    )
+def _tag(a: tuple, b: tuple) -> str:
+    """The Merge form of a source pair, read off where S and S' come from."""
+    if not a[1]:
+        a, b = b, a
+    (ci, p), (cj, q) = a, b
+    if not p:
+        return EM
+    if not q:
+        return IM if ci == cj else SM1
+    if ci != cj:
+        return SM2
+    return ID_SM if {p, q} == {(0,), (1,)} else SM3
 
 
-def _im_step(ws: Workspace, ref: AccessibleTermRef, mode: str) -> MergeStep:
-    host = ws.components[ref.component]
-    quot_ws = quotient(workspace(host), [replace(ref, component=0)], mode)
-    if quot_ws.is_unit():
-        raise MergeError("internal merge would leave an empty quotient")
-    (quot,) = quot_ws.components
-    merged = Node(ref.subtree, quot)
-    out = Workspace(_rest(ws, {ref.component}) + (merged,))
-    return MergeStep(
-        ws,
-        out,
-        IM,
-        mode,
-        (ref.subtree, quot),
-        extractions=((ref.subtree, host),),
-        sources=(("term", ref.component, ref.path), ("quotient",)),
-    )
+def merge_pairs(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> Iterator[tuple]:
+    """Every legal source pair under the flags, EM, IM, SM1, SM2, SM3, ID.
 
-
-def _sm1_step(ws: Workspace, ref: AccessibleTermRef, other: int, mode: str) -> MergeStep:
-    host = ws.components[ref.component]
-    t_other = ws.components[other]
-    quot_ws = quotient(workspace(host), [replace(ref, component=0)], mode)
-    merged = Node(ref.subtree, t_other)
-    out = Workspace(_rest(ws, {ref.component, other}) + quot_ws.components + (merged,))
-    return MergeStep(
-        ws,
-        out,
-        SM1,
-        mode,
-        (ref.subtree, t_other),
-        extractions=((ref.subtree, host),),
-        sources=(("term", ref.component, ref.path), ("comp", other)),
-    )
-
-
-def _sm2_step(ws: Workspace, r1: AccessibleTermRef, r2: AccessibleTermRef, mode: str) -> MergeStep:
-    h1, h2 = ws.components[r1.component], ws.components[r2.component]
-    q1 = quotient(workspace(h1), [replace(r1, component=0)], mode)
-    q2 = quotient(workspace(h2), [replace(r2, component=0)], mode)
-    merged = Node(r1.subtree, r2.subtree)
-    out = Workspace(
-        _rest(ws, {r1.component, r2.component}) + q1.components + q2.components + (merged,)
-    )
-    return MergeStep(
-        ws,
-        out,
-        SM2,
-        mode,
-        (r1.subtree, r2.subtree),
-        extractions=((r1.subtree, h1), (r2.subtree, h2)),
-        sources=tuple(sorted([("term", r1.component, r1.path), ("term", r2.component, r2.path)])),
-    )
-
-
-def _sm3_step(ws: Workspace, r1: AccessibleTermRef, r2: AccessibleTermRef, mode: str) -> MergeStep:
-    host = ws.components[r1.component]
-    quot = quotient(
-        workspace(host), [replace(r1, component=0), replace(r2, component=0)], mode
-    )
-    merged = Node(r1.subtree, r2.subtree)
-    out = Workspace(_rest(ws, {r1.component}) + quot.components + (merged,))
-    return MergeStep(
-        ws,
-        out,
-        SM3,
-        mode,
-        (r1.subtree, r2.subtree),
-        extractions=((r1.subtree, host), (r2.subtree, host)),
-        sources=tuple(sorted([("term", r1.component, r1.path), ("term", r2.component, r2.path)])),
-    )
-
-
-def _identity_step(ws: Workspace, ci: int, mode: str) -> MergeStep:
-    comp = ws.components[ci]
-    refs = [
-        AccessibleTermRef(ci, (0,), comp.left),
-        AccessibleTermRef(ci, (1,), comp.right),
-    ]
-    quot = quotient(workspace(comp), [replace(r, component=0) for r in refs], mode)
-    merged = Node(comp.left, comp.right)
-    out = Workspace(_rest(ws, {ci}) + quot.components + (merged,))
-    return MergeStep(
-        ws,
-        out,
-        ID_SM,
-        mode,
-        (comp.left, comp.right),
-        extractions=((comp.left, comp), (comp.right, comp)),
-        sources=(("identity", ci),),
-    )
-
-
-def _disjoint(r1: AccessibleTermRef, r2: AccessibleTermRef) -> bool:
-    p1, p2 = r1.path, r2.path
-    n = min(len(p1), len(p2))
-    return p1[:n] != p2[:n]
-
-
-def _siblings(r1: AccessibleTermRef, r2: AccessibleTermRef) -> bool:
-    return len(r1.path) == len(r2.path) and r1.path[:-1] == r2.path[:-1]
-
-
-def all_merge_successors(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> list:
-    """Every distinct one-step Merge application under the flags.
-
-    EM merges two whole components; IM an accessible term with its own
-    host's quotient (skipped in mode "d" when the term is a root child,
-    where it is just the identity); SM1 an accessible term with another
-    whole component; SM2 terms from two components; SM3 two disjoint terms
-    from one component.  atomic_sm_only keeps only single-leaf SM
-    extractions and drops SM2, the edge set of the atomic subgraph.
+    EM pairs two whole components; IM an accessible term with its own host
+    (skipped in mode "d" when the term is a root child, where it is just the
+    identity); SM1 a term with another whole component; SM2 terms of two
+    components; SM3 two disjoint terms of one component, never the two root
+    children (that is ID) and other sibling pairs only with
+    allow_sibling_cut.  atomic_sm_only keeps only single-leaf SM extractions
+    and drops SM2, the edge set of the atomic subgraph.
     """
     if ws.b0 < 1:
         raise MergeError("workspace has no components")
-    steps: list = []
     n = ws.b0
     for i in range(n):
         for j in range(i + 1, n):
-            steps.append(_em_step(ws, i, j, cfg.mode))
-    terms = accessible_terms(ws)
+            yield (i, ()), (j, ())
+    refs = accessible_terms(ws)
     if cfg.allow_im:
-        for ref in terms:
-            if cfg.mode == "d" and len(ref.path) == 1:
-                continue  # quotient re-merge reproduces the host exactly
-            steps.append(_im_step(ws, ref, cfg.mode))
+        for r in refs:
+            if cfg.mode == "c" or len(r.path) > 1:
+                yield (r.component, r.path), (r.component, ())
     if cfg.allow_sm:
-        atomic = lambda r: isinstance(r.subtree, Leaf)
-        for ref in terms:
-            if cfg.atomic_sm_only and not atomic(ref):
-                continue
+        atomic = cfg.atomic_sm_only
+        terms = [(r.component, r.path) for r in refs if not atomic or isinstance(r.subtree, Leaf)]
+        for c, p in terms:
             for other in range(n):
-                if other != ref.component:
-                    steps.append(_sm1_step(ws, ref, other, cfg.mode))
-        if not cfg.atomic_sm_only:
-            for a in range(len(terms)):
-                for b in range(a + 1, len(terms)):
-                    r1, r2 = terms[a], terms[b]
-                    if r1.component != r2.component:
-                        steps.append(_sm2_step(ws, r1, r2, cfg.mode))
-        for a in range(len(terms)):
-            for b in range(a + 1, len(terms)):
-                r1, r2 = terms[a], terms[b]
-                if r1.component != r2.component or not _disjoint(r1, r2):
-                    continue
-                if cfg.atomic_sm_only and not (atomic(r1) and atomic(r2)):
-                    continue
-                if _siblings(r1, r2):
-                    if len(r1.path) == 1:
-                        continue  # root sibling pair is the identity reassembly
-                    if not cfg.allow_sibling_cut:
-                        continue
-                steps.append(_sm3_step(ws, r1, r2, cfg.mode))
+                if other != c:
+                    yield (c, p), (other, ())
+        if not atomic:
+            for a, b in combinations(terms, 2):
+                if a[0] != b[0]:
+                    yield a, b
+        for a, b in combinations(terms, 2):
+            if a[0] != b[0] or nested(a[1], b[1]):
+                continue
+            if a[1][:-1] == b[1][:-1] and (len(a[1]) == 1 or not cfg.allow_sibling_cut):
+                continue  # siblings; the root pair is the identity reassembly
+            yield a, b
     if cfg.allow_identity_sm:
         for ci, comp in enumerate(ws.components):
             if isinstance(comp, Node):
-                steps.append(_identity_step(ws, ci, cfg.mode))
-    # dedup by provenance signature
-    seen = set()
-    out = []
-    for s in steps:
-        sig = (s.tag,) + s.sources
-        if sig not in seen:
-            seen.add(sig)
-            out.append(s)
-    return out
+                yield (ci, (0,)), (ci, (1,))
 
 
-def classify(step: MergeStep) -> str:
-    """Re-derive the tag from provenance; raises on inconsistency."""
-    kinds = tuple(s[0] for s in step.sources)
-    expected = {
-        ("comp", "comp"): EM,
-        ("term", "quotient"): IM,
-        ("term", "comp"): SM1,
-        ("term", "term"): None,  # SM2 or SM3 by host
-        ("identity",): ID_SM,
-    }
-    key = tuple("term" if k == "term" else k for k in kinds)
-    if key == ("term", "term"):
-        tag = SM2 if step.sources[0][1] != step.sources[1][1] else SM3
-    elif key in expected:
-        tag = expected[key]
-    else:
-        raise MergeError(f"inconsistent provenance {step.sources}")
-    if tag != step.tag:
-        raise MergeError(f"provenance says {tag}, step is tagged {step.tag}")
-    return tag
+def apply(ws: Workspace, a: tuple, b: tuple, mode: str = "d") -> MergeStep:
+    """M_{S,S'} for a source pair from merge_pairs: cut each host once,
+    graft Node(S, S') at a new root and reassemble the workspace."""
+    comps = ws.components
+    cuts: dict = {}
+    for c, p in (a, b):
+        if p:
+            cuts.setdefault(c, []).append(p)
+    quots = {c: tree_quotient(comps[c], paths, mode) for c, paths in cuts.items()}
+
+    def source(c, p):
+        return subtree_at(comps[c], p) if p else quots.pop(c, comps[c])
+
+    pair = (source(*a), source(*b))
+    rest = [t for i, t in enumerate(comps) if i != a[0] and i != b[0]]
+    rest += [q for q in quots.values() if q is not None]
+    out = Workspace(tuple(rest) + (Node(*pair),))
+    extractions = tuple((s, comps[c]) for s, (c, p) in zip(pair, (a, b)) if p)
+    return MergeStep(ws, out, _tag(a, b), mode, pair, extractions, (a, b))
+
+
+def all_merge_successors(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> list:
+    """Every one-step Merge application under the flags, in merge_pairs order."""
+    return [apply(ws, a, b, cfg.mode) for a, b in merge_pairs(ws, cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,78 +176,92 @@ class Derivation:
         return len(self.steps)
 
 
-def _resolve_occurrence(ws: Workspace, key: str, n: int) -> AccessibleTermRef:
+_ARITY = {EM: 2, IM: 1, SM1: 2, SM2: 2, SM3: 2, ID_SM: 1}
+
+
+def _key_and_n(ref) -> tuple:
+    if not isinstance(ref, dict) or not isinstance(ref.get("key"), str):
+        raise MergeError(f"reference {ref!r} needs a string 'key'")
+    n = ref.get("n", 0)
+    if type(n) is not int or n < 0:
+        raise MergeError(f"occurrence index {n!r} is not a non-negative integer")
+    return ref["key"], n
+
+
+def _resolve_occurrence(ws: Workspace, ref) -> tuple:
+    key, n = _key_and_n(ref)
     hits = [r for r in accessible_terms(ws) if r.subtree.key == key]
     if not hits:
         raise MergeError(f"no accessible term with key {key!r}")
     if n >= len(hits):
         raise MergeError(f"occurrence {n} of {key!r} out of range ({len(hits)} found)")
-    return hits[n]
+    return hits[n].component, hits[n].path
 
 
-def _resolve_component(ws: Workspace, ref: dict) -> int:
-    if "component" in ref:
+def _resolve_component(ws: Workspace, ref) -> int:
+    if isinstance(ref, dict) and "component" in ref:
         i = ref["component"]
-        if not 0 <= i < ws.b0:
-            raise MergeError(f"component index {i} out of range")
+        if type(i) is not int or not 0 <= i < ws.b0:
+            raise MergeError(f"component index {i!r} out of range")
         return i
-    key = ref["key"]
+    key, n = _key_and_n(ref)
     hits = [i for i, t in enumerate(ws.components) if t.key == key]
     if not hits:
         raise MergeError(f"no component with key {key!r}")
-    return hits[ref.get("n", 0)]
+    if n >= len(hits):
+        raise MergeError(f"occurrence {n} of component {key!r} out of range ({len(hits)} found)")
+    return hits[n]
+
+
+def _resolve(ws: Workspace, op, args) -> tuple:
+    """The source pair a script step names, in merge_pairs order."""
+    if op not in _ARITY:
+        raise MergeError("unknown op")
+    if not isinstance(args, list) or len(args) != _ARITY[op]:
+        raise MergeError(f"takes {_ARITY[op]} argument(s), got {args!r}")
+    if op == EM:
+        i, j = (_resolve_component(ws, r) for r in args)
+        if i == j:
+            raise MergeError("needs two distinct components")
+        return (min(i, j), ()), (max(i, j), ())
+    if op == ID_SM:
+        c = _resolve_component(ws, args[0])
+        if isinstance(ws.components[c], Leaf):
+            raise MergeError(f"component {c} is a leaf and has no root children")
+        return (c, (0,)), (c, (1,))
+    a = _resolve_occurrence(ws, args[0])
+    if op == IM:
+        return a, (a[0], ())
+    if op == SM1:
+        return a, (_resolve_component(ws, args[1]), ())
+    return tuple(sorted((a, _resolve_occurrence(ws, args[1]))))
 
 
 def replay(initial: Workspace, script: list, cfg: MergeConfig = MergeConfig()) -> Derivation:
     """Execute a derivation script, verifying each step is a legal Merge
     application under cfg.  Steps name extraction targets by canonical key
     plus occurrence index; any step requesting interior-edge growth raises
-    ECViolation."""
+    ECViolation.  Errors read ``step {k}: {op}: {reason}``."""
+    if not isinstance(script, list):
+        raise MergeError("a script's steps must be a list")
     deriv = Derivation(initial)
     ws = initial
     for k, raw in enumerate(script):
-        op = raw.get("op")
-        args = raw.get("args", [])
+        op = raw.get("op") if isinstance(raw, dict) else None
         if op in ("INSERT", "LATE_MERGE", "M_MERGE"):
-            raise ECViolation(f"step {k}: {op} grows structure below a root")
+            raise ECViolation(f"step {k}: {op}: grows structure below a root")
         try:
-            if op == "EM":
-                i, j = (_resolve_component(ws, r) for r in args)
-                if i == j:
-                    raise MergeError("EM needs two distinct components")
-                step = _em_step(ws, min(i, j), max(i, j), cfg.mode)
-            elif op == "IM":
-                (r,) = args
-                ref = _resolve_occurrence(ws, r["key"], r.get("n", 0))
-                step = _im_step(ws, ref, cfg.mode)
-            elif op == "SM1":
-                r, comp = args
-                ref = _resolve_occurrence(ws, r["key"], r.get("n", 0))
-                step = _sm1_step(ws, ref, _resolve_component(ws, comp), cfg.mode)
-            elif op in ("SM2", "SM3"):
-                r1, r2 = args
-                ref1 = _resolve_occurrence(ws, r1["key"], r1.get("n", 0))
-                ref2 = _resolve_occurrence(ws, r2["key"], r2.get("n", 0))
-                same_host = ref1.component == ref2.component
-                if op == "SM3" and not same_host:
-                    raise MergeError("SM3 takes two terms of one component")
-                if op == "SM2" and same_host:
-                    raise MergeError("SM2 takes terms of two components")
-                step = (
-                    _sm2_step(ws, ref1, ref2, cfg.mode)
-                    if op == "SM2"
-                    else _sm3_step(ws, ref1, ref2, cfg.mode)
-                )
-            elif op == "ID":
-                (comp,) = args
-                step = _identity_step(ws, _resolve_component(ws, comp), cfg.mode)
-            else:
-                raise MergeError(f"unknown op {op!r}")
-        except ForestError as exc:
-            raise MergeError(f"step {k}: {exc}") from exc
-        legal = {(s.tag,) + s.sources for s in all_merge_successors(ws, _permissive(cfg))}
-        if (step.tag,) + step.sources not in legal:
-            raise MergeError(f"step {k}: not a legal Merge application here")
+            if not isinstance(raw, dict):
+                raise MergeError(f"a step must be an object, got {raw!r}")
+            a, b = _resolve(ws, op, raw.get("args", []))
+            tag = _tag(a, b)
+            if tag != op:
+                raise MergeError(f"the named terms make {tag}, not {op}")
+            if (a, b) not in merge_pairs(ws, _permissive(cfg)):
+                raise MergeError("not a legal Merge application here")
+        except MergeError as exc:
+            raise MergeError(f"step {k}: {op}: {exc}") from exc
+        step = apply(ws, a, b, cfg.mode)
         deriv.steps.append(step)
         ws = step.output_ws
     return deriv
@@ -435,9 +335,7 @@ def form_copy_quotient(tree: SyntaxTree, pairs: list) -> QuotientGraph:
             pa, pb = occ[na], occ[nb]
         except IndexError:
             raise MergeError(f"occurrence out of range for key {key!r}")
-        la, lb = len(pa), len(pb)
-        short, long_ = (pa, pb) if la <= lb else (pb, pa)
-        if long_[: len(short)] == short:
+        if nested(pa, pb):
             raise MergeError("occurrences must be disjoint")
         # same canonical key -> identical canonical shape -> positionwise map
         sub = subtree_at(tree, pa)

@@ -29,6 +29,8 @@ __all__ = [
     "workspace",
     "accessible_terms",
     "subtree_at",
+    "nested",
+    "tree_quotient",
     "quotient",
     "enumerate_trees",
     "enumerate_forests",
@@ -210,44 +212,41 @@ def accessible_terms(ws: Workspace) -> list:
     return out
 
 
+def nested(p: tuple, q: tuple) -> bool:
+    """Whether one path is a prefix of the other, i.e. the two subtrees of
+    one tree overlap.  Cuts must be pairwise non-nested."""
+    n = min(len(p), len(q))
+    return p[:n] == q[:n]
+
+
 def _check_disjoint(refs) -> None:
     for i, a in enumerate(refs):
         for b in refs[i + 1 :]:
-            if a.component != b.component:
-                continue
-            la, lb = len(a.path), len(b.path)
-            short, long_ = (a, b) if la <= lb else (b, a)
-            if long_.path[: len(short.path)] == short.path:
+            if a.component == b.component and nested(a.path, b.path):
                 raise ForestError(f"overlapping cut refs {a.path} / {b.path}")
 
 
-def _contract_remove(t: SyntaxTree, cuts: set, prefix: tuple):
-    """Deletion quotient: drop cut subtrees, contract unary vertices."""
-    if prefix in cuts:
-        return None
+def tree_quotient(t: SyntaxTree, paths, mode: str):
+    """Quotient of one tree by disjoint cuts at the given paths.
+
+    mode "c" replaces each cut subtree by a trace leaf; mode "d" removes it
+    and contracts the vertex left with one child, returning None when the
+    whole tree is consumed.  Only the vertices above a cut are rebuilt.
+    """
+    if () in paths:
+        return trace_leaf(t.key) if mode == "c" else None
     if isinstance(t, Leaf):
         return t
-    l = _contract_remove(t.left, cuts, prefix + (0,))
-    r = _contract_remove(t.right, cuts, prefix + (1,))
-    if l is None and r is None:
-        return None
+    kids = []
+    for i, child in enumerate((t.left, t.right)):
+        below = [p[1:] for p in paths if p[0] == i]
+        kids.append(tree_quotient(child, below, mode) if below else child)
+    l, r = kids
     if l is None:
         return r
     if r is None:
         return l
     return Node(l, r)
-
-
-def _mark_trace(t: SyntaxTree, cuts: set, prefix: tuple) -> SyntaxTree:
-    """Contraction quotient: cut subtrees are replaced by trace leaves."""
-    if prefix in cuts:
-        return trace_leaf(t.key)
-    if isinstance(t, Leaf):
-        return t
-    return Node(
-        _mark_trace(t.left, cuts, prefix + (0,)),
-        _mark_trace(t.right, cuts, prefix + (1,)),
-    )
 
 
 def quotient(ws: Workspace, cut: list, mode: str) -> Workspace:
@@ -262,18 +261,12 @@ def quotient(ws: Workspace, cut: list, mode: str) -> Workspace:
     _check_disjoint(cut)
     by_comp: dict = {}
     for ref in cut:
-        by_comp.setdefault(ref.component, set()).add(ref.path)
+        by_comp.setdefault(ref.component, []).append(ref.path)
     comps = []
     for ci, comp in enumerate(ws.components):
-        if ci not in by_comp:
-            comps.append(comp)
-            continue
-        if mode == "d":
-            kept = _contract_remove(comp, by_comp[ci], ())
-            if kept is not None:
-                comps.append(kept)
-        else:
-            comps.append(_mark_trace(comp, by_comp[ci], ()))
+        kept = tree_quotient(comp, by_comp[ci], mode) if ci in by_comp else comp
+        if kept is not None:
+            comps.append(kept)
     return Workspace(tuple(comps))
 
 

@@ -24,6 +24,7 @@ from mergespace.forest import (
     Workspace,
     accessible_terms,
     leaf,
+    nested,
     quotient,
     workspace,
 )
@@ -146,14 +147,7 @@ def _disjoint_collections(refs: list) -> Iterator[list]:
     """All sets of pairwise non-nested accessible-term refs (incl. empty)."""
 
     def conflicts(r, chosen):
-        for s in chosen:
-            if r.component != s.component:
-                continue
-            la, lb = len(r.path), len(s.path)
-            short, long_ = (r, s) if la <= lb else (s, r)
-            if long_.path[: len(short.path)] == short.path:
-                return True
-        return False
+        return any(r.component == s.component and nested(r.path, s.path) for s in chosen)
 
     def rec(i, chosen):
         if i == len(refs):

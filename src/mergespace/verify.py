@@ -413,21 +413,9 @@ def check_coloring_scenarios(c: Check):
     ]
     for nm in names:
         blob = _data("scenarios", nm)
-        tree = tree_from_json(blob["tree"])
-        ok = True
-        detail = []
-        for case in blob["cases"]:
-            rs = get_ruleset(case["ruleset"])
-            found = coloring.color_search(rs, tree, blob["constraints"])
-            verdict = "accept" if found else "reject"
-            good = verdict == case["expect"]
-            if good and case.get("min_colorings"):
-                good = len(found) >= case["min_colorings"]
-            if good and case.get("max_colorings") is not None:
-                good = len(found) <= case["max_colorings"]
-            ok &= good
-            detail.append(f"{case['ruleset']}:{verdict}({len(found)})")
-        c.true(f"scenario {blob['name']}", ok, " ".join(detail))
+        rows = coloring.scenario_verdicts(blob)
+        detail = " ".join(f"{r['ruleset']}:{r['verdict']}({r['colorings']})" for r in rows)
+        c.true(f"scenario {blob['name']}", all(r["ok"] for r in rows), detail)
     counts = []
     for size in (2, 3, 4):
         blob = _data("scripts", f"clitic_cluster_{size}")

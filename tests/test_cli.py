@@ -123,6 +123,27 @@ class TestDerive:
         code, _, err = run(capsys, "derive", "--script", str(p))
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"op": "EM", "args": [{"component": 0}]},
+            {"op": "IM", "args": []},
+            {"op": "EM", "args": 5},
+            {"op": "EM", "args": [{"key": "c", "n": 5}, {"component": 0}]},
+            {"op": "ID", "args": [{"key": "c"}]},
+            {"op": "IM", "args": [{"n": 0}]},
+            {"op": "IM", "args": [{"key": "zzz"}]},
+        ],
+        ids=["em-one-arg", "im-no-args", "args-not-list", "component-n-out-of-range",
+             "id-on-leaf", "ref-without-key", "unknown-key"],
+    )
+    def test_malformed_step_names_step(self, capsys, tmp_path, step):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"mode": "d", "initial": [["M", "a", "b"], "c"], "steps": [step]}))
+        code, out, err = run(capsys, "derive", "--script", str(p))
+        assert code == 1 and not out
+        assert err.startswith("error: step 0: ") and "Traceback" not in err
+
 
 class TestColorCheck:
     def test_scenario_file(self, capsys):

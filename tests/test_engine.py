@@ -1,21 +1,26 @@
+from collections import Counter
+
 import pytest
 
 from mergespace.engine import (
     ECViolation,
     MergeConfig,
     MergeError,
+    _tag,
     all_merge_successors,
-    classify,
+    apply,
     form_copy_quotient,
     replay,
 )
 from mergespace.forest import (
     Node,
+    Workspace,
     enumerate_forests,
     leaf,
     node,
     workspace,
 )
+from mergespace.hopf import coproduct, ws_union
 
 a, b, c = leaf("a"), leaf("b"), leaf("c")
 CFG_D = MergeConfig(mode="d")
@@ -93,10 +98,57 @@ class TestSuccessors:
             for s in all_merge_successors(ws, CFG_D):
                 assert leaves_of(s.output_ws) == want
 
-    def test_classify_round_trip(self):
-        for ws in enumerate_forests("abcd"):
-            for s in all_merge_successors(ws, CFG_D):
-                assert classify(s) == s.tag
+    def test_tag_from_sources(self):
+        # sources are (component, path); the empty path is the whole
+        # component.  In ws, component 0 is ((a|b)|c) and component 1 (d|e).
+        ws = workspace(node(node(a, b), c), node(leaf("d"), leaf("e")))
+        table = [
+            (((0, ()), (1, ())), "EM"),
+            (((0, (0, 1)), (0, ())), "IM"),
+            (((0, ()), (0, (0, 1))), "IM"),
+            (((0, (1,)), (1, ())), "SM1"),
+            (((0, (0, 0)), (1, (1,))), "SM2"),
+            (((0, (0, 0)), (0, (1,))), "SM3"),
+            (((0, (0, 0)), (0, (0, 1))), "SM3"),
+            (((0, (0,)), (0, (1,))), "ID"),
+        ]
+        for (x, y), tag in table:
+            assert _tag(x, y) == tag, (x, y)
+            step = apply(ws, x, y)
+            assert step.tag == tag and step.sources == (x, y)
+
+
+class TestAgainstCoproduct:
+    """Each step is a pair (S, S') drawn from a coproduct term and grafted:
+    non-IM steps are the two-tree extractions of the workspace's coproduct,
+    IM steps the one-term cuts of a component's own coproduct."""
+
+    @pytest.mark.parametrize("mode", ["c", "d"])
+    @pytest.mark.parametrize("labels", ["abc", "abcd", "abcde"])
+    def test_steps_are_coproduct_pairs(self, labels, mode):
+        cfg = MergeConfig(mode=mode, allow_sibling_cut=True, allow_identity_sm=True)
+        for ws in enumerate_forests(labels):
+            steps = all_merge_successors(ws, cfg)
+            got = Counter((Workspace(s.pair).key, s.output_ws.key) for s in steps if s.tag != "IM")
+            want = Counter()
+            for (left, right), coef in coproduct(ws, mode).terms.items():
+                if left.b0 == 2:
+                    out = ws_union(right, workspace(Node(*left.components)))
+                    want[left.key, out.key] += int(coef)
+            assert got == want, ws.key
+
+            got = Counter((Workspace(s.pair).key, s.output_ws.key) for s in steps if s.tag == "IM")
+            want = Counter()
+            for ci, host in enumerate(ws.components):
+                rest = Workspace(ws.components[:ci] + ws.components[ci + 1 :])
+                for (left, right), coef in coproduct(workspace(host), mode).terms.items():
+                    if left.b0 != 1 or right.is_unit():
+                        continue  # not a one-term cut
+                    out = ws_union(rest, workspace(Node(*left.components, *right.components)))
+                    if mode == "d" and out.key == ws.key:
+                        continue
+                    want[ws_union(left, right).key, out.key] += int(coef)
+            assert got == want, ws.key
 
 
 class TestReplay:
