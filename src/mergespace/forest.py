@@ -14,6 +14,7 @@ accessible terms, degree).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -35,6 +36,7 @@ __all__ = [
     "enumerate_trees",
     "enumerate_forests",
     "double_factorial",
+    "forest_count",
     "tree_to_json",
     "tree_from_json",
     "workspace_to_json",
@@ -284,6 +286,18 @@ def double_factorial(n: int) -> int:
     return out
 
 
+def forest_count(n: int) -> int:
+    """Number of forests over n distinct labels, the edgeless one included.
+
+    The block holding the last label has k other labels and (2k - 1)!! trees:
+    f(m + 1) = sum_k C(m, k) (2k - 1)!! f(m - k), f(0) = 1.
+    """
+    f = [1]
+    for m in range(n):
+        f.append(sum(math.comb(m, k) * double_factorial(2 * k - 1) * f[m - k] for k in range(m + 1)))
+    return f[n]
+
+
 def enumerate_trees(labels) -> list:
     """All non-planar binary trees over a leaf multiset; (2n-3)!! of them for
     n distinct labels."""
@@ -387,7 +401,7 @@ def tree_to_json(t: SyntaxTree):
 def tree_from_json(obj) -> SyntaxTree:
     if isinstance(obj, str):
         return leaf(obj)
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and isinstance(obj.get("trace"), str):
         return trace_leaf(obj["trace"])
     if isinstance(obj, list) and len(obj) == 3 and obj[0] == "M":
         return Node(tree_from_json(obj[1]), tree_from_json(obj[2]))
@@ -399,6 +413,8 @@ def workspace_to_json(ws: Workspace):
 
 
 def workspace_from_json(obj) -> Workspace:
+    if not isinstance(obj, list):
+        raise ForestError(f"a workspace is a list of trees, got {json.dumps(obj)[:80]}")
     return Workspace(tuple(tree_from_json(t) for t in obj))
 
 

@@ -11,15 +11,16 @@ dynamics.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from mergespace.costs import cl_cost, ms_cost, rr_delta
 from mergespace.engine import MergeConfig, all_merge_successors
-from mergespace.forest import enumerate_forests
+from mergespace.forest import Leaf, enumerate_forests
 
 REGIMES = ("ms", "my", "cl", "total")
 
@@ -75,6 +76,15 @@ def build_graph(
     collapse_01); with a regime, each step contributes t^cost instead.
     Requires the deletion coproduct: contraction quotients leave traces and
     fall outside the state space.
+
+    Merge and every cost regime commute with relabeling the leaves, so the
+    engine and the cost model run on one representative per orbit of states
+    under label permutations.  Every other state's row is the
+    representative's (target, tag, exponent) list carried through the
+    permutation that maps the representative onto that state.  The first
+    other member of each orbit is also built directly, and MarkovError is
+    raised if its steps differ from the carried ones.  With repeated labels
+    every state is its own orbit.
     """
     labels = tuple(sorted(leaves))
     if not 2 <= len(labels) <= 6:
@@ -87,27 +97,109 @@ def build_graph(
         raise MarkovError("weight parameter t must be positive")
     vertices = enumerate_forests(labels, require_edge=True)
     index = {w.key: i for i, w in enumerate(vertices)}
+    forms = [_state_form(w, labels) for w in vertices]
+    locate = {form.clusters: i for i, form in enumerate(forms)}
+    orbits: dict = {}
+    for i, form in enumerate(forms):
+        orbits.setdefault(form.shape, []).append(i)
+
+    def direct_row(i: int) -> list:
+        return [
+            (index[step.output_ws.key], step.tag, None if regime is None else step_cost(step, regime))
+            for step in all_merge_successors(vertices[i], cfg)
+        ]
+
     n = len(vertices)
     K = np.zeros((n, n))
     edge_tags: dict = {}
     weights: dict = {}
-    for i, ws in enumerate(vertices):
-        for step in all_merge_successors(ws, cfg):
-            j = index[step.output_ws.key]
-            if regime is None:
-                K[i, j] += 1.0
-            else:
-                expo = step_cost(step, regime)
-                K[i, j] += t ** float(expo)
-                weights.setdefault((i, j), []).append(expo)
-            edge_tags.setdefault((i, j), []).append(step.tag)
+    for rep, *others in orbits.values():
+        row = direct_row(rep)
+        edges: dict = {}  # target -> (tags, exponents) in step order
+        for j, tag, expo in row:
+            tags, expos = edges.setdefault(j, ([], []))
+            tags.append(tag)
+            expos.append(expo)
+        targets = list(edges)
+        values = [
+            len(tags) if regime is None else sum(t ** float(x) for x in expos)
+            for tags, expos in edges.values()
+        ]
+        rows = {rep: targets}
+        for i in others:
+            rows[i] = _transport(targets, forms[rep], forms[i], forms, locate)
+        if others:
+            moved = dict(zip(targets, rows[others[0]]))
+            if Counter((moved[j], tag, x) for j, tag, x in row) != Counter(direct_row(others[0])):
+                raise MarkovError(
+                    f"steps of {vertices[others[0]].key} differ from those carried over from "
+                    f"{vertices[rep].key}; Merge or the cost model is not label-invariant"
+                )
+        for i, cols in rows.items():
+            K[i, cols] = values
+            for j, (tags, expos) in zip(cols, edges.values()):
+                edge_tags[i, j] = sorted(tags)
+                if regime is not None:
+                    weights[i, j] = list(expos)
     if collapse_01:
         K = (K > 0).astype(float)
-    for key in edge_tags:
-        edge_tags[key] = sorted(edge_tags[key])
     return TransitionGraph(
         vertices, index, K, edge_tags, cfg, weights=weights if regime else None
     )
+
+
+class _Form(NamedTuple):
+    """A state up to leaf relabeling.
+
+    shape is the label-free form of each component (children ordered by
+    shape), equal for exactly the states of one orbit; bits gives each leaf
+    occurrence, in that order, its own bit; clusters is the set of leaf
+    masks of the internal vertices, which determines the state.
+    """
+
+    shape: tuple
+    bits: list
+    clusters: frozenset
+
+
+def _tree_form(t, named: bool) -> tuple:
+    """(shape, leaf labels in shape order, (start, end) leaf span of each
+    internal vertex) of one tree; leaves carry their label only if named."""
+    if isinstance(t, Leaf):
+        return (t.name if named else ""), (t.name,), ()
+    a, b = sorted((_tree_form(t.left, named), _tree_form(t.right, named)))
+    k = len(a[1])
+    seq = a[1] + b[1]
+    spans = a[2] + tuple((s + k, e + k) for s, e in b[2]) + ((0, len(seq)),)
+    return "(" + a[0] + "|" + b[0] + ")", seq, spans
+
+
+def _state_form(ws, labels: tuple) -> _Form:
+    # repeated labels stay in the shape, so such states are their own orbit;
+    # the k-th occurrence of a label gets the k-th bit of its run in labels
+    named = len(set(labels)) < len(labels)
+    slot: dict = {}
+    for i, label in enumerate(labels):
+        slot.setdefault(label, 1 << i)
+    shape, bits, spans = [], [], []
+    for form, seq, tree_spans in sorted(_tree_form(c, named) for c in ws.components):
+        shape.append(form)
+        spans += [(s + len(bits), e + len(bits)) for s, e in tree_spans]
+        for label in seq:
+            bits.append(slot[label])
+            slot[label] <<= 1
+    return _Form(tuple(shape), bits, frozenset(sum(bits[s:e]) for s, e in spans))
+
+
+def _transport(targets: list, src: _Form, dst: _Form, forms: list, locate: dict) -> list:
+    """The states that src's targets become under the label permutation
+    mapping src onto dst (a state of the same shape), in the same order."""
+    image = dict(zip(src.bits, dst.bits))
+    table = [0] * (1 << len(src.bits))
+    for m in range(1, len(table)):
+        low = m & -m
+        table[m] = table[m ^ low] | image[low]
+    return [locate[frozenset([table[c] for c in forms[j].clusters])] for j in targets]
 
 
 def weighted_matrix(leaves, regime: str, t: float, cfg: MergeConfig = MergeConfig()) -> TransitionGraph:

@@ -13,7 +13,7 @@ with D > N on the nominal side.
 
 from __future__ import annotations
 
-from mergespace.coloring import Generator, Pattern, RuleSet, WILDCARD
+from mergespace.coloring import ColoringError, Generator, Pattern, RuleSet, WILDCARD
 
 HEAD_CLASSES = ("C", "INFL", "v", "V", "D", "P", "N")
 SPINE = (("TOP", "C"), ("C", "INFL"), ("INFL", "v"), ("v", "V"), ("D", "N"))
@@ -187,7 +187,6 @@ BUILTIN_RULESETS = {
 
 
 def get_ruleset(name: str) -> RuleSet:
-    try:
-        return BUILTIN_RULESETS[name]()
-    except KeyError:
-        raise KeyError(f"unknown rule set {name!r}; built-ins: {sorted(BUILTIN_RULESETS)}")
+    if name not in BUILTIN_RULESETS:
+        raise ColoringError(f"unknown rule set {name!r}; built-ins: {', '.join(sorted(BUILTIN_RULESETS))}")
+    return BUILTIN_RULESETS[name]()

@@ -1,10 +1,13 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from mergespace.cli import main
-from mergespace.forest import workspace_from_json
+from mergespace.coloring import ColoringError
+from mergespace.forest import enumerate_forests, forest_count, workspace_from_json
+from mergespace.rulesets import get_ruleset
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "src" / "mergespace" / "data" / "scripts"
 
@@ -31,6 +34,18 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--leaves", "")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("extra, count", [((), 36496226976), (("--trees-only",), 13749310575)])
+    def test_size_guard_refuses_twelve_leaves(self, capsys, extra, count):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", "--leaves", ",".join("abcdefghijkl"), *extra)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and not out
+        assert err.startswith("error: 12 leaves") and str(count) in err
+
+    def test_forest_count_closed_form(self):
+        for n in range(1, 7):
+            assert forest_count(n) == len(enumerate_forests("abcdef"[:n], require_edge=False))
+
 
 class TestSuccessors:
     def test_cherry_pair(self, capsys):
@@ -40,6 +55,20 @@ class TestSuccessors:
         assert code == 0
         rows = json.loads(out)
         assert len(rows) == 1 and rows[0]["tag"] == "EM"
+
+    @pytest.mark.parametrize(
+        "text, why",
+        [
+            ("x", "--workspace: not valid JSON"),
+            ('["a", ', "--workspace: not valid JSON"),
+            ("5", "a workspace is a list of trees"),
+            ('[{"foo": 1}]', "bad tree encoding"),
+        ],
+    )
+    def test_bad_workspace_is_domain_error(self, capsys, text, why):
+        code, out, err = run(capsys, "successors", "--workspace", text)
+        assert code == 1 and not out
+        assert err.startswith("error: " + why)
 
 
 class TestGraphAndMarkov:
@@ -145,6 +174,33 @@ class TestDerive:
         assert err.startswith("error: step 0: ") and "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "blob, field",
+        [
+            ({"mode": "d", "initial": ["a", "b"], "steps": [], "flags": {"nope": 1}}, "'nope'"),
+            ({"mode": "d", "initial": ["a", "b"], "steps": [], "flags": {"allow_im": 1}}, "allow_im"),
+            ({"mode": "d", "initial": ["a", "b"], "steps": [], "flags": []}, "'flags'"),
+            ({"mode": "d", "steps": []}, "script has no 'initial' field"),
+            ({"mode": "d", "initial": ["a", "b"]}, "script has no 'steps' field"),
+            (["a", "b"], "JSON object"),
+        ],
+        ids=["unknown-flag", "flag-not-bool", "flags-not-object", "no-initial", "no-steps", "not-object"],
+    )
+    def test_malformed_script_names_field(self, capsys, tmp_path, blob, field):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(blob))
+        code, out, err = run(capsys, "derive", "--script", str(p))
+        assert code == 1 and not out
+        assert err.startswith("error: ") and field in err
+
+    def test_script_not_json(self, capsys, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text("{")
+        code, out, err = run(capsys, "costs", "--script", str(p))
+        assert code == 1 and not out
+        assert err.startswith(f"error: --script {p}: not valid JSON")
+
+
 class TestColorCheck:
     def test_scenario_file(self, capsys):
         scen = SCRIPTS.parent / "scenarios" / "bulgarian_double_wh.json"
@@ -171,6 +227,31 @@ class TestColorCheck:
         )
         blob = json.loads(out)
         assert code == 0 and blob["colorings"] == 1
+
+
+    @pytest.mark.parametrize("option", ["--tree", "--colored-tree", "--constraints"])
+    def test_option_not_json(self, capsys, option):
+        argv = ["color-check", option, "{"]
+        if option == "--constraints":
+            argv += ["--tree", json.dumps(["M", "V", "IA"])]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith(f"error: {option}: not valid JSON")
+
+    def test_no_input_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "color-check")
+        assert code == 1 and not out
+        assert err.startswith("error: color-check needs --scenario, --tree")
+
+    @pytest.mark.parametrize("option", ["--ruleset", "--dump-ruleset"])
+    def test_unknown_ruleset(self, capsys, option):
+        code, out, err = run(capsys, "color-check", option, "nope", "--tree", '"a"')
+        assert code == 1 and not out
+        assert err.startswith("error: unknown rule set 'nope'; built-ins: ") and "theta" in err
+
+    def test_get_ruleset_raises_coloring_error(self):
+        with pytest.raises(ColoringError, match="unknown rule set 'nope'"):
+            get_ruleset("nope")
 
 
 class TestVerify:

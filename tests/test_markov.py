@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mergespace.engine import MergeConfig
+from mergespace import markov
+from mergespace.engine import MergeConfig, all_merge_successors
+from mergespace.forest import enumerate_forests
 from mergespace.markov import (
     EXACT_T0_EXPONENT,
     MarkovError,
@@ -166,6 +168,95 @@ class TestAgainstLapack:
         assert np.abs(pf.xi @ pf.K_hat - pf.xi).max() <= 1e-12
         assert (pf.eta > 0).all() and (pf.xi > 0).all()
         assert pf.residual <= 1e-12
+
+
+ORBIT_FLAGS = [
+    pytest.param({}, id="plain"),
+    pytest.param({"allow_im": False}, id="no-im"),
+    pytest.param({"allow_identity_sm": True}, id="identity-sm"),
+    pytest.param({"allow_sibling_cut": True}, id="sibling-cut"),
+    pytest.param({"atomic_sm_only": True}, id="atomic-sm"),
+    pytest.param({"allow_sm": False}, id="no-sm"),
+]
+
+
+def _reference_graph(vertices, steps, regime, t, collapse_01):
+    """(vertex keys, K, edge tags, weights) from every state's own steps,
+    without any use of the leaf-relabeling symmetry."""
+    index = {w.key: i for i, w in enumerate(vertices)}
+    K = np.zeros((len(vertices), len(vertices)))
+    tags, weights = {}, {}
+    for i, state_steps in enumerate(steps):
+        for step in state_steps:
+            j = index[step.output_ws.key]
+            tags.setdefault((i, j), []).append(step.tag)
+            if regime is None:
+                K[i, j] += 1.0
+            else:
+                expo = step_cost(step, regime)
+                weights.setdefault((i, j), []).append(expo)
+                K[i, j] += t ** float(expo)
+    if collapse_01:
+        K = (K > 0).astype(float)
+    return [w.key for w in vertices], K, {e: sorted(v) for e, v in tags.items()}, weights
+
+
+class TestOrbitTransport:
+    @pytest.mark.parametrize("labels", ["abc", "abcd", "aabc", "abcde"])
+    @pytest.mark.parametrize("flags", ORBIT_FLAGS)
+    def test_equals_per_state_reference(self, labels, flags):
+        cfg = MergeConfig(mode="d", **flags)
+        vertices = enumerate_forests(labels, require_edge=True)
+        steps = [all_merge_successors(ws, cfg) for ws in vertices]
+        for regime, collapse in [(None, False), (None, True), *((r, False) for r in REGIMES)]:
+            g = build_graph(labels, cfg, regime=regime, t=0.5, collapse_01=collapse)
+            keys, K, tags, weights = _reference_graph(vertices, steps, regime, 0.5, collapse)
+            assert [w.key for w in g.vertices] == keys
+            if regime is None:
+                assert np.array_equal(g.K, K)
+                assert g.weights is None
+            else:
+                np.testing.assert_allclose(g.K, K, rtol=1e-14, atol=0)
+                assert {e: sorted(v) for e, v in g.weights.items()} == {
+                    e: sorted(v) for e, v in weights.items()
+                }
+            assert g.edge_tags == tags
+
+    def test_engine_runs_on_representatives(self, monkeypatch):
+        # 9 orbits of states at 5 distinct leaves: each representative and
+        # one spot-checked member go through the engine, nothing else does
+        calls = []
+
+        def counted(ws, cfg):
+            calls.append(ws.key)
+            return all_merge_successors(ws, cfg)
+
+        monkeypatch.setattr(markov, "all_merge_successors", counted)
+        assert build_graph("abcde").n == 265
+        assert len(calls) == 18 and len(set(calls)) == 18
+
+    def test_repeated_labels_are_their_own_orbits(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a state with repeated labels was carried over")
+
+        monkeypatch.setattr(markov, "_transport", never)
+        assert build_graph("aabc").n == 22
+
+    def test_corrupted_carried_row_is_caught(self, monkeypatch):
+        transport = markov._transport
+        corrupted = []
+
+        def corrupt_first(targets, *args):
+            cols = transport(targets, *args)
+            if not corrupted:
+                corrupted.append(cols[0])
+                cols[0] = cols[1]
+            return cols
+
+        monkeypatch.setattr(markov, "_transport", corrupt_first)
+        with pytest.raises(MarkovError, match="differ from those carried over"):
+            build_graph("abcd")
+        assert corrupted
 
 
 class TestWeightedMatrices:
