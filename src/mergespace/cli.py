@@ -8,7 +8,6 @@ failing verification item, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -22,6 +21,8 @@ from mergespace.engine import (
     MergeError,
     all_merge_successors,
     form_copy_quotient,
+    load_form_copy,
+    load_script,
     replay,
 )
 from mergespace.forest import (
@@ -53,18 +54,13 @@ class InputError(ValueError):
     """A command-line option or input file that cannot be read or parsed."""
 
 
-DOMAIN_ERRORS = (
-    ForestError, MergeError, ECViolation, CostError, MarkovError, ColoringError, InputError, KeyError
-)
+DOMAIN_ERRORS = (ForestError, MergeError, ECViolation, CostError, MarkovError, ColoringError, InputError)
 
 # `enumerate` refuses to list more structures than this.  Measured on one
 # core: 27 006 forests (7 leaves) in 1.3 s and 68 MB, 135 135 trees
 # (8 leaves, --trees-only) in 3.8 s and 110 MB; the next sizes, 353 521
 # forests and 2 027 025 trees, are refused.
 MAX_ENUMERATED = 150_000
-
-# the MergeConfig fields a derivation script may set under "flags"
-SCRIPT_FLAGS = tuple(f.name for f in dataclasses.fields(MergeConfig) if f.name != "mode")
 
 
 def _add_common(p):
@@ -201,27 +197,12 @@ def cmd_markov(args):
 
 
 def _run_blob(blob):
-    if not isinstance(blob, dict):
-        raise MergeError("a script must be a JSON object")
-    if "fc" in blob:
-        fc = blob["fc"]
-        graph = form_copy_quotient(tree_from_json(fc["tree"]), [tuple(p) for p in fc["pairs"]])
-        report = fc_cost_report(graph, n_em_steps=fc.get("n_em", 0))
+    if isinstance(blob, dict) and "fc" in blob:
+        tree, pairs, n_em = load_form_copy(blob["fc"])
+        report = fc_cost_report(form_copy_quotient(tree, pairs), n_em_steps=n_em)
         report["kind"] = "quotient"
         return report
-    for name in ("initial", "steps"):
-        if name not in blob:
-            raise MergeError(f"script has no {name!r} field")
-    flags = blob.get("flags", {})
-    if not isinstance(flags, dict):
-        raise MergeError(f"'flags' must be an object, got {flags!r}")
-    for name, value in flags.items():
-        if name not in SCRIPT_FLAGS:
-            raise MergeError(f"flags: unknown flag {name!r}; known: {', '.join(SCRIPT_FLAGS)}")
-        if not isinstance(value, bool):
-            raise MergeError(f"flags: {name} must be true or false, got {value!r}")
-    cfg = MergeConfig(mode=blob.get("mode", "d"), **flags)
-    deriv = replay(workspace_from_json(blob["initial"]), blob["steps"], cfg)
+    deriv = replay(*load_script(blob))
     report = derivation_cost(deriv)
     report["kind"] = "derivation"
     report["final"] = workspace_to_text(deriv.final)

@@ -15,10 +15,12 @@ stay equivalent to building the same trees by color-constrained Merge.
 from __future__ import annotations
 
 import itertools
+import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from mergespace.forest import Leaf, Node, SyntaxTree, leaf, trace_leaf, tree_from_json
+from mergespace.forest import ForestError, Leaf, Node, SyntaxTree, leaf, trace_leaf, tree_from_json
 
 WILDCARD = "*"
 
@@ -50,10 +52,6 @@ def bare(t: ColoredTree) -> SyntaxTree:
     return Node(bare(t.left), bare(t.right))
 
 
-def color_of(t: ColoredTree) -> str:
-    return t.color
-
-
 @dataclass(frozen=True)
 class Generator:
     """Single-vertex rule: root color over an unordered pair of child colors.
@@ -66,12 +64,6 @@ class Generator:
     root: str
     children: tuple
     tag: str = "base"
-
-    def matches(self, root: str, c1: str, c2: str) -> bool:
-        if self.root != root:
-            return False
-        g1, g2 = self.children
-        return (_cm(g1, c1) and _cm(g2, c2)) or (_cm(g1, c2) and _cm(g2, c1))
 
     def child_pairs(self, c1: str, c2: str) -> bool:
         g1, g2 = self.children
@@ -97,13 +89,30 @@ class Pattern:
 
 @dataclass
 class RuleSet:
+    """Colors, generators and checks of one coloring system.
+
+    ``roots(c1, c2)`` is the one generator lookup: at construction every
+    generator is filed under its sorted child pair, wildcards included, and
+    a lookup unions the buckets ``{c1, *} x {c2, *}``.  ``fragments`` holds
+    the internal vertices of the composite bodies.  Generators and
+    composites are stored as tuples, so neither can go stale.
+    """
+
     name: str
     colors: set
-    generators: list
-    composites: list = field(default_factory=list)  # (root) carried by Pattern.color
+    generators: tuple
+    composites: tuple = ()  # (root) carried by Pattern.color
     global_checks: list = field(default_factory=list)
     role_inject: dict = field(default_factory=dict)  # color -> iterable of role names
     role_discharge: dict = field(default_factory=dict)  # color -> role name
+
+    def __post_init__(self):
+        self.generators = tuple(self.generators)
+        self.composites = tuple(self.composites)
+        self._index: dict = {}
+        for g in self.generators:
+            self._index.setdefault(tuple(sorted(g.children)), set()).add(g.root)
+        self.fragments = tuple(q for p in self.composites for q in _internal(p))
 
     @property
     def composite(self) -> bool:
@@ -112,16 +121,32 @@ class RuleSet:
     def known(self, color: str) -> bool:
         return color in self.colors
 
+    def roots(self, c1: str, c2: str) -> frozenset:
+        """Root colors of every generator whose children match (c1, c2) in
+        either order."""
+        out = _NONE
+        for a in {c1, WILDCARD}:
+            for b in {c2, WILDCARD}:
+                out = out | self._index.get((a, b) if a <= b else (b, a), _NONE)
+        return out
+
     def extended(self, name: str, extra_generators, extra_colors=()) -> "RuleSet":
         return RuleSet(
             name=name,
             colors=set(self.colors) | set(extra_colors),
-            generators=list(self.generators) + list(extra_generators),
-            composites=list(self.composites),
+            generators=self.generators + tuple(extra_generators),
+            composites=self.composites,
             global_checks=list(self.global_checks),
             role_inject=dict(self.role_inject),
             role_discharge=dict(self.role_discharge),
         )
+
+
+_NONE = frozenset()
+
+
+def _internal(p: Pattern) -> list:
+    return [] if p.is_leaf else [p] + [q for c in p.children for q in _internal(c)]
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +160,6 @@ def _check_colors_known(rs: RuleSet, t: ColoredTree) -> None:
             raise ColoringError(f"unknown color token {x.color!r} for rule set {rs.name}")
         if isinstance(x, CNode):
             stack.extend([x.left, x.right])
-
-
-def _single_vertex_ok(rs: RuleSet, v: CNode) -> bool:
-    c1, c2 = color_of(v.left), color_of(v.right)
-    return any(g.matches(v.color, c1, c2) for g in rs.generators)
 
 
 def _match_pattern(rs: RuleSet, pat: Pattern, t: ColoredTree, memo: dict) -> bool:
@@ -170,7 +190,7 @@ def _accepted_subtree(rs: RuleSet, t: ColoredTree, root_color: str, memo: dict) 
         out = True
     else:
         out = False
-        if _single_vertex_ok(rs, t):
+        if t.color in rs.roots(t.left.color, t.right.color):
             out = _accepted_subtree(rs, t.left, t.left.color, memo) and _accepted_subtree(
                 rs, t.right, t.right.color, memo
             )
@@ -211,7 +231,7 @@ def accepts(rs: RuleSet, t: ColoredTree, _memo: Optional[dict] = None):
         if isinstance(x, CLeaf):
             return None
         if not rs.composite:
-            if not _single_vertex_ok(rs, x):
+            if x.color not in rs.roots(x.left.color, x.right.color):
                 return path
             return walk(x.left, path + (0,)) or walk(x.right, path + (1,))
         return None if _accepted_subtree(rs, x, x.color, memo) else path
@@ -228,19 +248,85 @@ def accepts(rs: RuleSet, t: ColoredTree, _memo: Optional[dict] = None):
 # ---------------------------------------------------------------------------
 # coloring search over bare trees
 
-MAX_SEARCH_LEAVES = 14
+# `color_search` refuses to build more candidate colored trees than this
+# (leaves and subtrees included; see `candidate_count`).  Measured on one
+# core, unconstrained `phase+split` combs: 5 leaves build 179 882 candidates
+# in 3.8 s with a 37 MB peak; 6 leaves (1 136 153 candidates, 29 s, 153 MB)
+# are refused.  The shipped scenarios build at most 144.
+MAX_CANDIDATES = 250_000
 
 
-def _leaf_choices(rs: RuleSet, t: SyntaxTree, constraints: dict) -> list:
-    key = t.key  # traces use their ~name~ form, so they constrain separately
-    if key in constraints:
-        allowed = constraints[key]
-    else:
-        allowed = sorted(rs.colors)
-    for c in allowed:
-        if not rs.known(c):
-            raise ColoringError(f"constraint color {c!r} not in rule set {rs.name}")
-    return list(allowed)
+def _checked_constraints(rs: RuleSet, constraints) -> dict:
+    if constraints is None:
+        return {}
+    if not isinstance(constraints, dict):
+        raise ColoringError(f"constraints must map labels to color lists, got {_short(constraints)}")
+    for label, allowed in constraints.items():
+        if not isinstance(allowed, (list, tuple)) or not all(isinstance(c, str) for c in allowed):
+            raise ColoringError(f"constraints: {label}: not a list of colors: {_short(allowed)}")
+        for c in allowed:
+            if not rs.known(c):
+                raise ColoringError(f"constraint color {c!r} not in rule set {rs.name}")
+    return constraints
+
+
+def _short(obj) -> str:
+    return json.dumps(obj, default=repr)[:80]
+
+
+def _leaf_choices(rs: RuleSet, t: Leaf, constraints: dict) -> list:
+    # traces use their ~name~ form, so they constrain separately
+    return list(constraints.get(t.key, sorted(rs.colors)))
+
+
+def _vertex_roots(rs: RuleSet, t: Node, cl: str, cr: str) -> list:
+    """Candidate colors of vertex ``t`` over children colored (cl, cr): the
+    generator roots, plus the roots of composite-body fragments whose
+    children shallowly match.  Vertices consumed inside a composite body are
+    justified top-down by `accepts`; any other color can never be covered."""
+    roots = rs.roots(cl, cr)
+    if rs.fragments:
+        left = (cl, isinstance(t.left, Node))
+        right = (cr, isinstance(t.right, Node))
+        roots = roots | {
+            p.color
+            for p in rs.fragments
+            if (_shallow(p.children[0], left) and _shallow(p.children[1], right))
+            or (_shallow(p.children[0], right) and _shallow(p.children[1], left))
+        }
+    return sorted(roots)
+
+
+def _shallow(p: Pattern, child: tuple) -> bool:
+    color, internal = child
+    if p.is_leaf:
+        return p.color == WILDCARD or p.color == color
+    return internal and p.color == color
+
+
+def candidate_count(rs: RuleSet, tree: SyntaxTree, constraints: Optional[dict] = None) -> int:
+    """How many colored trees `color_search` builds on ``tree``, counting
+    every vertex's candidates (leaves included), without building any:
+    exact counts per root color, bottom-up."""
+    constraints = _checked_constraints(rs, constraints)
+    total = 0
+
+    def count(t: SyntaxTree) -> Counter:
+        nonlocal total
+        if isinstance(t, Leaf):
+            out = Counter(_leaf_choices(rs, t, constraints))
+        else:
+            left, right = count(t.left), count(t.right)
+            out = Counter()
+            for cl, nl in left.items():
+                for cr, nr in right.items():
+                    for root in _vertex_roots(rs, t, cl, cr):
+                        out[root] += nl * nr
+        total += sum(out.values())
+        return out
+
+    count(tree)
+    return total
 
 
 def color_search(
@@ -252,60 +338,30 @@ def color_search(
     """All accepted colorings of a bare tree, leaf colors drawn from the
     constraint map (label -> allowed colors; unconstrained leaves range over
     the whole palette).  An empty result means the structure is filtered out.
+    Searches that would build more than ``MAX_CANDIDATES`` candidates are
+    refused before building any.
     """
-    if tree.leaves > MAX_SEARCH_LEAVES:
-        raise ColoringError(f"search bounded at {MAX_SEARCH_LEAVES} leaves")
+    total = candidate_count(rs, tree, constraints)
     constraints = constraints or {}
-    # vertices consumed inside a composite body are justified top-down; allow
-    # their colors as candidates, but only where the children shallowly match
-    # some fragment of a composite body (anything else can never be covered)
-    fragments: list = []
-    for pat in rs.composites:
-        stack = [pat]
-        while stack:
-            p = stack.pop()
-            if not p.is_leaf:
-                fragments.append(p)
-                stack.extend(p.children)
+    if total > MAX_CANDIDATES:
+        raise ColoringError(
+            f"the search would build {total} candidate colorings, over the bound {MAX_CANDIDATES}"
+        )
 
-    def _shallow(p: Pattern, child: ColoredTree) -> bool:
-        if p.is_leaf:
-            return p.color == WILDCARD or p.color == child.color
-        return isinstance(child, CNode) and child.color == p.color
-
-    def fragment_roots(lt: ColoredTree, rt: ColoredTree) -> set:
-        roots = set()
-        for p in fragments:
-            p1, p2 = p.children
-            if (_shallow(p1, lt) and _shallow(p2, rt)) or (
-                _shallow(p1, rt) and _shallow(p2, lt)
-            ):
-                roots.add(p.color)
-        return roots
-
-    memo: dict = {}
-
-    def colorings(t: SyntaxTree, path: tuple) -> list:
-        if path in memo:
-            return memo[path]
+    def colorings(t: SyntaxTree) -> list:
         if isinstance(t, Leaf):
-            out = [CLeaf(t.name, c, trace=t.trace) for c in _leaf_choices(rs, t, constraints)]
-        else:
-            out = []
-            for lt in colorings(t.left, path + (0,)):
-                for rt in colorings(t.right, path + (1,)):
-                    cl, cr = color_of(lt), color_of(rt)
-                    roots = {g.root for g in rs.generators if g.child_pairs(cl, cr)}
-                    if fragments:
-                        roots |= fragment_roots(lt, rt)
-                    for root in sorted(roots):
-                        out.append(CNode(root, lt, rt))
-        memo[path] = out
-        return out
+            return [CLeaf(t.name, c, trace=t.trace) for c in _leaf_choices(rs, t, constraints)]
+        lefts, rights = colorings(t.left), colorings(t.right)
+        return [
+            CNode(root, lt, rt)
+            for lt in lefts
+            for rt in rights
+            for root in _vertex_roots(rs, t, lt.color, rt.color)
+        ]
 
     out = []
     shared_memo: dict = {}
-    for colored in colorings(tree, ()):
+    for colored in colorings(tree):
         if rs.composite or rs.global_checks:
             ok, _ = accepts(rs, colored, _memo=shared_memo)
         else:
@@ -320,13 +376,13 @@ def color_search(
 def scenario_verdicts(blob: dict) -> list:
     """One row per case of a scenario: the rule set, the verdict (accept when
     any coloring is found), the number of colorings, and whether the case's
-    ``expect``, ``min_colorings`` and ``max_colorings`` all hold."""
-    from mergespace.rulesets import get_ruleset  # rulesets imports this module
-
-    tree = tree_from_json(blob["tree"])
+    ``expect``, ``min_colorings`` and ``max_colorings`` all hold.  The whole
+    file is checked before any search: a bad field raises ColoringError
+    naming it."""
+    tree, cases = _checked_scenario(blob)
     rows = []
-    for case in blob["cases"]:
-        found = color_search(get_ruleset(case["ruleset"]), tree, blob.get("constraints"))
+    for case, rs in cases:
+        found = color_search(rs, tree, blob.get("constraints"))
         verdict = "accept" if found else "reject"
         ok = verdict == case["expect"]
         if ok and case.get("min_colorings"):
@@ -337,32 +393,60 @@ def scenario_verdicts(blob: dict) -> list:
     return rows
 
 
+def _checked_scenario(blob) -> tuple:
+    """The bare tree and the (case, rule set) pairs of a scenario."""
+    from mergespace.rulesets import get_ruleset  # rulesets imports this module
+
+    if not isinstance(blob, dict):
+        raise ColoringError("a scenario must be a JSON object")
+    for name in ("tree", "cases"):
+        if name not in blob:
+            raise ColoringError(f"scenario has no {name!r} field")
+    try:
+        tree = tree_from_json(blob["tree"])
+    except ForestError as exc:
+        raise ColoringError(f"tree: {exc}") from None
+    if not isinstance(blob["cases"], list) or not blob["cases"]:
+        raise ColoringError(f"cases: not a non-empty list: {_short(blob['cases'])}")
+    cases = []
+    for k, case in enumerate(blob["cases"]):
+        if not isinstance(case, dict):
+            raise ColoringError(f"cases[{k}]: not an object: {_short(case)}")
+        for name in ("ruleset", "expect"):
+            if name not in case:
+                raise ColoringError(f"cases[{k}]: no {name!r} field")
+        if case["expect"] not in ("accept", "reject"):
+            raise ColoringError(f"cases[{k}]: expect: want accept or reject, got {_short(case['expect'])}")
+        for name in ("min_colorings", "max_colorings"):
+            value = case.get(name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
+                raise ColoringError(f"cases[{k}]: {name}: not a non-negative integer: {_short(value)}")
+        rs = get_ruleset(case["ruleset"])
+        _checked_constraints(rs, blob.get("constraints"))
+        cases.append((case, rs))
+    return tree, cases
+
+
 # ---------------------------------------------------------------------------
 # color-constrained Merge (External Merge over colored components)
 
-def colored_merge_successors(components: tuple, rs: RuleSet, cfg=None) -> list:
+def colored_merge_successors(components: tuple, rs: RuleSet) -> list:
     """One-step color-constrained merges of whole components.
 
     A pair of components with root colors (c1, c2) merges iff some generator
     has those child colors; the new vertex takes that generator's root color.
     Movement bookkeeping is already materialized as slot-colored leaves, so
     this single move type generates exactly the accepted trees bottom-up.
-    Returns (new components tuple, generator, (i, j)) triples.
+    Returns (new components tuple, root color, (i, j)) triples, one per
+    root color in sorted order.
     """
     out = []
     n = len(components)
     for i in range(n):
         for j in range(i + 1, n):
-            c1, c2 = color_of(components[i]), color_of(components[j])
-            roots = set()
-            for g in rs.generators:
-                if g.child_pairs(c1, c2) and g.root not in roots:
-                    roots.add(g.root)
-                    merged = CNode(g.root, components[i], components[j])
-                    rest = tuple(
-                        x for k, x in enumerate(components) if k not in (i, j)
-                    )
-                    out.append((rest + (merged,), g, (i, j)))
+            rest = tuple(x for k, x in enumerate(components) if k not in (i, j))
+            for root in sorted(rs.roots(components[i].color, components[j].color)):
+                out.append((rest + (CNode(root, components[i], components[j]),), root, (i, j)))
     return out
 
 
@@ -371,7 +455,7 @@ def reachable_by_colored_merge(
 ) -> bool:
     """Whether some leaf coloring lets color-constrained Merge build the bare
     tree as a single component."""
-    constraints = constraints or {}
+    constraints = _checked_constraints(rs, constraints)
     target = tree.key
     leaves = []
 
@@ -397,7 +481,7 @@ def reachable_by_colored_merge(
                 if ok:
                     return True
                 continue
-            for new_comps, _g, _ij in colored_merge_successors(tuple(comps), rs):
+            for new_comps, _root, _ij in colored_merge_successors(tuple(comps), rs):
                 sig = tuple(sorted((repr(x) for x in new_comps)))
                 if sig not in seen:
                     seen.add(sig)
@@ -464,7 +548,17 @@ def colored_tree_to_json(t: ColoredTree) -> dict:
 
 
 def colored_tree_from_json(obj) -> ColoredTree:
+    """Decodes `colored_tree_to_json`; a bad vertex raises ColoringError
+    naming the field."""
+    if not isinstance(obj, dict):
+        raise ColoringError(f"colored tree: a vertex must be an object, got {_short(obj)}")
+    if not isinstance(obj.get("color"), str):
+        raise ColoringError(f"colored tree: vertex without a string 'color': {_short(obj)}")
     if "children" in obj:
-        l, r = obj["children"]
-        return CNode(obj["color"], colored_tree_from_json(l), colored_tree_from_json(r))
+        kids = obj["children"]
+        if not isinstance(kids, list) or len(kids) != 2:
+            raise ColoringError(f"colored tree: 'children' must list two vertices: {_short(obj)}")
+        return CNode(obj["color"], colored_tree_from_json(kids[0]), colored_tree_from_json(kids[1]))
+    if not isinstance(obj.get("label"), str):
+        raise ColoringError(f"colored tree: leaf without a string 'label': {_short(obj)}")
     return CLeaf(obj["label"], obj["color"], trace=bool(obj.get("trace")))

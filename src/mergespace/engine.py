@@ -9,11 +9,12 @@ nothing in this module can insert material at an interior edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from typing import Iterator
 
 from mergespace.forest import (
+    ForestError,
     Leaf,
     Node,
     SyntaxTree,
@@ -21,7 +22,9 @@ from mergespace.forest import (
     accessible_terms,
     nested,
     subtree_at,
+    tree_from_json,
     tree_quotient,
+    workspace_from_json,
 )
 
 EM, IM, SM1, SM2, SM3, ID_SM = "EM", "IM", "SM1", "SM2", "SM3", "ID"
@@ -267,6 +270,35 @@ def replay(initial: Workspace, script: list, cfg: MergeConfig = MergeConfig()) -
     return deriv
 
 
+# the MergeConfig fields a derivation script may set under "flags"
+SCRIPT_FLAGS = tuple(f.name for f in fields(MergeConfig) if f.name != "mode")
+
+
+def load_script(blob) -> tuple:
+    """The (initial workspace, steps, MergeConfig) of a derivation script,
+    checked field by field: a bad field raises MergeError naming it.  The
+    steps themselves are checked one by one by `replay`."""
+    if not isinstance(blob, dict):
+        raise MergeError("a script must be a JSON object")
+    for name in ("initial", "steps"):
+        if name not in blob:
+            raise MergeError(f"script has no {name!r} field")
+    flags = blob.get("flags", {})
+    if not isinstance(flags, dict):
+        raise MergeError(f"'flags' must be an object, got {flags!r}")
+    for name, value in flags.items():
+        if name not in SCRIPT_FLAGS:
+            raise MergeError(f"flags: unknown flag {name!r}; known: {', '.join(SCRIPT_FLAGS)}")
+        if not isinstance(value, bool):
+            raise MergeError(f"flags: {name} must be true or false, got {value!r}")
+    cfg = MergeConfig(mode=blob.get("mode", "d"), **flags)
+    try:
+        initial = workspace_from_json(blob["initial"])
+    except ForestError as exc:
+        raise MergeError(f"initial: {exc}") from None
+    return initial, blob["steps"], cfg
+
+
 def _permissive(cfg: MergeConfig) -> MergeConfig:
     # replay validates against the widest flag set for the chosen mode,
     # except sibling cuts, which stay an explicit opt-in
@@ -300,6 +332,35 @@ def _all_paths(t: SyntaxTree, prefix=()):
     if isinstance(t, Node):
         yield from _all_paths(t.left, prefix + (0,))
         yield from _all_paths(t.right, prefix + (1,))
+
+
+def load_form_copy(fc) -> tuple:
+    """The (tree, pairs, n_em) of a FormCopy script's ``fc`` object, checked
+    field by field: a bad field raises MergeError naming it."""
+    if not isinstance(fc, dict):
+        raise MergeError(f"fc: must be an object, got {fc!r:.80}")
+    for name in ("tree", "pairs"):
+        if name not in fc:
+            raise MergeError(f"fc: no {name!r} field")
+    try:
+        tree = tree_from_json(fc["tree"])
+    except ForestError as exc:
+        raise MergeError(f"fc: tree: {exc}") from None
+    pairs = fc["pairs"]
+    if not isinstance(pairs, list):
+        raise MergeError(f"fc: pairs must be a list, got {pairs!r:.80}")
+    for k, p in enumerate(pairs):
+        if not (isinstance(p, list) and len(p) == 3 and isinstance(p[0], str)
+                and _is_count(p[1]) and _is_count(p[2])):
+            raise MergeError(f"fc: pairs[{k}]: want [key, occurrence, occurrence], got {p!r:.80}")
+    n_em = fc.get("n_em", 0)
+    if not _is_count(n_em):
+        raise MergeError(f"fc: n_em must be a non-negative integer, got {n_em!r:.80}")
+    return tree, [tuple(p) for p in pairs], n_em
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def form_copy_quotient(tree: SyntaxTree, pairs: list) -> QuotientGraph:

@@ -272,12 +272,6 @@ def quotient(ws: Workspace, cut: list, mode: str) -> Workspace:
     return Workspace(tuple(comps))
 
 
-def extracted_forest(ws: Workspace, cut: list) -> Workspace:
-    """The forest of extracted accessible terms (left side of a coproduct term)."""
-    _check_disjoint(cut)
-    return Workspace(tuple(r.subtree for r in cut))
-
-
 def double_factorial(n: int) -> int:
     out = 1
     while n > 1:

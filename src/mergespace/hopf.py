@@ -93,18 +93,6 @@ class LinComb:
             return "0"
         return " + ".join(f"{c}*{t!r}" for t, c in self)
 
-    def map_terms(self, f: Callable) -> "LinComb":
-        """Apply a linear operator given on basis terms (term -> LinComb)."""
-        out = LinComb()
-        for t, c in self.terms.items():
-            img = f(t)
-            if isinstance(img, LinComb):
-                for u, d in img.terms.items():
-                    out.add(u, c * d)
-            else:
-                out.add(img, c)
-        return out
-
 
 class TensorComb(LinComb):
     """Linear combination of ordered pairs (left, right)."""
@@ -183,16 +171,6 @@ def coproduct(ws: Workspace, mode: str) -> TensorComb:
     for comp in ws.components:
         out = out.product(_tree_coproduct(comp, mode), ws_union)
     return out
-
-
-def counit(lc: LinComb) -> Fraction:
-    """Coefficient of the unit workspace/forest."""
-    for t, c in lc.terms.items():
-        if (isinstance(t, Workspace) and t.is_unit()) or (
-            isinstance(t, CKForest) and t.is_unit()
-        ):
-            return c
-    return Fraction(0)
 
 
 # ---------------------------------------------------------------------------

@@ -143,9 +143,9 @@ def phase_composite_ruleset() -> RuleSet:
     for w in HEAD_CLASSES:
         wrap = Pattern(f"s({w})", (Pattern(WILDCARD), Pattern("slot:m")))
         composites.append(Pattern(f"s({w})", (wrap, wrap)))
-    rs = base.extended("phase+composite", [])
-    rs.composites = composites
-    return rs
+    return RuleSet(
+        name="phase+composite", colors=base.colors, generators=base.generators, composites=composites
+    )
 
 
 def korean_pac_ruleset() -> RuleSet:
@@ -187,6 +187,6 @@ BUILTIN_RULESETS = {
 
 
 def get_ruleset(name: str) -> RuleSet:
-    if name not in BUILTIN_RULESETS:
+    if not isinstance(name, str) or name not in BUILTIN_RULESETS:
         raise ColoringError(f"unknown rule set {name!r}; built-ins: {', '.join(sorted(BUILTIN_RULESETS))}")
     return BUILTIN_RULESETS[name]()

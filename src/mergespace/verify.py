@@ -33,6 +33,8 @@ from mergespace.engine import (
     MergeError,
     all_merge_successors,
     form_copy_quotient,
+    load_form_copy,
+    load_script,
     replay,
 )
 from mergespace.forest import (
@@ -40,9 +42,7 @@ from mergespace.forest import (
     enumerate_trees,
     leaf,
     node,
-    tree_from_json,
     workspace,
-    workspace_from_json,
 )
 from mergespace.hopf import (
     insertion_cocycle_defect,
@@ -94,10 +94,7 @@ def _data(kind: str, name: str) -> dict:
 
 
 def _run_script(name: str):
-    blob = _data("scripts", name)
-    cfg = MergeConfig(mode=blob["mode"], **blob.get("flags", {}))
-    ws = workspace_from_json(blob["initial"])
-    return replay(ws, blob["steps"], cfg)
+    return replay(*load_script(_data("scripts", name)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +259,9 @@ def check_cost_facts(c: Check):
     c.equal("amalgam sideward path: resource total 5 (deletion)", sm["totals"]["my_d"], 5)
     c.equal("amalgam sideward path: resource total 7 (contraction)", sm["totals"]["my_c"], 7)
     c.equal("amalgam sideward path: complexity loss 2 (per-operation)", sm["totals"]["cl_type"], 2)
-    fc_blob = _data("scripts", "amalgam_fc")["fc"]
-    graph = form_copy_quotient(
-        tree_from_json(fc_blob["tree"]), [tuple(p) for p in fc_blob["pairs"]]
-    )
-    fc = fc_cost_report(graph, n_em_steps=fc_blob["n_em"])
+    tree, pairs, n_em = load_form_copy(_data("scripts", "amalgam_fc")["fc"])
+    graph = form_copy_quotient(tree, pairs)
+    fc = fc_cost_report(graph, n_em_steps=n_em)
     c.equal("copy-identification quotient: vertex history", graph.history, [17, 14, 13])
     c.equal(
         "copy-identification search cost 14/17 + 13/14",
@@ -418,22 +413,16 @@ def check_coloring_scenarios(c: Check):
         c.true(f"scenario {blob['name']}", all(r["ok"] for r in rows), detail)
     counts = []
     for size in (2, 3, 4):
-        blob = _data("scripts", f"clitic_cluster_{size}")
-        deriv = replay(
-            workspace_from_json(blob["initial"]),
-            blob["steps"],
-            MergeConfig(mode=blob["mode"], **blob["flags"]),
-        )
+        deriv = _run_script(f"clitic_cluster_{size}")
         counts.append(sum(1 for s in deriv.steps if s.tag.startswith("SM")))
     c.true("clitic clusters 2-4 need strictly more sideward steps", counts == [1, 2, 3], counts)
-    blob = _data("scripts", "korean_pac")
-    ws = workspace_from_json(blob["initial"])
+    ws, steps, _ = load_script(_data("scripts", "korean_pac"))
     try:
-        replay(ws, blob["steps"], MergeConfig(mode="d"))
+        replay(ws, steps, MergeConfig(mode="d"))
         gated = False
     except MergeError:
         gated = True
-    built = replay(ws, blob["steps"], MergeConfig(mode="d", allow_sibling_cut=True))
+    built = replay(ws, steps, MergeConfig(mode="d", allow_sibling_cut=True))
     c.true(
         "double-accusative cluster needs the two-edges-below-one-vertex cut",
         gated and len(built.steps) == 2,

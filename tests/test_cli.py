@@ -254,6 +254,60 @@ class TestColorCheck:
             get_ruleset("nope")
 
 
+SCENARIO_TREE = ["M", "EA", ["M", "V", "IA"]]
+
+
+@pytest.mark.parametrize(
+    "command, payload, why",
+    [
+        ("derive", {"fc": {"tree": ["M", "a", "b"], "pairs": [["a", 0]]}}, "fc: pairs[0]: "),
+        ("derive", {"fc": {}}, "fc: no 'tree' field"),
+        ("derive", {"fc": {"tree": ["M", "a", "b"], "pairs": [], "n_em": -1}}, "fc: n_em "),
+        ("derive", {"mode": "d", "initial": 5, "steps": []}, "initial: "),
+        ("scenario", {"tree": SCENARIO_TREE}, "scenario has no 'cases' field"),
+        ("scenario", {"tree": SCENARIO_TREE, "cases": [{"ruleset": "theta"}]}, "cases[0]: no 'expect' field"),
+        (
+            "scenario",
+            {"tree": SCENARIO_TREE, "cases": [{"ruleset": "theta", "expect": "accept", "min_colorings": "3"}]},
+            "cases[0]: min_colorings: ",
+        ),
+        ("scenario", {"tree": 5, "cases": [{"ruleset": "theta", "expect": "accept"}]}, "tree: bad tree encoding"),
+        (
+            "scenario",
+            {"tree": SCENARIO_TREE, "constraints": {"V": "head:EI"}, "cases": [{"ruleset": "theta", "expect": "accept"}]},
+            "constraints: V: ",
+        ),
+        ("colored-tree", {"color": "clause", "children": [{"label": "a", "color": "th_E"}]}, "colored tree: 'children'"),
+        ("colored-tree", [1], "colored tree: a vertex must be an object"),
+        ("colored-tree", {"color": "th_E"}, "colored tree: leaf without a string 'label'"),
+    ],
+    ids=["fc-short-pair", "fc-no-tree", "fc-negative-n-em", "initial-not-list", "scenario-no-cases",
+         "case-no-expect", "min-colorings-string", "scenario-bad-tree", "constraint-not-list",
+         "one-child", "vertex-not-object", "leaf-no-label"],
+)
+def test_malformed_input_names_field(capsys, tmp_path, command, payload, why):
+    if command == "colored-tree":
+        argv = ["color-check", "--colored-tree", json.dumps(payload)]
+    else:
+        p = tmp_path / "input.json"
+        p.write_text(json.dumps(payload))
+        argv = ["derive", "--script", str(p)] if command == "derive" else ["color-check", "--scenario", str(p)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("error: " + why) and "Traceback" not in err
+
+
+def test_large_color_search_refused(capsys):
+    comb = "n"
+    for label in "abcdefghijklm":
+        comb = ["M", label, comb]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "color-check", "--ruleset", "phase+split", "--tree", json.dumps(comb))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    assert err.startswith("error: the search would build 3265513777429 candidate colorings, over the bound")
+
+
 class TestVerify:
     def test_filtered_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "state-space")

@@ -3,12 +3,14 @@ from pathlib import Path
 
 import pytest
 
+
 from mergespace.coloring import (
     CLeaf,
     CNode,
     ColoringError,
     accepts,
     bare,
+    candidate_count,
     color_search,
     colored_merge_successors,
     colored_tree_from_json,
@@ -20,7 +22,7 @@ from mergespace.coloring import (
 )
 from mergespace.engine import MergeConfig, MergeError, replay
 from mergespace.forest import enumerate_trees, tree_from_json, workspace_from_json
-from mergespace.rulesets import get_ruleset
+from mergespace.rulesets import BUILTIN_RULESETS, get_ruleset
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "mergespace" / "data"
 
@@ -157,6 +159,82 @@ class TestKoreanPAC:
         rs = get_ruleset("korean-pac")
         found = color_search(rs, tree_from_json(blob["tree"]), blob["constraints"])
         assert len(found) == 2
+
+
+def reference_roots(rs, a, b):
+    return {g.root for g in rs.generators if g.child_pairs(a, b)}
+
+
+WILDCARD_RULESET = {
+    "name": "wild",
+    "colors": ["x", "y", "z", "r"],
+    "generators": [
+        {"root": "r", "children": ["*", "x"]},
+        {"root": "z", "children": ["*", "*"]},
+        {"root": "y", "children": ["x", "y"]},
+        {"root": "x", "children": ["y", "y"]},
+    ],
+}
+
+
+class TestGeneratorIndex:
+    def test_builtin_rulesets_match_every_generator(self):
+        pairs = 0
+        for name in BUILTIN_RULESETS:
+            rs = get_ruleset(name)
+            for a in sorted(rs.colors):
+                for b in sorted(rs.colors):
+                    assert rs.roots(a, b) == reference_roots(rs, a, b), (name, a, b)
+                    pairs += 1
+        assert pairs == 10907
+
+    def test_wildcard_buckets(self):
+        rs = ruleset_from_json(WILDCARD_RULESET)
+        for a in sorted(rs.colors):
+            for b in sorted(rs.colors):
+                assert rs.roots(a, b) == reference_roots(rs, a, b), (a, b)
+        assert rs.roots("x", "r") == {"r", "z"}
+        assert rs.roots("y", "x") == {"r", "y", "z"}
+        assert rs.roots("z", "z") == {"z"}
+
+    def test_generators_and_composites_are_tuples(self):
+        rs = get_ruleset("phase+composite")
+        assert isinstance(rs.generators, tuple) and isinstance(rs.composites, tuple)
+        # each body is an edge vertex over two unit-move wrappers
+        assert len(rs.composites) == 7 and len(rs.fragments) == 21
+
+
+def counted_init(cls, built):
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(cls)
+        init(self, *args, **kwargs)
+
+    return counted
+
+
+class TestCandidateBound:
+    @pytest.mark.parametrize("pair", load_scenarios(), ids=scenario_id)
+    def test_count_equals_candidates_built(self, pair, monkeypatch):
+        blob, case = pair
+        rs = get_ruleset(case["ruleset"])
+        tree = tree_from_json(blob["tree"])
+        built = []
+        for cls in (CLeaf, CNode):
+            monkeypatch.setattr(cls, "__init__", counted_init(cls, built))
+        count = candidate_count(rs, tree, blob["constraints"])
+        assert not built
+        color_search(rs, tree, blob["constraints"])
+        assert len(built) == count <= 144
+
+    @pytest.mark.parametrize(
+        "constraints, why",
+        [([1], "constraints must map labels"), ({"a": "th_E"}, "constraints: a: "), ({"a": ["nope"]}, "'nope' not in")],
+    )
+    def test_bad_constraints(self, constraints, why):
+        with pytest.raises(ColoringError, match=why):
+            color_search(get_ruleset("theta"), tree_from_json(["M", "a", "b"]), constraints)
 
 
 class TestColoredMerge:
