@@ -189,7 +189,7 @@ def cmd_markov(args):
     if args.format == "csv":
         _emit(matrix_csv(g), args.out)
         return 0
-    pf = perron_frobenius(g.K)
+    pf = perron_frobenius(g)
     blob = pf_to_json(pf)
     blob["vertices"] = [w.key for w in g.vertices]
     _emit(json.dumps(blob, indent=1), args.out)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from mergespace.costs import cl_cost, ms_cost, rr_delta
 from mergespace.engine import MergeConfig, all_merge_successors
-from mergespace.forest import Leaf, enumerate_forests
+from mergespace.forest import Leaf, enumerate_forests, forest_count
 
 REGIMES = ("ms", "my", "cl", "total")
 
@@ -49,18 +50,79 @@ def step_cost(step, regime: str) -> Fraction:
     raise MarkovError(f"unknown regime {regime!r}")
 
 
+# build_graph refuses more states than this, counted with forest_count before
+# anything is enumerated.  The 7-leaf chain (27 006 states, 1 099 245 edges)
+# is the largest that fits; the next, 8 leaves, has 353 521 states.
+MAX_STATES = 30_000
+# Dense matrices (TransitionGraph.K, PFData.K_hat, matrix_csv, the CLI's JSON
+# "matrix") are refused above the 6-leaf state count: 47 MB each there, and
+# 5.8 GB at 7 leaves.
+MAX_DENSE_STATES = 2_430
+
+
 @dataclass
 class TransitionGraph:
+    """The chain over one leaf multiset as sorted COO edge arrays.
+
+    Edge e runs from state rows[e] to state cols[e] with value values[e]:
+    the number of distinct Merge steps, their summed t^cost under a regime,
+    or 1 with collapse_01.  Edges are sorted by (row, col) and unique.
+    kinds[edge_kind[e]] is the edge's (sorted step tags, Fraction exponents
+    in step order or None), one table entry shared by every edge with the
+    same steps.  K, edge_tags and weights are views of the arrays, built on
+    first read and cached.
+    """
+
     vertices: list
     index: dict
-    K: np.ndarray
-    edge_tags: dict  # (i, j) -> sorted list of step tags
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    edge_kind: np.ndarray
+    kinds: list
     cfg: MergeConfig
-    weights: Optional[dict] = None  # (i, j) -> list of Fraction exponents
+    regime: Optional[str] = None
 
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        """The dense n x n matrix, read-only; refused above MAX_DENSE_STATES."""
+        return _dense(self.rows, self.cols, self.values, self.n)
+
+    @cached_property
+    def edge_tags(self) -> dict:
+        """(i, j) -> sorted list of the tags of the steps from i to j."""
+        return self._per_edge(0)
+
+    @cached_property
+    def weights(self) -> Optional[dict]:
+        """(i, j) -> list of the exponents of those steps; None if unweighted."""
+        return None if self.regime is None else self._per_edge(1)
+
+    def _per_edge(self, part: int) -> dict:
+        table = [kind[part] for kind in self.kinds]
+        return {
+            (i, j): list(table[k])
+            for i, j, k in zip(self.rows.tolist(), self.cols.tolist(), self.edge_kind.tolist())
+        }
+
+    def __array__(self, dtype=None, copy=None):
+        # code written for a dense matrix (np.asarray, numpy.linalg) reads K
+        return np.array(self.K, dtype=dtype, copy=copy)
+
+
+def _dense(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    if n > MAX_DENSE_STATES:
+        raise MarkovError(
+            f"{n} states: dense matrices are refused above {MAX_DENSE_STATES} states (6 leaves)"
+        )
+    K = np.zeros((n, n))
+    K[rows, cols] = values
+    K.flags.writeable = False
+    return K
 
 
 def build_graph(
@@ -75,30 +137,36 @@ def build_graph(
     Unweighted entries count distinct Merge steps (or clip to 0/1 with
     collapse_01); with a regime, each step contributes t^cost instead.
     Requires the deletion coproduct: contraction quotients leave traces and
-    fall outside the state space.
+    fall outside the state space.  More than MAX_STATES states (counted for
+    distinct labels) are refused before anything is enumerated.
 
     Merge and every cost regime commute with relabeling the leaves, so the
     engine and the cost model run on one representative per orbit of states
     under label permutations.  Every other state's row is the
-    representative's (target, tag, exponent) list carried through the
-    permutation that maps the representative onto that state.  The first
-    other member of each orbit is also built directly, and MarkovError is
-    raised if its steps differ from the carried ones.  With repeated labels
+    representative's row carried through the permutation that maps the
+    representative onto that state.  The first other member of each orbit
+    is also built directly, and MarkovError is raised if its (target, tag,
+    exponent) steps differ from the carried ones.  With repeated labels
     every state is its own orbit.
     """
     labels = tuple(sorted(leaves))
-    if not 2 <= len(labels) <= 6:
-        raise MarkovError("leaf count outside the exhaustive-enumeration bound [2, 6]")
+    if len(labels) < 2:
+        raise MarkovError("transition graphs need at least 2 leaves")
+    bound = forest_count(len(labels)) - 1
+    if bound > MAX_STATES:
+        raise MarkovError(
+            f"{len(labels)} leaves give up to {bound} states, over the bound of {MAX_STATES}"
+        )
     if cfg.mode != "d":
         raise MarkovError("transition graphs need mode 'd'")
     if regime is not None and regime not in REGIMES:
         raise MarkovError(f"unknown regime {regime!r}")
-    if t <= 0:
-        raise MarkovError("weight parameter t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise MarkovError(f"weight parameter t must be finite and positive, got t = {t}")
     vertices = enumerate_forests(labels, require_edge=True)
     index = {w.key: i for i, w in enumerate(vertices)}
     forms = [_state_form(w, labels) for w in vertices]
-    locate = {form.clusters: i for i, form in enumerate(forms)}
+    states = _StateKeys(forms, len(labels))
     orbits: dict = {}
     for i, form in enumerate(forms):
         orbits.setdefault(form.shape, []).append(i)
@@ -109,10 +177,8 @@ def build_graph(
             for step in all_merge_successors(vertices[i], cfg)
         ]
 
-    n = len(vertices)
-    K = np.zeros((n, n))
-    edge_tags: dict = {}
-    weights: dict = {}
+    kinds: dict = {}  # (sorted tags, exponents or None) -> index
+    parts = []  # (rows, cols, kind indices) per orbit
     for rep, *others in orbits.values():
         row = direct_row(rep)
         edges: dict = {}  # target -> (tags, exponents) in step order
@@ -120,32 +186,42 @@ def build_graph(
             tags, expos = edges.setdefault(j, ([], []))
             tags.append(tag)
             expos.append(expo)
-        targets = list(edges)
-        values = [
-            len(tags) if regime is None else sum(t ** float(x) for x in expos)
-            for tags, expos in edges.values()
-        ]
-        rows = {rep: targets}
-        for i in others:
-            rows[i] = _transport(targets, forms[rep], forms[i], forms, locate)
-        if others:
-            moved = dict(zip(targets, rows[others[0]]))
-            if Counter((moved[j], tag, x) for j, tag, x in row) != Counter(direct_row(others[0])):
-                raise MarkovError(
-                    f"steps of {vertices[others[0]].key} differ from those carried over from "
-                    f"{vertices[rep].key}; Merge or the cost model is not label-invariant"
-                )
-        for i, cols in rows.items():
-            K[i, cols] = values
-            for j, (tags, expos) in zip(cols, edges.values()):
-                edge_tags[i, j] = sorted(tags)
-                if regime is not None:
-                    weights[i, j] = list(expos)
+        targets = np.fromiter(edges, dtype=np.intp, count=len(edges))
+        kind = np.array(
+            [
+                kinds.setdefault((tuple(sorted(tags)), None if regime is None else tuple(expos)), len(kinds))
+                for tags, expos in edges.values()
+            ],
+            dtype=np.int32,
+        )
+        parts.append((np.full(len(targets), rep), targets, kind))
+        if not others:
+            continue
+        moved = _transport(targets, forms[rep], [forms[i] for i in others], states)
+        carried = dict(zip(targets.tolist(), moved[0].tolist()))
+        if Counter((carried[j], tag, x) for j, tag, x in row) != Counter(direct_row(others[0])):
+            raise MarkovError(
+                f"steps of {vertices[others[0]].key} differ from those carried over from "
+                f"{vertices[rep].key}; Merge or the cost model is not label-invariant"
+            )
+        parts.append((np.repeat(others, len(targets)), moved.ravel(), np.tile(kind, len(others))))
+    rows, cols, kind = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(rows * len(vertices) + cols)
+    rows, cols, kind = rows[order], cols[order], kind[order]
+    table = list(kinds)
+    per_kind = [float(len(tags)) if expos is None else _weight(t, expos) for tags, expos in table]
+    values = np.array(per_kind)[kind]
     if collapse_01:
-        K = (K > 0).astype(float)
-    return TransitionGraph(
-        vertices, index, K, edge_tags, cfg, weights=weights if regime else None
-    )
+        values = (values > 0).astype(float)
+    return TransitionGraph(vertices, index, rows, cols, values, kind, table, cfg, regime)
+
+
+def _weight(t: float, expos: tuple) -> float:
+    """The summed t^cost of one edge's steps, in step order."""
+    try:
+        return sum(t ** float(x) for x in expos)
+    except OverflowError:
+        raise MarkovError(f"t = {t} overflows t^cost for cost {max(expos)}") from None
 
 
 class _Form(NamedTuple):
@@ -153,13 +229,13 @@ class _Form(NamedTuple):
 
     shape is the label-free form of each component (children ordered by
     shape), equal for exactly the states of one orbit; bits gives each leaf
-    occurrence, in that order, its own bit; clusters is the set of leaf
-    masks of the internal vertices, which determines the state.
+    occurrence, in that order, its own bit; clusters is the sorted tuple of
+    leaf masks of the internal vertices, which determines the state.
     """
 
     shape: tuple
     bits: list
-    clusters: frozenset
+    clusters: tuple
 
 
 def _tree_form(t, named: bool) -> tuple:
@@ -188,18 +264,48 @@ def _state_form(ws, labels: tuple) -> _Form:
         for label in seq:
             bits.append(slot[label])
             slot[label] <<= 1
-    return _Form(tuple(shape), bits, frozenset(sum(bits[s:e]) for s, e in spans))
+    return _Form(tuple(shape), bits, tuple(sorted(sum(bits[s:e]) for s, e in spans)))
 
 
-def _transport(targets: list, src: _Form, dst: _Form, forms: list, locate: dict) -> list:
-    """The states that src's targets become under the label permutation
-    mapping src onto dst (a state of the same shape), in the same order."""
-    image = dict(zip(src.bits, dst.bits))
-    table = [0] * (1 << len(src.bits))
-    for m in range(1, len(table)):
-        low = m & -m
-        table[m] = table[m ^ low] | image[low]
-    return [locate[frozenset([table[c] for c in forms[j].clusters])] for j in targets]
+class _StateKeys:
+    """Every state's clusters as one row of masks, zero-padded in front to
+    the n - 1 internal vertices of a tree, and as one int64 key: the masks
+    (n bits each) packed in order, n (n - 1) <= 42 bits under MAX_STATES."""
+
+    def __init__(self, forms: list, n_leaves: int):
+        self.n_leaves = n_leaves
+        width = n_leaves - 1
+        self.masks = np.array([(0,) * (width - len(f.clusters)) + f.clusters for f in forms])
+        keys = self._pack(self.masks)
+        self.order = np.argsort(keys)
+        self.keys = keys[self.order]
+
+    def _pack(self, masks: np.ndarray) -> np.ndarray:
+        return (masks << (self.n_leaves * np.arange(masks.shape[-1]))).sum(axis=-1)
+
+    def find(self, masks: np.ndarray) -> np.ndarray:
+        """The states whose rows of masks (sorted ascending) are given."""
+        keys = self._pack(masks)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        if (self.keys[pos] != keys).any():
+            raise MarkovError("a carried target is not a state of the chain")
+        return self.order[pos]
+
+
+def _transport(targets: np.ndarray, src: _Form, dsts: list, states: _StateKeys) -> np.ndarray:
+    """The states that src's targets become under the label permutations
+    mapping src onto each of dsts (states of src's shape): row r holds the
+    images under the permutation onto dsts[r], in the order of targets.
+
+    A permutation acts on all 2^n leaf masks through one table, so the
+    images of every mask of every target are one gather; sorted and packed,
+    each image is looked up among the states' keys.
+    """
+    n = len(src.bits)
+    image = np.zeros((len(dsts), n), dtype=np.int64)  # bit position -> image bit
+    image[:, [b.bit_length() - 1 for b in src.bits]] = [d.bits for d in dsts]
+    table = image @ ((np.arange(1 << n)[None, :] >> np.arange(n)[:, None]) & 1)
+    return states.find(np.sort(table[:, states.masks[targets]], axis=-1))
 
 
 def weighted_matrix(leaves, regime: str, t: float, cfg: MergeConfig = MergeConfig()) -> TransitionGraph:
@@ -305,15 +411,27 @@ def strong_components(adj: list) -> list:
     return sccs
 
 
+def _edges(K) -> tuple:
+    """(rows, cols, values, n) of the nonzero entries of a TransitionGraph or
+    of a dense square matrix, sorted by (row, col)."""
+    if isinstance(K, TransitionGraph):
+        keep = K.values != 0  # t^cost can underflow to 0
+        return K.rows[keep], K.cols[keep], K.values[keep], K.n
+    K = np.asarray(K, dtype=float)
+    rows, cols = np.nonzero(K)
+    return rows, cols, K[rows, cols], K.shape[0]
+
+
 def _adjacency(rows: np.ndarray, cols: np.ndarray, n: int) -> list:
-    """Successor lists from the edge arrays of ``np.nonzero(K)`` (rows ascending)."""
+    """Successor lists from edge arrays sorted by row."""
     bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
     succ = cols.tolist()
     return [succ[bounds[i]:bounds[i + 1]] for i in range(n)]
 
 
 def strong_connectivity(g: TransitionGraph, witness: bool = True) -> dict:
-    adj = _adjacency(*np.nonzero(g.K), g.n)
+    rows, cols, _, n = _edges(g)
+    adj = _adjacency(rows, cols, n)
     sccs = strong_components(adj)
     connected = len(sccs) == 1
     out = {"strongly_connected": connected, "scc_count": len(sccs), "witness_paths": []}
@@ -352,24 +470,34 @@ class PFData:
     connected support.
 
     lam is the dominant eigenvalue, eta the right Perron vector scaled to
-    max 1, K_hat[i, j] = K[i, j] eta[j] / (lam eta[i]) the stochastic
-    normalization, and xi its stationary distribution.  iterations is the
-    number of matrix-vector products taken by the two power iterations
-    (right and left vector) together.  residual is the larger of their final
-    relative Collatz-Wielandt gaps (hi - lo) / lo; it bounds the relative
-    error of lam and the deviation of every row sum of K_hat from 1.
+    max 1, and xi the stationary distribution of the stochastic
+    normalization K_hat[i, j] = K[i, j] eta[j] / (lam eta[i]).  K_hat is
+    kept on K's nonzero entries: hat[e] at (rows[e], cols[e]); the dense
+    K_hat is a view built on first read and refused above MAX_DENSE_STATES.
+    iterations is the number of matrix-vector products taken by the two
+    power iterations (right and left vector) together.  residual is the
+    larger of their final relative Collatz-Wielandt gaps (hi - lo) / lo; it
+    bounds the relative error of lam and the deviation of every row sum of
+    K_hat from 1.
     """
 
     lam: float
     eta: np.ndarray
-    K_hat: np.ndarray
     xi: np.ndarray
     iterations: int
     residual: float
+    rows: np.ndarray
+    cols: np.ndarray
+    hat: np.ndarray
+
+    @cached_property
+    def K_hat(self) -> np.ndarray:
+        return _dense(self.rows, self.cols, self.hat, len(self.eta))
 
 
-def perron_frobenius(K: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
-    """Dominant eigendata by shifted power iteration on the edge arrays of K.
+def perron_frobenius(K, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
+    """Dominant eigendata by shifted power iteration on the edge arrays of K,
+    a TransitionGraph or a dense matrix.
 
     Each step is v <- (Kv + v) / max(Kv + v), with K v taken over the
     nonzero entries only; the identity shift removes periodicity (the
@@ -381,18 +509,17 @@ def perron_frobenius(K: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000) 
     makes (u * eta) K_hat = u * eta.  lam is the xi-weighted mean of the
     final ratios (K eta)_i / eta_i, i.e. u K eta / u eta.
 
-    Raises MarkovError on negative entries, on support that is not strongly
-    connected, and when a bracket is still wider than tol after max_iter
-    steps.
+    Raises MarkovError on non-finite or negative entries, on support that is
+    not strongly connected, and when a bracket is still wider than tol after
+    max_iter steps.
     """
-    K = np.asarray(K, dtype=float)
-    n = K.shape[0]
-    if (K < 0).any():
+    rows, cols, w, n = _edges(K)
+    if not np.isfinite(w).all():
+        raise MarkovError("non-finite entries")
+    if (w < 0).any():
         raise MarkovError("negative entries")
-    rows, cols = np.nonzero(K)
     if len(strong_components(_adjacency(rows, cols, n))) != 1:
         raise MarkovError("reducible support; Perron-Frobenius theory needs strong connectivity")
-    w = K[rows, cols]
     eta, ratios, gap_right, steps_right = _perron_vector(rows, cols, w, n, tol, max_iter)
     u, _, gap_left, steps_left = _perron_vector(cols, rows, w, n, tol, max_iter)
     xi = u * eta
@@ -400,15 +527,15 @@ def perron_frobenius(K: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000) 
     lam = float(xi @ ratios)
     if lam <= 0:
         raise MarkovError("no positive dominant eigenvalue; some state has no successor")
-    K_hat = np.zeros_like(K)
-    K_hat[rows, cols] = w * eta[cols] / eta[rows] / lam
     return PFData(
         lam=lam,
         eta=eta,
-        K_hat=K_hat,
         xi=xi,
         iterations=steps_right + steps_left,
         residual=max(gap_right, gap_left),
+        rows=rows,
+        cols=cols,
+        hat=w * eta[cols] / eta[rows] / lam,
     )
 
 
@@ -541,15 +668,15 @@ def graph_dot(g: TransitionGraph) -> str:
     out = ["digraph merge {"]
     for i, w in enumerate(g.vertices):
         out.append(f'  n{i} [label="{w.key}"];')
-    for (i, j), tags in sorted(g.edge_tags.items()):
-        label = "|".join(sorted(set(tags)))
-        out.append(f'  n{i} -> n{j} [label="{label}"];')
+    labels = ["|".join(sorted(set(tags))) for tags, _ in g.kinds]
+    for i, j, k in zip(g.rows.tolist(), g.cols.tolist(), g.edge_kind.tolist()):
+        out.append(f'  n{i} -> n{j} [label="{labels[k]}"];')
     out.append("}")
     return "\n".join(out) + "\n"
 
 
 def pf_to_json(pf: PFData) -> dict:
-    col_sums = pf.K_hat.sum(axis=0)
+    col_sums = np.bincount(pf.cols, pf.hat, len(pf.eta))
     return {
         "lambda": pf.lam,
         "eta": pf.eta.tolist(),

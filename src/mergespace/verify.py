@@ -29,12 +29,17 @@ from mergespace.costs import (
     rr_delta,
 )
 from mergespace.engine import (
+    EM,
+    SM1,
     MergeConfig,
     MergeError,
+    _tag,
     all_merge_successors,
+    apply,
     form_copy_quotient,
     load_form_copy,
     load_script,
+    merge_pairs,
     replay,
 )
 from mergespace.forest import (
@@ -124,7 +129,7 @@ def check_state_space(c: Check):
 
 
 def check_perron_frobenius(c: Check):
-    pf = perron_frobenius(build_graph("abc").K)
+    pf = perron_frobenius(build_graph("abc"))
     c.close("lambda(K) = 2+sqrt(2)", pf.lam, 2 + SQRT2, 1e-9)
     want = np.array([SQRT2] * 3 + [1] * 3)
     cos = float(pf.eta @ want / (np.linalg.norm(pf.eta) * np.linalg.norm(want)))
@@ -147,14 +152,14 @@ def check_perron_frobenius(c: Check):
         and np.allclose(pf.K_hat.sum(axis=1), 1, atol=1e-10),
     )
     c.true("stationary distribution is uniform 1/6", np.allclose(pf.xi, 1 / 6, atol=1e-9))
-    pf2 = perron_frobenius(build_graph("abc", MergeConfig(mode="d", allow_im=False)).K)
+    pf2 = perron_frobenius(build_graph("abc", MergeConfig(mode="d", allow_im=False)))
     c.close("lambda(K') = 1+sqrt(3)", pf2.lam, 1 + SQRT3, 1e-9)
     want_xi = np.array([2 - SQRT3] * 3 + [1] * 3) / (3 * (3 - SQRT3))
     c.true(
         "stationary of K' proportional to (2-r3,...,1,1,1)",
         np.allclose(pf2.xi, want_xi, atol=1e-9),
     )
-    pf3 = perron_frobenius(build_graph("abc", MergeConfig(mode="d", allow_identity_sm=True)).K)
+    pf3 = perron_frobenius(build_graph("abc", MergeConfig(mode="d", allow_identity_sm=True)))
     c.close("lambda(K'') = 3+sqrt(2)", pf3.lam, 3 + SQRT2, 1e-9)
     c.true(
         "K'' normalized chain bistochastic, same scaling vector",
@@ -175,7 +180,7 @@ def check_weighted_chains(c: Check):
         a, b, cc = REGIME_EXPONENTS[regime]
         worst = 0.0
         for t in np.linspace(0.05, 1.0, 20):
-            pf = perron_frobenius(weighted_matrix("abc", regime, float(t)).K)
+            pf = perron_frobenius(weighted_matrix("abc", regime, float(t)))
             cf = structured_closed_form(a, b, cc, float(t))
             worst = max(worst, abs(pf.lam - cf["lam"]), float(np.abs(pf.xi - cf["xi"]).max()))
         c.true(
@@ -290,6 +295,12 @@ def _random_tree(rng, labels):
     return trees[0]
 
 
+def _steps_tagged(ws, tag: str) -> list:
+    """The deletion-mode steps of ws with one tag, in merge_pairs order; the
+    tag is read off each source pair, so no other step is built."""
+    return [apply(ws, a, b) for a, b in merge_pairs(ws, MergeConfig(mode="d")) if _tag(a, b) == tag]
+
+
 def check_hierarchy(c: Check):
     host = node(node(leaf("a"), leaf("b")), leaf("c"))
     phrase = node(node(leaf("p"), leaf("q")), leaf("r"))
@@ -324,12 +335,10 @@ def check_hierarchy(c: Check):
         other = _random_tree(rng, [f"y{i}" for i in range(rng.randint(1, 4))])
         ws = workspace(host, other)
         profiles = {}
-        for sm in all_merge_successors(ws, MergeConfig(mode="d")):
-            if sm.tag != "SM1" or sm.extractions[0][1].key != host.key:
+        for sm in _steps_tagged(ws, SM1):
+            if sm.extractions[0][1].key != host.key:
                 continue
-            for em in all_merge_successors(sm.output_ws, MergeConfig(mode="d")):
-                if em.tag != "EM":
-                    continue
+            for em in _steps_tagged(sm.output_ws, EM):
                 try:
                     cls, prof = classify_hierarchy(sm, em)
                 except Exception:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -99,8 +103,27 @@ class TestGraphAndMarkov:
         assert code == 0 and json.loads(out)["lambda"] > 2
 
     def test_leaf_bound_error(self, capsys):
-        code, _, err = run(capsys, "graph", "--leaves", "a,b,c,d,e,f,g")
-        assert code == 1
+        start = time.perf_counter()
+        code, _, err = run(capsys, "graph", "--leaves", "a,b,c,d,e,f,g,h")
+        assert code == 1 and "353521 states, over the bound" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_seven_leaf_markov(self, capsys):
+        code, out, _ = run(capsys, "markov", "--leaves", "a,b,c,d,e,f,g")
+        blob = json.loads(out)
+        assert code == 0 and len(blob["vertices"]) == len(blob["xi"]) == 27_006
+        assert abs(blob["lambda"] - 35.883468251826) <= 1e-10 * 35.883468251826
+
+    @pytest.mark.parametrize(
+        "leaves, t", [("a,b,c,d", "nan"), ("a,b,c,d", "inf"), ("a,b,c", "nan"), ("a,b,c", "inf")]
+    )
+    def test_non_finite_t(self, capsys, leaves, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "markov", "--leaves", leaves, "--regime", "ms", "-t", t)
+        assert code == 1 and not out
+        assert err.startswith("error: weight parameter t must be finite and positive")
+        assert "Traceback" not in err
 
     def test_four_leaf_graph(self, capsys):
         code, out, _ = run(capsys, "graph", "--leaves", "a,b,c,d", "--format", "json")
@@ -317,3 +340,14 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mergespace", "verify", "--only", "cocycles"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].endswith("checks passed")

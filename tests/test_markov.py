@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,14 +98,29 @@ class TestThreeLeafMatrices:
         with pytest.raises(MarkovError):
             build_graph("abc", MergeConfig(mode="c"))
 
-    def test_leaf_bound(self):
-        with pytest.raises(MarkovError):
-            build_graph("abcdefg")
+    def test_leaf_bound(self, monkeypatch):
+        # 8 leaves (353 521 states) are refused from the closed-form count,
+        # before any forest is enumerated
+        def never(*args, **kwargs):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(markov, "enumerate_forests", never)
+        with pytest.raises(MarkovError, match=f"353521 states, over the bound of {markov.MAX_STATES}"):
+            build_graph("abcdefgh")
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    def test_t_must_be_finite_and_positive(self, t):
+        with pytest.raises(MarkovError, match="t must be finite and positive"):
+            build_graph("abc", regime="ms", t=t)
+
+    def test_overflowing_weight_is_a_domain_error(self):
+        with pytest.raises(MarkovError, match="overflows t\\^cost"):
+            build_graph("abcd", regime="total", t=1e300)
 
 
 class TestPerronFrobenius:
     def test_K_X_eigendata(self):
-        pf = perron_frobenius(build_graph("abc").K)
+        pf = perron_frobenius(build_graph("abc"))
         assert abs(pf.lam - (2 + SQRT2)) <= 1e-9
         want_eta = np.array([SQRT2] * 3 + [1] * 3)
         assert cosine(pf.eta, want_eta) >= 1 - 1e-9
@@ -116,7 +132,7 @@ class TestPerronFrobenius:
 
     def test_K_prime_eigendata(self):
         g = build_graph("abc", MergeConfig(mode="d", allow_im=False))
-        pf = perron_frobenius(g.K)
+        pf = perron_frobenius(g)
         lam_p = 1 + SQRT3
         assert abs(pf.lam - lam_p) <= 1e-9
         want_eta = np.array([2 / lam_p] * 3 + [1] * 3)
@@ -130,7 +146,7 @@ class TestPerronFrobenius:
 
     def test_K_doubleprime_eigendata(self):
         g = build_graph("abc", MergeConfig(mode="d", allow_identity_sm=True))
-        pf = perron_frobenius(g.K)
+        pf = perron_frobenius(g)
         assert abs(pf.lam - (3 + SQRT2)) <= 1e-9
         assert cosine(pf.eta, np.array([SQRT2] * 3 + [1] * 3)) >= 1 - 1e-9
         assert np.allclose(pf.K_hat.sum(axis=0), 1.0, atol=1e-10)
@@ -139,11 +155,20 @@ class TestPerronFrobenius:
     def test_reducible_support_rejected(self):
         g = build_graph("abc", MergeConfig(mode="d", allow_im=False, allow_sm=False))
         with pytest.raises(MarkovError):
-            perron_frobenius(g.K)
+            perron_frobenius(g)
 
     def test_stall_names_steps_and_gap(self):
         with pytest.raises(MarkovError, match=r"stalled after 3 steps.*relative gap"):
-            perron_frobenius(build_graph("abcd").K, max_iter=3)
+            perron_frobenius(build_graph("abcd"), max_iter=3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        K = K_X.copy()
+        K[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MarkovError, match="non-finite entries"):
+                perron_frobenius(K)
 
 
 LAPACK_CHAINS = [
@@ -161,7 +186,7 @@ class TestAgainstLapack:
     @pytest.mark.parametrize("flags, regime, t", LAPACK_CHAINS)
     def test_power_iteration_matches_eigvals(self, labels, flags, regime, t):
         g = build_graph(labels, MergeConfig(mode="d", **flags), regime=regime, t=t)
-        pf = perron_frobenius(g.K)
+        pf = perron_frobenius(g)
         lam = np.linalg.eigvals(g.K).real.max()
         assert abs(pf.lam - lam) <= 1e-10 * lam
         assert np.abs(pf.K_hat.sum(axis=1) - 1.0).max() <= 1e-10
@@ -212,10 +237,14 @@ class TestOrbitTransport:
             g = build_graph(labels, cfg, regime=regime, t=0.5, collapse_01=collapse)
             keys, K, tags, weights = _reference_graph(vertices, steps, regime, 0.5, collapse)
             assert [w.key for w in g.vertices] == keys
+            assert list(zip(g.rows.tolist(), g.cols.tolist())) == sorted(tags)
+            assert [list(g.kinds[k][0]) for k in g.edge_kind.tolist()] == [tags[e] for e in sorted(tags)]
             if regime is None:
+                assert np.array_equal(g.values, K[g.rows, g.cols])
                 assert np.array_equal(g.K, K)
                 assert g.weights is None
             else:
+                np.testing.assert_allclose(g.values, K[g.rows, g.cols], rtol=1e-14, atol=0)
                 np.testing.assert_allclose(g.K, K, rtol=1e-14, atol=0)
                 assert {e: sorted(v) for e, v in g.weights.items()} == {
                     e: sorted(v) for e, v in weights.items()
@@ -247,10 +276,10 @@ class TestOrbitTransport:
         corrupted = []
 
         def corrupt_first(targets, *args):
-            cols = transport(targets, *args)
+            cols = transport(targets, *args)  # one row per carried member
             if not corrupted:
-                corrupted.append(cols[0])
-                cols[0] = cols[1]
+                corrupted.append(cols[0, 0])
+                cols[0, 0] = cols[0, 1]
             return cols
 
         monkeypatch.setattr(markov, "_transport", corrupt_first)
@@ -311,7 +340,7 @@ class TestClosedForm:
         a, b, c = REGIME_EXPONENTS[regime]
         for t in np.linspace(0.05, 1.0, 20):
             g = weighted_matrix("abc", regime, float(t))
-            pf = perron_frobenius(g.K)
+            pf = perron_frobenius(g)
             cf = structured_closed_form(a, b, c, float(t))
             assert abs(pf.lam - cf["lam"]) <= 1e-9, (regime, t)
             want_eta = np.array([cf["u"]] * 3 + [1.0] * 3)
@@ -327,7 +356,7 @@ class TestClosedForm:
     def test_my_hat_matrix_bistochastic_for_all_t(self):
         for t in (0.1, 0.5, 0.9):
             g = weighted_matrix("abc", "my", t)
-            pf = perron_frobenius(g.K)
+            pf = perron_frobenius(g)
             assert np.allclose(pf.K_hat.sum(axis=0), 1.0, atol=1e-10)
             assert np.allclose(pf.K_hat, hat_K_X(), atol=1e-9)
 
@@ -400,8 +429,10 @@ class TestStrongConnectivity:
 class TestMultiplicityAndExports:
     def test_multiplicity_at_four_leaves(self):
         g = build_graph("abcd")
-        assert g.K.max() > 1
+        assert g.values.max() > 1
         g01 = build_graph("abcd", collapse_01=True)
+        assert np.array_equal(g01.rows, g.rows) and np.array_equal(g01.cols, g.cols)
+        assert np.array_equal(g01.values, np.ones(len(g.values)))
         assert np.array_equal(g01.K, (g.K > 0).astype(float))
 
     def test_csv_and_dot(self):
@@ -412,7 +443,103 @@ class TestMultiplicityAndExports:
         assert "digraph" in dot and "EM" in dot
 
     def test_pf_json(self):
-        pf = perron_frobenius(build_graph("abc").K)
+        pf = perron_frobenius(build_graph("abc"))
         blob = pf_to_json(pf)
         assert blob["bistochastic"] is True
         assert abs(blob["lambda"] - (2 + SQRT2)) < 1e-9
+
+
+EDGE_CHAINS = [
+    pytest.param("abcd", {}, None, False, id="4-plain"),
+    pytest.param("abcd", {}, None, True, id="4-collapse"),
+    pytest.param("aabc", {"allow_identity_sm": True}, None, False, id="aabc-identity-sm"),
+    pytest.param("abcde", {"allow_im": False}, None, False, id="5-no-im"),
+    *(pytest.param("abcde", {}, r, False, id=f"5-{r}") for r in REGIMES),
+]
+
+
+class TestEdgeArrays:
+    @pytest.mark.parametrize("labels, flags, regime, collapse", EDGE_CHAINS)
+    def test_sorted_unique_nonzero(self, labels, flags, regime, collapse):
+        g = build_graph(labels, MergeConfig(mode="d", **flags), regime=regime, t=0.5, collapse_01=collapse)
+        key = g.rows * g.n + g.cols
+        assert (np.diff(key) > 0).all()  # sorted by (row, col), no duplicate edge
+        assert (g.values > 0).all()
+        assert len(g.rows) == len(g.cols) == len(g.values) == len(g.edge_kind)
+        assert 0 <= g.edge_kind.min() and g.edge_kind.max() < len(g.kinds)
+        assert np.array_equal(np.nonzero(g.K), (g.rows, g.cols))
+
+    @pytest.mark.parametrize("labels, flags, regime, collapse", EDGE_CHAINS)
+    def test_pf_on_graph_equals_pf_on_dense(self, labels, flags, regime, collapse):
+        # both routes feed the same edge arrays, in the same order, to one
+        # routine, so the results agree exactly, weighted or not
+        g = build_graph(labels, MergeConfig(mode="d", **flags), regime=regime, t=0.5, collapse_01=collapse)
+        pf, dense = perron_frobenius(g), perron_frobenius(g.K)
+        assert pf.lam == dense.lam and pf.iterations == dense.iterations
+        for a, b in [(pf.eta, dense.eta), (pf.xi, dense.xi), (pf.hat, dense.hat)]:
+            assert np.array_equal(a, b)
+
+    def test_views_are_cached_and_K_is_read_only(self):
+        g = weighted_matrix("abc", "ms", 0.5)
+        assert g.K is g.K and g.edge_tags is g.edge_tags and g.weights is g.weights
+        with pytest.raises(ValueError):
+            g.K[0, 0] = 1.0
+        assert np.array_equal(np.asarray(g), g.K)
+
+    def test_underflowing_weights_leave_the_support(self):
+        # t^2 underflows to 0 on the SM3 steps of the cl chain, so no tree
+        # reaches a two-component state, in the edge arrays as in the dense K
+        g = build_graph("abc", regime="cl", t=1e-200)
+        sm3 = np.array([g.kinds[k][0] == ("SM3",) for k in g.edge_kind.tolist()])
+        assert np.array_equal(g.values == 0, sm3) and sm3.any()
+        assert strong_connectivity(g)["scc_count"] > 1
+        with pytest.raises(MarkovError, match="reducible"):
+            perron_frobenius(g)
+        with pytest.raises(MarkovError, match="reducible"):
+            perron_frobenius(g.K)
+
+
+SEVEN_LEAF_LAMBDA = 35.883468251826  # the full 7-leaf chain, 12 digits
+
+
+@pytest.fixture(scope="module")
+def seven_leaves():
+    g = build_graph("abcdefg")
+    return g, perron_frobenius(g)
+
+
+class TestSevenLeaves:
+    def test_counts(self, seven_leaves):
+        g, _ = seven_leaves
+        assert g.n == 27_006
+        assert len(g.rows) == 1_099_245
+        assert g.values.sum() == 1_179_045
+        assert sum(len(g.kinds[k][0]) for k in g.edge_kind.tolist()) == 1_179_045
+
+    def test_strongly_connected(self, seven_leaves):
+        g, _ = seven_leaves
+        report = strong_connectivity(g)
+        assert report["strongly_connected"]
+        assert all(p is not None for p in report["witness_paths"])
+
+    def test_perron_frobenius(self, seven_leaves):
+        g, pf = seven_leaves
+        assert abs(pf.lam - SEVEN_LEAF_LAMBDA) <= 1e-10 * SEVEN_LEAF_LAMBDA
+        assert pf.residual <= 1e-12
+        assert (pf.eta > 0).all() and (pf.xi > 0).all()
+        assert abs(pf.xi.sum() - 1.0) <= 1e-12
+        row_sums = np.bincount(pf.rows, pf.hat, g.n)
+        assert np.abs(row_sums - 1.0).max() <= 1e-10
+        xi_hat = np.bincount(pf.cols, pf.xi[pf.rows] * pf.hat, g.n)
+        assert np.abs(xi_hat - pf.xi).max() <= 1e-12
+
+    def test_dense_views_refused(self, seven_leaves):
+        g, pf = seven_leaves
+        bound = f"above {markov.MAX_DENSE_STATES} states"
+        with pytest.raises(MarkovError, match=bound):
+            g.K
+        with pytest.raises(MarkovError, match=bound):
+            pf.K_hat
+        with pytest.raises(MarkovError, match=bound):
+            matrix_csv(g)
+        assert pf_to_json(pf)["bistochastic"] is False
