@@ -40,6 +40,7 @@ from mergespace.forest import (
 from mergespace.markov import (
     MarkovError,
     build_graph,
+    check_dense,
     graph_dot,
     matrix_csv,
     perron_frobenius,
@@ -162,8 +163,20 @@ def cmd_successors(args):
     return 0
 
 
+def _refuse_dense_early(labels: list) -> None:
+    """Refuses a dense output before anything is built when distinct labels
+    give more states than a dense matrix may hold.  A leaf multiset has
+    fewer states than forest_count; MAX_STATES bounds its build, and the
+    dense view refuses it after the build."""
+    if len(set(labels)) == len(labels):
+        check_dense(forest_count(len(labels)) - 1)
+
+
 def cmd_graph(args):
-    g = build_graph(args.leaves.split(","), _cfg(args), collapse_01=args.collapse)
+    labels = args.leaves.split(",")
+    if args.format != "dot":
+        _refuse_dense_early(labels)
+    g = build_graph(labels, _cfg(args), collapse_01=args.collapse)
     if args.format == "dot":
         _emit(graph_dot(g), args.out)
     elif args.format == "csv":
@@ -180,6 +193,8 @@ def cmd_graph(args):
 
 def cmd_markov(args):
     labels = args.leaves.split(",")
+    if args.format == "csv":
+        _refuse_dense_early(labels)
     if args.regime:
         from mergespace.markov import weighted_matrix
 

@@ -298,25 +298,27 @@ def enumerate_trees(labels) -> list:
     labels = tuple(sorted(labels))
     if not labels:
         raise ForestError("empty leaf set")
-    seen: dict = {}
+    return _trees(labels, {})
 
-    def build(ms: tuple) -> list:
-        if ms in seen:
-            return seen[ms]
-        if len(ms) == 1:
-            out = [leaf(ms[0])]
-        else:
-            found = {}
-            for left_part, right_part in _splits(ms):
-                for lt in build(left_part):
-                    for rt in build(right_part):
-                        t = Node(lt, rt)
-                        found[t.key] = t
-            out = [found[k] for k in sorted(found)]
-        seen[ms] = out
-        return out
 
-    return build(labels)
+def _trees(ms: tuple, seen: dict) -> list:
+    """The trees over the sorted multiset ms, sorted by key.  seen maps each
+    sub-multiset already expanded to its trees, so that one dict shared by
+    several calls builds every tree once."""
+    if ms in seen:
+        return seen[ms]
+    if len(ms) == 1:
+        out = [leaf(ms[0])]
+    else:
+        found = {}
+        for left_part, right_part in _splits(ms):
+            for lt in _trees(left_part, seen):
+                for rt in _trees(right_part, seen):
+                    t = Node(lt, rt)
+                    found[t.key] = t
+        out = [found[k] for k in sorted(found)]
+    seen[ms] = out
+    return out
 
 
 def _splits(ms: tuple) -> Iterator[tuple]:
@@ -365,6 +367,7 @@ def enumerate_forests(labels, require_edge: bool = True) -> list:
     if require_edge and len(labels) < 2:
         raise ForestError("need at least 2 leaves for a forest with an edge")
     found: dict = {}
+    trees: dict = {}  # one tree memo for every block of every partition
     seen_partitions = set()
     for part in _multiset_partitions(labels):
         sig = tuple(sorted(part))
@@ -373,7 +376,7 @@ def enumerate_forests(labels, require_edge: bool = True) -> list:
         seen_partitions.add(sig)
         if require_edge and all(len(b) == 1 for b in part):
             continue
-        choices = [enumerate_trees(b) for b in part]
+        choices = [_trees(b, trees) for b in part]
         stack = [()]
         for ch in choices:
             stack = [s + (t,) for s in stack for t in ch]

@@ -114,11 +114,16 @@ class TransitionGraph:
         return np.array(self.K, dtype=dtype, copy=copy)
 
 
-def _dense(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+def check_dense(n: int) -> None:
+    """Raises MarkovError if n states are too many for a dense matrix."""
     if n > MAX_DENSE_STATES:
         raise MarkovError(
             f"{n} states: dense matrices are refused above {MAX_DENSE_STATES} states (6 leaves)"
         )
+
+
+def _dense(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    check_dense(n)
     K = np.zeros((n, n))
     K[rows, cols] = values
     K.flags.writeable = False
@@ -165,7 +170,8 @@ def build_graph(
         raise MarkovError(f"weight parameter t must be finite and positive, got t = {t}")
     vertices = enumerate_forests(labels, require_edge=True)
     index = {w.key: i for i, w in enumerate(vertices)}
-    forms = [_state_form(w, labels) for w in vertices]
+    tree_forms: dict = {}  # tree key -> _tree_form, shared by every state
+    forms = [_state_form(w, labels, tree_forms) for w in vertices]
     states = _StateKeys(forms, len(labels))
     orbits: dict = {}
     for i, form in enumerate(forms):
@@ -238,33 +244,41 @@ class _Form(NamedTuple):
     clusters: tuple
 
 
-def _tree_form(t, named: bool) -> tuple:
+def _tree_form(t, named: bool, memo: dict) -> tuple:
     """(shape, leaf labels in shape order, (start, end) leaf span of each
-    internal vertex) of one tree; leaves carry their label only if named."""
-    if isinstance(t, Leaf):
-        return (t.name if named else ""), (t.name,), ()
-    a, b = sorted((_tree_form(t.left, named), _tree_form(t.right, named)))
-    k = len(a[1])
-    seq = a[1] + b[1]
-    spans = a[2] + tuple((s + k, e + k) for s, e in b[2]) + ((0, len(seq)),)
-    return "(" + a[0] + "|" + b[0] + ")", seq, spans
+    internal vertex) of one tree; leaves carry their label only if named.
+    memo maps the key of each tree already formed to its form."""
+    form = memo.get(t.key)
+    if form is None:
+        if isinstance(t, Leaf):
+            form = (t.name if named else ""), (t.name,), ()
+        else:
+            a, b = sorted((_tree_form(t.left, named, memo), _tree_form(t.right, named, memo)))
+            k = len(a[1])
+            seq = a[1] + b[1]
+            spans = a[2] + tuple((s + k, e + k) for s, e in b[2]) + ((0, len(seq)),)
+            form = "(" + a[0] + "|" + b[0] + ")", seq, spans
+        memo[t.key] = form
+    return form
 
 
-def _state_form(ws, labels: tuple) -> _Form:
+def _state_form(ws, labels: tuple, memo: dict) -> _Form:
     # repeated labels stay in the shape, so such states are their own orbit;
     # the k-th occurrence of a label gets the k-th bit of its run in labels
     named = len(set(labels)) < len(labels)
     slot: dict = {}
     for i, label in enumerate(labels):
         slot.setdefault(label, 1 << i)
-    shape, bits, spans = [], [], []
-    for form, seq, tree_spans in sorted(_tree_form(c, named) for c in ws.components):
+    shape, bits, clusters = [], [], []
+    for form, seq, spans in sorted(_tree_form(c, named, memo) for c in ws.components):
         shape.append(form)
-        spans += [(s + len(bits), e + len(bits)) for s, e in tree_spans]
+        tree_bits = []
         for label in seq:
-            bits.append(slot[label])
+            tree_bits.append(slot[label])
             slot[label] <<= 1
-    return _Form(tuple(shape), bits, tuple(sorted(sum(bits[s:e]) for s, e in spans)))
+        clusters += [sum(tree_bits[s:e]) for s, e in spans]
+        bits += tree_bits
+    return _Form(tuple(shape), bits, tuple(sorted(clusters)))
 
 
 class _StateKeys:
@@ -362,9 +376,11 @@ def _assert_three_leaf_pattern(g: TransitionGraph, regime: str, t: float) -> Non
 
 
 # ---------------------------------------------------------------------------
-# strong connectivity (iterative Tarjan)
+# strong connectivity: reachability decides it, Tarjan counts the components
 
 def strong_components(adj: list) -> list:
+    """The strongly connected components of the digraph with successor lists
+    adj (iterative Tarjan)."""
     n = len(adj)
     index = [-1] * n
     low = [0] * n
@@ -418,8 +434,30 @@ def _edges(K) -> tuple:
         keep = K.values != 0  # t^cost can underflow to 0
         return K.rows[keep], K.cols[keep], K.values[keep], K.n
     K = np.asarray(K, dtype=float)
-    rows, cols = np.nonzero(K)
-    return rows, cols, K[rows, cols], K.shape[0]
+    flat = np.flatnonzero(K)
+    rows, cols = np.divmod(flat, K.shape[1])
+    return rows, cols, K.ravel()[flat], K.shape[0]
+
+
+def _strongly_connected(rows: np.ndarray, cols: np.ndarray, n: int) -> bool:
+    """Whether the n states with edges rows[e] -> cols[e] form one strongly
+    connected component: breadth-first sweeps from state 0, along the edges
+    and against them, reach every state.  Each sweep takes every edge out
+    of the last frontier at once."""
+    if n == 0:
+        return False
+    for src, dst in ((rows, cols), (cols, rows)):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            nxt = np.zeros(n, dtype=bool)
+            nxt[dst[frontier[src]]] = True
+            frontier = nxt & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
 
 
 def _adjacency(rows: np.ndarray, cols: np.ndarray, n: int) -> list:
@@ -429,16 +467,19 @@ def _adjacency(rows: np.ndarray, cols: np.ndarray, n: int) -> list:
     return [succ[bounds[i]:bounds[i + 1]] for i in range(n)]
 
 
-def strong_connectivity(g: TransitionGraph, witness: bool = True) -> dict:
+def strong_connectivity(g, witness: bool = True) -> dict:
+    """Whether g, a TransitionGraph or a dense square matrix, is strongly
+    connected, its component count, and with witness the BFS paths from the
+    first state to the last and back.  Reachability decides; Tarjan runs
+    only to count the components of a reducible chain."""
     rows, cols, _, n = _edges(g)
-    adj = _adjacency(rows, cols, n)
-    sccs = strong_components(adj)
-    connected = len(sccs) == 1
-    out = {"strongly_connected": connected, "scc_count": len(sccs), "witness_paths": []}
-    if connected and witness and g.n > 1:
-        src, dst = 0, g.n - 1
-        for pair in ((src, dst), (dst, src)):
-            out["witness_paths"].append(_bfs_path(adj, *pair))
+    connected = _strongly_connected(rows, cols, n)
+    out = {"strongly_connected": connected, "scc_count": 1, "witness_paths": []}
+    if not connected:
+        out["scc_count"] = len(strong_components(_adjacency(rows, cols, n)))
+    elif witness and n > 1:
+        adj = _adjacency(rows, cols, n)
+        out["witness_paths"] = [_bfs_path(adj, 0, n - 1), _bfs_path(adj, n - 1, 0)]
     return out
 
 
@@ -499,9 +540,9 @@ def perron_frobenius(K, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
     """Dominant eigendata by shifted power iteration on the edge arrays of K,
     a TransitionGraph or a dense matrix.
 
-    Each step is v <- (Kv + v) / max(Kv + v), with K v taken over the
-    nonzero entries only; the identity shift removes periodicity (the
-    unweighted chain has zero diagonal).  For v > 0 the Collatz-Wielandt
+    Each step is v <- (Kv + v) / max(Kv + v), with K v taken as one sum
+    per row over the row-sorted nonzero entries; the identity shift removes
+    periodicity (the unweighted chain has zero diagonal).  For v > 0 the Collatz-Wielandt
     bracket lo = min_i (Kv)_i / v_i <= lam <= max_i (Kv)_i / v_i = hi holds,
     and the iteration stops once hi - lo <= tol * lo, a rule that does not
     depend on the size of K.  The same iteration on the transposed edges
@@ -510,23 +551,23 @@ def perron_frobenius(K, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
     final ratios (K eta)_i / eta_i, i.e. u K eta / u eta.
 
     Raises MarkovError on non-finite or negative entries, on support that is
-    not strongly connected, and when a bracket is still wider than tol after
-    max_iter steps.
+    not strongly connected, on a single state without a successor, and when
+    a bracket is still wider than tol after max_iter steps.
     """
     rows, cols, w, n = _edges(K)
     if not np.isfinite(w).all():
         raise MarkovError("non-finite entries")
     if (w < 0).any():
         raise MarkovError("negative entries")
-    if len(strong_components(_adjacency(rows, cols, n))) != 1:
+    if not _strongly_connected(rows, cols, n):
         raise MarkovError("reducible support; Perron-Frobenius theory needs strong connectivity")
+    if not len(w):  # one state without a successor
+        raise MarkovError("no positive dominant eigenvalue; some state has no successor")
     eta, ratios, gap_right, steps_right = _perron_vector(rows, cols, w, n, tol, max_iter)
-    u, _, gap_left, steps_left = _perron_vector(cols, rows, w, n, tol, max_iter)
+    u, _, gap_left, steps_left = _perron_vector(*_transposed(rows, cols, w), n, tol, max_iter)
     xi = u * eta
     xi /= xi.sum()
     lam = float(xi @ ratios)
-    if lam <= 0:
-        raise MarkovError("no positive dominant eigenvalue; some state has no successor")
     return PFData(
         lam=lam,
         eta=eta,
@@ -539,16 +580,25 @@ def perron_frobenius(K, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
     )
 
 
+def _transposed(rows, cols, w) -> tuple:
+    """The reversed edges of row-sorted edge arrays, sorted by their new row:
+    one stable sort by column keeps each column's edges in row order."""
+    order = np.argsort(cols, kind="stable")
+    return cols[order], rows[order], w[order]
+
+
 def _perron_vector(rows, cols, w, n: int, tol: float, max_iter: int):
-    """Perron vector (max 1) of the n x n matrix with entries w at (rows, cols).
+    """Perron vector (max 1) of the n x n matrix with entries w at (rows, cols),
+    edges sorted by row and every row nonempty, as strong connectivity gives.
 
     Returns the vector, its ratios (Kv)_i / v_i, their relative gap and the
     number of matrix-vector steps taken.
     """
+    starts = np.searchsorted(rows, np.arange(n))  # each row's first edge
     v = np.ones(n)
     lo = hi = math.nan
     for step in range(1, max_iter + 1):
-        Kv = np.bincount(rows, w * v[cols], n)
+        Kv = np.add.reduceat(w * v[cols], starts)
         ratios = Kv / v
         lo, hi = ratios.min(), ratios.max()
         if hi - lo <= tol * lo:

@@ -108,6 +108,27 @@ class TestGraphAndMarkov:
         assert code == 1 and "353521 states, over the bound" in err
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize(
+        "argv", [("graph", "--format", "csv"), ("graph", "--format", "json"), ("markov", "--format", "csv")]
+    )
+    def test_dense_output_refused_before_the_build(self, capsys, monkeypatch, argv):
+        import mergespace.markov
+
+        def never(*args, **kwargs):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(mergespace.markov, "enumerate_forests", never)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--leaves", "a,b,c,d,e,f,g")
+        assert code == 1 and not out
+        assert err == "error: 27006 states: dense matrices are refused above 2430 states (6 leaves)\n"
+        assert time.perf_counter() - start < 1.0
+
+    def test_two_leaf_markov_has_no_dominant_eigenvalue(self, capsys):
+        code, out, err = run(capsys, "markov", "--leaves", "a,b")
+        assert code == 1 and not out
+        assert err == "error: no positive dominant eigenvalue; some state has no successor\n"
+
     def test_seven_leaf_markov(self, capsys):
         code, out, _ = run(capsys, "markov", "--leaves", "a,b,c,d,e,f,g")
         blob = json.loads(out)

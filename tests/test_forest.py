@@ -1,10 +1,14 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mergespace import forest
 from mergespace.forest import (
     ForestError,
     Leaf,
     Node,
+    Workspace,
     accessible_terms,
     double_factorial,
     enumerate_forests,
@@ -144,6 +148,45 @@ class TestEnumeration:
         assert [w.key for w in enumerate_forests("abc")] == [
             w.key for w in enumerate_forests("abc")
         ]
+
+    @pytest.mark.parametrize(
+        "labels, require_edge",
+        [
+            ("a", False),
+            *(("abcdefg"[:n], r) for n in range(2, 7) for r in (True, False)),
+            ("abcdefg", True), ("aabc", True), ("aabb", True), ("aaab", True), ("aabb", False),
+        ],
+    )
+    def test_shared_memo_matches_per_block_reference(self, labels, require_edge):
+        # the enumeration as it was before the tree memo was shared: every
+        # block of every partition expanded by its own enumerate_trees call
+        found = {}
+        seen = set()
+        for part in forest._multiset_partitions(tuple(sorted(labels))):
+            if tuple(sorted(part)) in seen:
+                continue
+            seen.add(tuple(sorted(part)))
+            if require_edge and all(len(block) == 1 for block in part):
+                continue
+            for comps in itertools.product(*(enumerate_trees(block) for block in part)):
+                ws = Workspace(comps)
+                found[ws.key] = ws
+        want = [w.key for w in sorted(found.values(), key=lambda w: (w.b0, w.key))]
+        assert [w.key for w in enumerate_forests(labels, require_edge)] == want
+
+    def test_each_tree_built_once(self, monkeypatch):
+        # 6 distinct labels: sum over k = 2..6 of C(6, k) (2k - 3)!! = 1875
+        # trees over the sub-multisets, each one constructed exactly once
+        built = []
+
+        class CountedNode(Node):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
+
+        monkeypatch.setattr(forest, "Node", CountedNode)
+        enumerate_forests("abcdef")
+        assert len(built) == 1875
 
 
 def ref_to(ws, key, n=0):

@@ -426,6 +426,92 @@ class TestStrongConnectivity:
             assert set(ga.edge_tags) <= set(g.edge_tags)
 
 
+REACH_CHAINS = [
+    *(
+        pytest.param(
+            labels, {"allow_im": im, "atomic_sm_only": atomic}, id=f"{labels}-im{im:d}-atomic{atomic:d}"
+        )
+        for labels in ("abc", "abcd", "abcde")
+        for im in (False, True)
+        for atomic in (False, True)
+    ),
+    *(
+        pytest.param(labels, {"allow_im": False, "allow_sm": False}, id=f"{labels}-em-only")
+        for labels in ("abc", "abcd")
+    ),
+]
+
+
+def tarjan_verdict(rows, cols, n):
+    return len(markov.strong_components(markov._adjacency(rows, cols, n))) == 1
+
+
+class TestReachability:
+    @pytest.mark.parametrize("labels, flags", REACH_CHAINS)
+    def test_verdict_equals_tarjan_on_chains(self, labels, flags):
+        g = build_graph(labels, MergeConfig(mode="d", **flags))
+        want = tarjan_verdict(g.rows, g.cols, g.n)
+        assert markov._strongly_connected(g.rows, g.cols, g.n) == want
+        assert want == (flags.get("allow_sm", True))  # only the EM-only chains are reducible
+
+    def test_verdict_equals_tarjan_on_random_digraphs(self):
+        rng = np.random.default_rng(7)
+        verdicts = []
+        for _ in range(400):
+            n = int(rng.integers(1, 13))
+            A = rng.random((n, n)) < rng.choice([0.1, 0.25, 0.5])  # self-loops included
+            if n > 1 and rng.random() < 0.3:
+                A[rng.integers(n)] = False  # a sink
+            if n > 1 and rng.random() < 0.2:
+                k = rng.integers(n)
+                A[k] = A[:, k] = False  # an isolated state
+            rows, cols = np.nonzero(A)
+            want = tarjan_verdict(rows, cols, n)
+            assert markov._strongly_connected(rows, cols, n) == want, A.astype(int)
+            report = strong_connectivity(A)
+            assert report["strongly_connected"] == want
+            assert report["scc_count"] == len(markov.strong_components(markov._adjacency(rows, cols, n)))
+            verdicts.append(want)
+        assert 50 < sum(verdicts) < 350
+
+    def test_dense_edges_are_row_major_nonzeros(self):
+        K = K_X.copy()
+        K[2, 5] = 0.25
+        rows, cols, w, n = markov._edges(K)
+        want_rows, want_cols = np.nonzero(K)
+        assert n == 6
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        assert np.array_equal(w, K[want_rows, want_cols])
+
+
+class TestDegenerateChains:
+    def test_two_leaf_chain_has_no_dominant_eigenvalue(self):
+        g = build_graph("ab")
+        assert g.n == 1 and len(g.rows) == 0
+        assert strong_connectivity(g) == {"strongly_connected": True, "scc_count": 1, "witness_paths": []}
+        with pytest.raises(MarkovError, match="no positive dominant eigenvalue"):
+            perron_frobenius(g)
+
+    def test_zero_one_by_one(self):
+        with pytest.raises(MarkovError, match="no positive dominant eigenvalue"):
+            perron_frobenius(np.zeros((1, 1)))
+
+    def test_self_loop(self):
+        pf = perron_frobenius(np.ones((1, 1)))
+        assert pf.lam == 1.0 and pf.eta.tolist() == [1.0] and pf.xi.tolist() == [1.0]
+        assert pf.hat.tolist() == [1.0]
+
+    def test_sink_is_reducible(self):
+        with pytest.raises(MarkovError, match="reducible"):
+            perron_frobenius(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_two_cycle(self):
+        pf = perron_frobenius(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert pf.lam == 1.0
+        assert pf.eta.tolist() == [1.0, 1.0] and pf.xi.tolist() == [0.5, 0.5]
+        assert pf.hat.tolist() == [1.0, 1.0]
+
+
 class TestMultiplicityAndExports:
     def test_multiplicity_at_four_leaves(self):
         g = build_graph("abcd")
