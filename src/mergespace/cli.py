@@ -46,6 +46,7 @@ from mergespace.markov import (
     perron_frobenius,
     pf_to_json,
     strong_connectivity,
+    weighted_matrix,
 )
 from mergespace.rulesets import BUILTIN_RULESETS, get_ruleset
 from mergespace.verify import run_verify
@@ -131,8 +132,9 @@ def cmd_enumerate(args):
             f"{n} leaves give up to {count} {what}, over the enumeration bound {MAX_ENUMERATED}"
         )
     if args.trees_only:
-        items = [tree_to_text(t) for t in enumerate_trees(labels)]
-        blobs = [t.key for t in enumerate_trees(labels)]
+        trees = enumerate_trees(labels)
+        items = [tree_to_text(t) for t in trees]
+        blobs = [t.key for t in trees]
     else:
         forests = enumerate_forests(labels, require_edge=not args.all)
         items = [workspace_to_text(w) for w in forests]
@@ -196,8 +198,6 @@ def cmd_markov(args):
     if args.format == "csv":
         _refuse_dense_early(labels)
     if args.regime:
-        from mergespace.markov import weighted_matrix
-
         g = weighted_matrix(labels, args.regime, args.t, _cfg(args))
     else:
         g = build_graph(labels, _cfg(args))

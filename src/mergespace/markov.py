@@ -74,7 +74,6 @@ class TransitionGraph:
     """
 
     vertices: list
-    index: dict
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
@@ -152,7 +151,7 @@ def build_graph(
     representative onto that state.  The first other member of each orbit
     is also built directly, and MarkovError is raised if its (target, tag,
     exponent) steps differ from the carried ones.  With repeated labels
-    every state is its own orbit.
+    every state is its own orbit, and no state form is computed.
     """
     labels = tuple(sorted(leaves))
     if len(labels) < 2:
@@ -170,12 +169,17 @@ def build_graph(
         raise MarkovError(f"weight parameter t must be finite and positive, got t = {t}")
     vertices = enumerate_forests(labels, require_edge=True)
     index = {w.key: i for i, w in enumerate(vertices)}
-    tree_forms: dict = {}  # tree key -> _tree_form, shared by every state
-    forms = [_state_form(w, labels, tree_forms) for w in vertices]
-    states = _StateKeys(forms, len(labels))
-    orbits: dict = {}
-    for i, form in enumerate(forms):
-        orbits.setdefault(form.shape, []).append(i)
+    if len(set(labels)) < len(labels):
+        orbits = [[i] for i in range(len(vertices))]
+    else:
+        bit = {label: 1 << i for i, label in enumerate(labels)}
+        tree_forms: dict = {}  # tree key -> _tree_form, shared by every state
+        forms = [_state_form(w, bit, tree_forms) for w in vertices]
+        states = _StateKeys(forms, len(labels))
+        by_shape: dict = {}
+        for i, form in enumerate(forms):
+            by_shape.setdefault(form.shape, []).append(i)
+        orbits = list(by_shape.values())
 
     def direct_row(i: int) -> list:
         return [
@@ -185,7 +189,7 @@ def build_graph(
 
     kinds: dict = {}  # (sorted tags, exponents or None) -> index
     parts = []  # (rows, cols, kind indices) per orbit
-    for rep, *others in orbits.values():
+    for rep, *others in orbits:
         row = direct_row(rep)
         edges: dict = {}  # target -> (tags, exponents) in step order
         for j, tag, expo in row:
@@ -219,7 +223,7 @@ def build_graph(
     values = np.array(per_kind)[kind]
     if collapse_01:
         values = (values > 0).astype(float)
-    return TransitionGraph(vertices, index, rows, cols, values, kind, table, cfg, regime)
+    return TransitionGraph(vertices, rows, cols, values, kind, table, cfg, regime)
 
 
 def _weight(t: float, expos: tuple) -> float:
@@ -231,54 +235,43 @@ def _weight(t: float, expos: tuple) -> float:
 
 
 class _Form(NamedTuple):
-    """A state up to leaf relabeling.
+    """A state over distinct labels up to leaf relabeling.
 
     shape is the label-free form of each component (children ordered by
-    shape), equal for exactly the states of one orbit; bits gives each leaf
-    occurrence, in that order, its own bit; clusters is the sorted tuple of
-    leaf masks of the internal vertices, which determines the state.
+    shape), equal for exactly the states of one orbit; bits gives each leaf,
+    in that order, its label's bit; clusters is the sorted tuple of leaf
+    masks of the internal vertices, which determines the state.
     """
 
     shape: tuple
-    bits: list
+    bits: tuple
     clusters: tuple
 
 
-def _tree_form(t, named: bool, memo: dict) -> tuple:
-    """(shape, leaf labels in shape order, (start, end) leaf span of each
-    internal vertex) of one tree; leaves carry their label only if named.
-    memo maps the key of each tree already formed to its form."""
+def _tree_form(t, bit: dict, memo: dict) -> tuple:
+    """(shape, leaf bits in shape order, leaf masks of the internal
+    vertices) of one tree over distinct labels, bit[label] being each
+    label's bit.  memo maps the key of each tree already formed to its
+    form."""
     form = memo.get(t.key)
     if form is None:
         if isinstance(t, Leaf):
-            form = (t.name if named else ""), (t.name,), ()
+            form = "", (bit[t.name],), ()
         else:
-            a, b = sorted((_tree_form(t.left, named, memo), _tree_form(t.right, named, memo)))
-            k = len(a[1])
-            seq = a[1] + b[1]
-            spans = a[2] + tuple((s + k, e + k) for s, e in b[2]) + ((0, len(seq)),)
-            form = "(" + a[0] + "|" + b[0] + ")", seq, spans
+            a, b = sorted((_tree_form(t.left, bit, memo), _tree_form(t.right, bit, memo)))
+            bits = a[1] + b[1]
+            form = "(" + a[0] + "|" + b[0] + ")", bits, a[2] + b[2] + (sum(bits),)
         memo[t.key] = form
     return form
 
 
-def _state_form(ws, labels: tuple, memo: dict) -> _Form:
-    # repeated labels stay in the shape, so such states are their own orbit;
-    # the k-th occurrence of a label gets the k-th bit of its run in labels
-    named = len(set(labels)) < len(labels)
-    slot: dict = {}
-    for i, label in enumerate(labels):
-        slot.setdefault(label, 1 << i)
-    shape, bits, clusters = [], [], []
-    for form, seq, spans in sorted(_tree_form(c, named, memo) for c in ws.components):
-        shape.append(form)
-        tree_bits = []
-        for label in seq:
-            tree_bits.append(slot[label])
-            slot[label] <<= 1
-        clusters += [sum(tree_bits[s:e]) for s, e in spans]
-        bits += tree_bits
-    return _Form(tuple(shape), bits, tuple(sorted(clusters)))
+def _state_form(ws, bit: dict, memo: dict) -> _Form:
+    forms = sorted(_tree_form(c, bit, memo) for c in ws.components)
+    return _Form(
+        tuple(f[0] for f in forms),
+        tuple(b for f in forms for b in f[1]),
+        tuple(sorted(m for f in forms for m in f[2])),
+    )
 
 
 class _StateKeys:
@@ -378,10 +371,12 @@ def _assert_three_leaf_pattern(g: TransitionGraph, regime: str, t: float) -> Non
 # ---------------------------------------------------------------------------
 # strong connectivity: reachability decides it, Tarjan counts the components
 
-def strong_components(adj: list) -> list:
-    """The strongly connected components of the digraph with successor lists
-    adj (iterative Tarjan)."""
-    n = len(adj)
+def strong_components(rows: np.ndarray, cols: np.ndarray, n: int) -> list:
+    """The strongly connected components of the digraph on n states with
+    edges rows[e] -> cols[e], sorted by row (iterative Tarjan): state v's
+    successors are cols[first[v]:first[v + 1]]."""
+    first = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    succ = cols.tolist()
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -391,20 +386,20 @@ def strong_components(adj: list) -> list:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, first[root])]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
+            v, e = work[-1]
+            if index[v] == -1:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
+            for k in range(e, first[v + 1]):
+                w = succ[k]
                 if index[w] == -1:
                     work[-1] = (v, k + 1)
-                    work.append((w, 0))
+                    work.append((w, first[w]))
                     advanced = True
                     break
                 if on_stack[w]:
@@ -439,67 +434,51 @@ def _edges(K) -> tuple:
     return rows, cols, K.ravel()[flat], K.shape[0]
 
 
-def _strongly_connected(rows: np.ndarray, cols: np.ndarray, n: int) -> bool:
-    """Whether the n states with edges rows[e] -> cols[e] form one strongly
-    connected component: breadth-first sweeps from state 0, along the edges
-    and against them, reach every state.  Each sweep takes every edge out
-    of the last frontier at once."""
-    if n == 0:
-        return False
-    for src, dst in ((rows, cols), (cols, rows)):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = seen.copy()
-        while frontier.any():
-            nxt = np.zeros(n, dtype=bool)
-            nxt[dst[frontier[src]]] = True
-            frontier = nxt & ~seen
-            seen |= frontier
-        if not seen.all():
-            return False
-    return True
-
-
-def _adjacency(rows: np.ndarray, cols: np.ndarray, n: int) -> list:
-    """Successor lists from edge arrays sorted by row."""
-    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    succ = cols.tolist()
-    return [succ[bounds[i]:bounds[i + 1]] for i in range(n)]
+def _bfs_tree(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Breadth-first search from state 0 over the edges src[e] -> dst[e]:
+    each reached state's parent is its lowest-numbered predecessor on the
+    previous level, state 0 is its own parent, and n marks a state never
+    reached.  Each sweep takes every edge out of the last frontier at once."""
+    parent = np.full(n, n)
+    parent[0] = 0
+    frontier = np.zeros(n, dtype=bool)
+    frontier[0] = True
+    while True:
+        out = np.flatnonzero(frontier[src])
+        out = out[parent[dst[out]] == n]  # edges into states not yet reached
+        if not len(out):
+            return parent
+        reached = dst[out]
+        np.minimum.at(parent, reached, src[out])
+        frontier = np.zeros(n, dtype=bool)
+        frontier[reached] = True
 
 
 def strong_connectivity(g, witness: bool = True) -> dict:
     """Whether g, a TransitionGraph or a dense square matrix, is strongly
-    connected, its component count, and with witness the BFS paths from the
-    first state to the last and back.  Reachability decides; Tarjan runs
-    only to count the components of a reducible chain."""
+    connected, its component count, and with witness shortest paths from
+    the first state to the last and back.
+
+    One breadth-first search from state 0 along the edges and one against
+    them decide: the chain is strongly connected when both reach every
+    state.  The witnesses are read off the two trees, 0 -> n-1 from the
+    first and n-1 -> 0 from the second.  Tarjan runs only to count the
+    components of a reducible chain."""
     rows, cols, _, n = _edges(g)
-    connected = _strongly_connected(rows, cols, n)
+    trees = [_bfs_tree(rows, cols, n), _bfs_tree(cols, rows, n)] if n else []
+    connected = bool(trees) and all((parent < n).all() for parent in trees)
     out = {"strongly_connected": connected, "scc_count": 1, "witness_paths": []}
     if not connected:
-        out["scc_count"] = len(strong_components(_adjacency(rows, cols, n)))
+        out["scc_count"] = len(strong_components(rows, cols, n))
     elif witness and n > 1:
-        adj = _adjacency(rows, cols, n)
-        out["witness_paths"] = [_bfs_path(adj, 0, n - 1), _bfs_path(adj, n - 1, 0)]
+        paths = []
+        for parent in trees:  # from n-1 up to the root, state 0
+            path = [n - 1]
+            while path[-1]:
+                path.append(int(parent[path[-1]]))
+            paths.append(path)
+        out["witness_paths"] = [paths[0][::-1], paths[1]]
     return out
-
-
-def _bfs_path(adj, src, dst):
-    prev = {src: None}
-    frontier = [src]
-    while frontier and dst not in prev:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in prev:
-                    prev[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    if dst not in prev:
-        return None
-    path = [dst]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return path[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +538,7 @@ def perron_frobenius(K, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
         raise MarkovError("non-finite entries")
     if (w < 0).any():
         raise MarkovError("negative entries")
-    if not _strongly_connected(rows, cols, n):
+    if not n or any((_bfs_tree(s, d, n) == n).any() for s, d in ((rows, cols), (cols, rows))):
         raise MarkovError("reducible support; Perron-Frobenius theory needs strong connectivity")
     if not len(w):  # one state without a successor
         raise MarkovError("no positive dominant eigenvalue; some state has no successor")

@@ -224,8 +224,8 @@ def check_rr_tables(c: Check):
                     if not sm.tag.startswith("SM"):
                         continue
                     built_key = "(" + "|".join(sorted(t.key for t in sm.pair)) + ")"
-                    for em in all_merge_successors(sm.output_ws, MergeConfig(mode=mode)):
-                        if em.tag != "EM" or built_key not in {t.key for t in em.pair}:
+                    for em in _steps_tagged(sm.output_ws, EM, mode):
+                        if built_key not in {t.key for t in em.pair}:
                             continue
                         got = (
                             em.output_ws.b0 - ws.b0,
@@ -295,10 +295,10 @@ def _random_tree(rng, labels):
     return trees[0]
 
 
-def _steps_tagged(ws, tag: str) -> list:
-    """The deletion-mode steps of ws with one tag, in merge_pairs order; the
-    tag is read off each source pair, so no other step is built."""
-    return [apply(ws, a, b) for a, b in merge_pairs(ws, MergeConfig(mode="d")) if _tag(a, b) == tag]
+def _steps_tagged(ws, tag: str, mode: str = "d") -> list:
+    """The steps of ws with one tag, in merge_pairs order; the tag is read
+    off each source pair, so no other step is built."""
+    return [apply(ws, a, b, mode) for a, b in merge_pairs(ws, MergeConfig(mode=mode)) if _tag(a, b) == tag]
 
 
 def check_hierarchy(c: Check):

@@ -403,6 +403,29 @@ class TestAsymptotics:
         assert abs(xi0 - approx) <= t ** (5 / 3)
 
 
+def distance(A, src, dst):
+    """The smallest k with (A^k)[src, dst] > 0, by repeated dense products."""
+    reach = np.zeros(len(A), dtype=np.int64)
+    reach[src] = 1
+    for k in range(len(A)):
+        if reach[dst]:
+            return k
+        reach = (reach @ A.astype(np.int64) > 0).astype(np.int64)
+    return None
+
+
+def assert_shortest_witnesses(A, report):
+    """Both witness paths run between the first and last states, along edges
+    of A, and are as short as the distance from dense matrix powers."""
+    n = len(A)
+    paths = report["witness_paths"]
+    assert len(paths) == (2 if n > 1 else 0)
+    for path, (src, dst) in zip(paths, [(0, n - 1), (n - 1, 0)]):
+        assert path[0] == src and path[-1] == dst
+        assert all(A[a, b] for a, b in zip(path, path[1:])), path
+        assert len(path) - 1 == distance(A, src, dst)
+
+
 class TestStrongConnectivity:
     @pytest.mark.parametrize("labels", ["abc", "abcd", "abcde"])
     @pytest.mark.parametrize("im", [False, True])
@@ -411,7 +434,7 @@ class TestStrongConnectivity:
         g = build_graph(labels, MergeConfig(mode="d", allow_im=im, atomic_sm_only=atomic))
         report = strong_connectivity(g)
         assert report["strongly_connected"] and report["scc_count"] == 1
-        assert all(p is not None for p in report["witness_paths"])
+        assert_shortest_witnesses(g.K > 0, report)
 
     def test_em_only_disconnected(self):
         g = build_graph("abc", MergeConfig(mode="d", allow_im=False, allow_sm=False))
@@ -443,7 +466,22 @@ REACH_CHAINS = [
 
 
 def tarjan_verdict(rows, cols, n):
-    return len(markov.strong_components(markov._adjacency(rows, cols, n))) == 1
+    return len(markov.strong_components(rows, cols, n)) == 1
+
+
+def random_digraphs(count=400, seed=7):
+    """Seeded dense boolean matrices of 1 to 12 states, with self-loops,
+    sinks and isolated states."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 13))
+        A = rng.random((n, n)) < rng.choice([0.1, 0.25, 0.5])  # self-loops included
+        if n > 1 and rng.random() < 0.3:
+            A[rng.integers(n)] = False  # a sink
+        if n > 1 and rng.random() < 0.2:
+            k = rng.integers(n)
+            A[k] = A[:, k] = False  # an isolated state
+        yield A
 
 
 class TestReachability:
@@ -451,28 +489,33 @@ class TestReachability:
     def test_verdict_equals_tarjan_on_chains(self, labels, flags):
         g = build_graph(labels, MergeConfig(mode="d", **flags))
         want = tarjan_verdict(g.rows, g.cols, g.n)
-        assert markov._strongly_connected(g.rows, g.cols, g.n) == want
+        assert strong_connectivity(g, witness=False)["strongly_connected"] == want
         assert want == (flags.get("allow_sm", True))  # only the EM-only chains are reducible
 
     def test_verdict_equals_tarjan_on_random_digraphs(self):
-        rng = np.random.default_rng(7)
         verdicts = []
-        for _ in range(400):
-            n = int(rng.integers(1, 13))
-            A = rng.random((n, n)) < rng.choice([0.1, 0.25, 0.5])  # self-loops included
-            if n > 1 and rng.random() < 0.3:
-                A[rng.integers(n)] = False  # a sink
-            if n > 1 and rng.random() < 0.2:
-                k = rng.integers(n)
-                A[k] = A[:, k] = False  # an isolated state
+        for A in random_digraphs():
             rows, cols = np.nonzero(A)
-            want = tarjan_verdict(rows, cols, n)
-            assert markov._strongly_connected(rows, cols, n) == want, A.astype(int)
+            n = len(A)
+            components = markov.strong_components(rows, cols, n)
+            assert sorted(v for comp in components for v in comp) == list(range(n))
+            want = len(components) == 1
             report = strong_connectivity(A)
-            assert report["strongly_connected"] == want
-            assert report["scc_count"] == len(markov.strong_components(markov._adjacency(rows, cols, n)))
+            assert report["strongly_connected"] == want, A.astype(int)
+            assert report["scc_count"] == len(components)
             verdicts.append(want)
         assert 50 < sum(verdicts) < 350
+
+    def test_witnesses_are_shortest_paths_on_random_digraphs(self):
+        connected = 0
+        for A in random_digraphs():
+            report = strong_connectivity(A)
+            if report["strongly_connected"]:
+                assert_shortest_witnesses(A, report)
+                connected += 1
+            else:
+                assert report["witness_paths"] == []
+        assert connected > 50
 
     def test_dense_edges_are_row_major_nonzeros(self):
         K = K_X.copy()
@@ -606,7 +649,10 @@ class TestSevenLeaves:
         g, _ = seven_leaves
         report = strong_connectivity(g)
         assert report["strongly_connected"]
-        assert all(p is not None for p in report["witness_paths"])
+        edges = g.rows * g.n + g.cols
+        for path, (src, dst) in zip(report["witness_paths"], [(0, g.n - 1), (g.n - 1, 0)]):
+            assert path[0] == src and path[-1] == dst
+            assert np.isin(np.array(path[:-1]) * g.n + path[1:], edges).all()
 
     def test_perron_frobenius(self, seven_leaves):
         g, pf = seven_leaves
