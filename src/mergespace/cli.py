@@ -49,7 +49,7 @@ from mergespace.markov import (
     weighted_matrix,
 )
 from mergespace.rulesets import BUILTIN_RULESETS, get_ruleset
-from mergespace.verify import run_verify
+from mergespace.verify import ITEMS, run_verify
 
 
 class InputError(ValueError):
@@ -197,8 +197,10 @@ def cmd_markov(args):
     labels = args.leaves.split(",")
     if args.format == "csv":
         _refuse_dense_early(labels)
+    if args.t is not None and not args.regime:
+        raise InputError("-t weights a regime: give --regime with -t")
     if args.regime:
-        g = weighted_matrix(labels, args.regime, args.t, _cfg(args))
+        g = weighted_matrix(labels, args.regime, 1.0 if args.t is None else args.t, _cfg(args))
     else:
         g = build_graph(labels, _cfg(args))
     if args.format == "csv":
@@ -282,6 +284,9 @@ def cmd_color_check(args):
 
 
 def cmd_verify(args):
+    groups = [group for group, _ in ITEMS]
+    if args.only is not None and not any(args.only in group for group in groups):
+        raise InputError(f"--only {args.only!r} matches no check group; groups: {', '.join(groups)}")
     report = run_verify(only=args.only)
     for r in report["items"]:
         mark = "PASS" if r["ok"] else "FAIL"
@@ -324,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaves", required=True)
     _add_common(p)
     p.add_argument("--regime", choices=("ms", "my", "cl", "total"))
-    p.add_argument("-t", type=float, default=1.0)
+    p.add_argument("-t", type=float, help="weight parameter of --regime (default 1.0)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_markov)

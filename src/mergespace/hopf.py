@@ -6,14 +6,14 @@ traces kept) or the deletion quotient (mode "d", copies removed).  On the
 side of arbitrary-arity trees with labeled internal vertices lives the
 admissible-cut coproduct, its grafting operators, and the cocycle checks.
 
-All coefficients are exact rationals; nothing in this module touches floats.
+Coefficients are plain ints: every coproduct, cut and product here counts
+terms, and nothing in this module touches floats.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from mergespace.forest import (
@@ -33,10 +33,12 @@ UNIT = Workspace(())
 
 
 class LinComb:
-    """Sparse linear combination with Fraction coefficients.
+    """Sparse linear combination.
 
-    Terms can be anything hashable (workspaces, CK forests, trees).  Zero
-    coefficients are never stored; equality is term-by-term.
+    Terms can be anything hashable (workspaces, CK forests, trees).  Each
+    coefficient is kept as the caller gives it (an int, or a Fraction that
+    stays exact).  Zero coefficients are never stored; equality is
+    term-by-term.
     """
 
     __slots__ = ("terms",)
@@ -54,27 +56,23 @@ class LinComb:
         return lc
 
     def add(self, term, coef=1) -> None:
-        coef = Fraction(coef)
-        new = self.terms.get(term, Fraction(0)) + coef
+        new = self.terms.get(term, 0) + coef
         if new:
             self.terms[term] = new
         else:
             self.terms.pop(term, None)
 
     def __add__(self, other: "LinComb") -> "LinComb":
-        out = LinComb(dict(self.terms))
+        out = type(self)(self.terms)
         for t, c in other.terms.items():
             out.add(t, c)
         return out
 
     def __sub__(self, other: "LinComb") -> "LinComb":
-        out = LinComb(dict(self.terms))
+        out = type(self)(self.terms)
         for t, c in other.terms.items():
             out.add(t, -c)
         return out
-
-    def __mul__(self, scalar) -> "LinComb":
-        return LinComb({t: c * Fraction(scalar) for t, c in self.terms.items() if scalar})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinComb) and self.terms == other.terms
@@ -103,18 +101,6 @@ class TensorComb(LinComb):
         tc.add((left, right), coef)
         return tc
 
-    def apply(self, f: Callable, g: Callable) -> "TensorComb":
-        """Componentwise (f tensor g); f and g map a term to term or LinComb."""
-        out = TensorComb()
-        for (x, y), c in self.terms.items():
-            fx, gy = f(x), g(y)
-            fxs = fx.terms.items() if isinstance(fx, LinComb) else [(fx, Fraction(1))]
-            gys = gy.terms.items() if isinstance(gy, LinComb) else [(gy, Fraction(1))]
-            for u, cu in fxs:
-                for v, cv in gys:
-                    out.add((u, v), c * cu * cv)
-        return out
-
     def product(self, other: "TensorComb", mul: Callable) -> "TensorComb":
         """Componentwise product: (x1 (x) y1)(x2 (x) y2) = x1x2 (x) y1y2."""
         out = TensorComb()
@@ -126,6 +112,15 @@ class TensorComb(LinComb):
 
 def ws_union(a: Workspace, b: Workspace) -> Workspace:
     return Workspace(a.components + b.components)
+
+
+def _multiplicative(parts, unit, union: Callable) -> TensorComb:
+    """The product of per-tree coproducts: a coproduct multiplicative over
+    disjoint union, which is 1 (x) 1 on the empty forest."""
+    out = TensorComb.pure(unit, unit)
+    for part in parts:
+        out = out.product(part, union)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +162,7 @@ def coproduct(ws: Workspace, mode: str) -> TensorComb:
     cut and the whole-component split are included."""
     if mode not in ("c", "d"):
         raise ForestError(f"unknown coproduct mode {mode!r}")
-    out = TensorComb.pure(UNIT, UNIT)
-    for comp in ws.components:
-        out = out.product(_tree_coproduct(comp, mode), ws_union)
-    return out
+    return _multiplicative((_tree_coproduct(t, mode) for t in ws.components), UNIT, ws_union)
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +255,19 @@ def _tree_admissible_cuts(t: CKTree) -> Iterator[tuple]:
         yield pruned, CKTree(t.label, tuple(kept))
 
 
+def _ck_tree_coproduct(t: CKTree) -> TensorComb:
+    out = TensorComb()
+    for pruned, kept in _tree_admissible_cuts(t):
+        out.add((CKForest(pruned), CKForest((kept,))), 1)
+    out.add((CKForest((t,)), CK_UNIT), 1)  # full cut
+    return out
+
+
 def ck_coproduct(f: CKForest) -> TensorComb:
     """Admissible-cut coproduct on labeled arbitrary-arity forests, including
     the empty cut (1 (x) F) and the full cut (F (x) 1); multiplicative over
     disjoint union."""
-    out = TensorComb.pure(CK_UNIT, CK_UNIT)
-    for t in f.trees:
-        part = TensorComb()
-        for pruned, kept in _tree_admissible_cuts(t):
-            part.add((CKForest(pruned), CKForest((kept,))), 1)
-        part.add((CKForest((t,)), CK_UNIT), 1)
-        out = out.product(part, ck_union)
-    return out
+    return _multiplicative(map(_ck_tree_coproduct, f.trees), CK_UNIT, ck_union)
 
 
 def ck_counit_check(f: CKForest) -> bool:
@@ -286,60 +279,38 @@ def ck_counit_check(f: CKForest) -> bool:
     return collapsed == LinComb.of(f)
 
 
+def _ck_forests(n: int, alphabet, memo: dict) -> list:
+    """All labeled forests with exactly n vertices, sorted by key; memo maps
+    each vertex count done so far to its list.  Each forest is built once: its
+    key-least tree beside a forest whose trees are all no less."""
+    if n not in memo:
+        found = [CK_UNIT] if n == 0 else []
+        for k in range(1, n + 1):
+            for lab in alphabet:
+                for kids in _ck_forests(k - 1, alphabet, memo):
+                    t = CKTree(lab, kids.trees)
+                    found += (
+                        CKForest((t,) + rest.trees)
+                        for rest in _ck_forests(n - k, alphabet, memo)
+                        if not rest.trees or rest.trees[0].key >= t.key
+                    )
+        memo[n] = sorted(found, key=lambda f: f.key)
+    return memo[n]
+
+
 def enumerate_ck_trees(n_vertices: int, alphabet) -> list:
     """All labeled arbitrary-arity trees with exactly n vertices."""
-    alphabet = list(alphabet)
     if n_vertices < 1:
         return []
-    memo: dict = {}
-
-    def forests(n) -> list:
-        # all forests with exactly n vertices, as sorted tuples of trees
-        if n == 0:
-            return [()]
-        if n in memo:
-            return memo[n]
-        out = set()
-        for first_size in range(1, n + 1):
-            for t in trees(first_size):
-                for rest in forests(n - first_size):
-                    out.add(tuple(sorted((t,) + rest, key=lambda x: x.key)))
-        memo[n] = sorted(out, key=lambda fr: tuple(t.key for t in fr))
-        return memo[n]
-
-    tree_memo: dict = {}
-
-    def trees(n) -> list:
-        if n in tree_memo:
-            return tree_memo[n]
-        out = []
-        seen = set()
-        for lab in alphabet:
-            for kids in forests(n - 1):
-                t = CKTree(lab, kids)
-                if t.key not in seen:
-                    seen.add(t.key)
-                    out.append(t)
-        tree_memo[n] = out
-        return out
-
-    return trees(n_vertices)
+    labels = tuple(dict.fromkeys(alphabet))
+    return [CKTree(lab, f.trees) for lab in labels for f in _ck_forests(n_vertices - 1, labels, {})]
 
 
 def enumerate_ck_forests(max_vertices: int, alphabet) -> list:
-    """All labeled forests with 0 < size <= max_vertices, plus the unit."""
-    singles: dict = {n: enumerate_ck_trees(n, alphabet) for n in range(1, max_vertices + 1)}
-    out = {CK_UNIT.key: CK_UNIT}
-
-    def rec(budget, min_size, acc):
-        for n in range(min_size, budget + 1):
-            for t in singles[n]:
-                f = CKForest(acc + (t,))
-                out[f.key] = f
-                rec(budget - n, n, acc + (t,))
-
-    rec(max_vertices, 1, ())
-    return sorted(out.values(), key=lambda f: (f.size, f.key))
+    """All labeled forests with 0 < size <= max_vertices, plus the unit,
+    sorted by (size, key)."""
+    labels, memo = tuple(dict.fromkeys(alphabet)), {}
+    return [f for n in range(max(max_vertices, 0) + 1) for f in _ck_forests(n, labels, memo)]
 
 
 def cocycle_defect(f: CKForest, root_label: Optional[str], grafter=None) -> TensorComb:
@@ -347,12 +318,11 @@ def cocycle_defect(f: CKForest, root_label: Optional[str], grafter=None) -> Tens
     identity holds for this forest."""
     B = grafter or (lambda fr: graft_B(fr, root_label))
     grafted = CKForest((B(f),))
-    lhs = ck_coproduct(grafted)
-    rhs = TensorComb.pure(grafted, CK_UNIT)
-    rhs = rhs + ck_coproduct(f).apply(
-        lambda x: x, lambda y: CKForest((B(y),))
-    )
-    return lhs - rhs
+    defect = ck_coproduct(grafted)
+    defect.add((grafted, CK_UNIT), -1)
+    for (x, y), c in ck_coproduct(f).terms.items():
+        defect.add((x, CKForest((B(y),))), -c)
+    return defect
 
 
 def verify_cocycle(max_vertices: int, alphabet=("a", "b"), grafter=None) -> dict:
@@ -424,10 +394,7 @@ def insertion_delta(target: SyntaxTree, alpha: str) -> LinComb:
     EC-violating and lives only here, never in the merge engine."""
     if isinstance(target, Leaf):
         raise ForestError("insertion needs a target with at least one edge")
-    out = LinComb()
-    for t in _insert_at_all_edges(target, alpha):
-        out.add(workspace(t), 1)
-    return out
+    return insertion_delta_ws(workspace(target), alpha)
 
 
 def insertion_delta_ws(ws: Workspace, alpha: str) -> LinComb:
@@ -459,17 +426,3 @@ def insertion_cocycle_defect(t: SyntaxTree, alpha: str) -> TensorComb:
         for w, d in img.terms.items():
             rhs.add((x, w), c * d)
     return lhs - rhs
-
-
-# ---------------------------------------------------------------------------
-# JSON for linear combinations
-
-def lincomb_to_json(lc: LinComb, term_encoder: Callable) -> list:
-    return [{"coef": str(c), "term": term_encoder(t)} for t, c in lc]
-
-
-def tensorcomb_to_json(tc: TensorComb, term_encoder: Callable) -> list:
-    return [
-        {"coef": str(c), "left": term_encoder(x), "right": term_encoder(y)}
-        for (x, y), c in tc
-    ]

@@ -576,14 +576,21 @@ def _perron_vector(rows, cols, w, n: int, tol: float, max_iter: int):
     starts = np.searchsorted(rows, np.arange(n))  # each row's first edge
     v = np.ones(n)
     lo = hi = math.nan
-    for step in range(1, max_iter + 1):
-        Kv = np.add.reduceat(w * v[cols], starts)
-        ratios = Kv / v
-        lo, hi = ratios.min(), ratios.max()
-        if hi - lo <= tol * lo:
-            return v, ratios, float((hi - lo) / lo) if lo else 0.0, step
-        Kv += v
-        v = Kv / Kv.max()
+    # an entry of v or Kv that underflows to 0 shows as a ratio of 0, x/0 or 0/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(1, max_iter + 1):
+            Kv = np.add.reduceat(w * v[cols], starts)
+            ratios = Kv / v
+            lo, hi = ratios.min(), ratios.max()
+            if not (lo > 0 and hi < math.inf):
+                raise MarkovError(
+                    f"Perron vector underflowed at power-iteration step {step}: its "
+                    f"entries span more than double precision holds"
+                )
+            if hi - lo <= tol * lo:
+                return v, ratios, float((hi - lo) / lo), step
+            Kv += v
+            v = Kv / Kv.max()
     raise MarkovError(
         f"power iteration stalled after {max_iter} steps: Collatz-Wielandt bracket "
         f"[{lo:.12g}, {hi:.12g}] has relative gap {(hi - lo) / lo:.2e} > tol {tol:g}"

@@ -50,10 +50,12 @@ from mergespace.forest import (
     workspace,
 )
 from mergespace.hopf import (
+    LinComb,
     insertion_cocycle_defect,
     insertion_delta,
     insertion_delta_ws,
     verify_cocycle,
+    ws_union,
 )
 from mergespace.markov import (
     REGIME_EXPONENTS,
@@ -361,16 +363,12 @@ def check_cocycles(c: Check):
     )
     a, b = leaf("a"), leaf("b")
     t1, t2 = node(a, b), node(node(a, leaf("c")), b)
-    ws = workspace(t1, t2)
-    from mergespace.forest import Workspace
-    from mergespace.hopf import LinComb
-
-    lhs = insertion_delta_ws(ws, "x")
+    lhs = insertion_delta_ws(workspace(t1, t2), "x")
     rhs = LinComb()
     for w, coef in insertion_delta(t1, "x").terms.items():
-        rhs.add(Workspace(w.components + (t2,)), coef)
+        rhs.add(ws_union(w, workspace(t2)), coef)
     for w, coef in insertion_delta(t2, "x").terms.items():
-        rhs.add(Workspace(w.components + (t1,)), coef)
+        rhs.add(ws_union(w, workspace(t1)), coef)
     c.true("edge insertion is a derivation for the product", lhs == rhs)
     t = node(node(a, b), leaf("c"))
     defect = insertion_cocycle_defect(t, "x")

@@ -146,6 +146,22 @@ class TestGraphAndMarkov:
         assert err.startswith("error: weight parameter t must be finite and positive")
         assert "Traceback" not in err
 
+    def test_underflowed_perron_vector_is_a_domain_error(self, capsys):
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "markov", "--leaves", "a,b,c,d", "--regime", "total", "-t", "1e-200")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and not out
+        assert err.startswith("error: Perron vector underflowed at power-iteration step")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("t", ["nan", "1.0"])
+    def test_t_without_regime_refused(self, capsys, t):
+        code, out, err = run(capsys, "markov", "--leaves", "a,b,c", "-t", t)
+        assert code == 1 and not out
+        assert err.startswith("error:") and "-t" in err and "--regime" in err
+
     def test_four_leaf_graph(self, capsys):
         code, out, _ = run(capsys, "graph", "--leaves", "a,b,c,d", "--format", "json")
         blob = json.loads(out)
@@ -356,6 +372,12 @@ class TestVerify:
     def test_filtered_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "state-space")
         assert code == 0 and "PASS" in out and "FAIL" not in out
+
+    def test_filter_matching_no_group_refused(self, capsys):
+        code, out, err = run(capsys, "verify", "--only", "zzz")
+        assert code == 1 and not out
+        assert err.startswith("error: --only 'zzz' matches no check group")
+        assert "state-space" in err and "cocycles" in err
 
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

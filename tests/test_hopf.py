@@ -132,6 +132,15 @@ class TestCKCoproduct:
         for f in enumerate_ck_forests(4, "ab"):
             assert ck_counit_check(f)
 
+    def test_forest_enumeration_is_every_multiset_once(self):
+        trees = {t.key for n in range(1, 6) for t in enumerate_ck_trees(n, "ab")}
+        for m, count in enumerate([1, 3, 10, 36, 143, 601]):
+            forests = enumerate_ck_forests(m, "ab")
+            assert len(forests) == count
+            assert len({f.key for f in forests}) == count
+            assert forests == sorted(forests, key=lambda f: (f.size, f.key))
+            assert all(f.size <= m and {t.key for t in f.trees} <= trees for f in forests)
+
     def test_tree_enumeration_sizes(self):
         assert len(enumerate_ck_trees(1, "ab")) == 2
         assert len(enumerate_ck_trees(2, "ab")) == 4
@@ -170,17 +179,16 @@ class TestCocycle:
         assert report["counterexample"] is not None
 
 
-class TestSerialization:
-    def test_lincomb_json(self):
-        from mergespace.forest import tree_to_json, workspace_to_json
-        from mergespace.hopf import lincomb_to_json, tensorcomb_to_json
-
-        lc = LinComb.of(workspace(a), Fraction(2, 3))
-        blob = lincomb_to_json(lc, workspace_to_json)
-        assert blob == [{"coef": "2/3", "term": ["a"]}]
-        tc = coproduct(workspace(a), "d")
-        blob = tensorcomb_to_json(tc, workspace_to_json)
-        assert len(blob) == 2 and all(row["coef"] == "1" for row in blob)
+class TestIntegerCoefficients:
+    def test_coproducts_and_defects_count_in_ints(self):
+        combs = [coproduct(workspace(node(node(a, b), node(a, b)), c), mode) for mode in "cd"]
+        f = ck_forest(v("a", v("b"), v("b")), v("a"))
+        combs.append(ck_coproduct(f))
+        combs.append(cocycle_defect(f, "a", grafter=perturbed_grafter("a")))
+        combs.append(insertion_cocycle_defect(node(node(a, b), c), "x"))
+        for comb in combs:
+            assert comb
+            assert all(type(coef) is int for _, coef in comb)
 
 
 class TestInsertion:

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -160,6 +161,20 @@ class TestPerronFrobenius:
     def test_stall_names_steps_and_gap(self):
         with pytest.raises(MarkovError, match=r"stalled after 3 steps.*relative gap"):
             perron_frobenius(build_graph("abcd"), max_iter=3)
+
+    @pytest.mark.parametrize(
+        "regime, t",
+        [("cl", 1e-100), ("total", 1e-100), ("total", 1e-200), ("my", 1e-200), ("my", 1e-300)],
+    )
+    def test_underflowed_perron_vector_fails_fast(self, regime, t):
+        # an entry underflowed to 0 must stop the power iteration, not a max_iter run on a nan bracket
+        g = weighted_matrix("abcd", regime, t)
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MarkovError, match=r"Perron vector underflowed at power-iteration step \d+"):
+                perron_frobenius(g)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_entries_rejected(self, bad):
