@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from mergespace import coloring as coloring_mod
 from mergespace.coloring import ColoringError, color_search, ruleset_to_json
@@ -23,6 +24,7 @@ from mergespace.engine import (
     form_copy_quotient,
     load_form_copy,
     load_script,
+    merge_pairs,
     replay,
 )
 from mergespace.forest import (
@@ -49,14 +51,16 @@ from mergespace.markov import (
     weighted_matrix,
 )
 from mergespace.rulesets import BUILTIN_RULESETS, get_ruleset
-from mergespace.verify import ITEMS, run_verify
+from mergespace.verify import VerifyError, run_verify
 
 
 class InputError(ValueError):
     """A command-line option or input file that cannot be read or parsed."""
 
 
-DOMAIN_ERRORS = (ForestError, MergeError, ECViolation, CostError, MarkovError, ColoringError, InputError)
+DOMAIN_ERRORS = (
+    ForestError, MergeError, ECViolation, CostError, MarkovError, ColoringError, VerifyError, InputError,
+)
 
 # `enumerate` refuses to list more structures than this.  Measured on one
 # core: 27 006 forests (7 leaves) in 1.3 s and 68 MB, 135 135 trees
@@ -64,11 +68,19 @@ DOMAIN_ERRORS = (ForestError, MergeError, ECViolation, CostError, MarkovError, C
 # forests and 2 027 025 trees, are refused.
 MAX_ENUMERATED = 150_000
 
+# `successors` refuses a workspace whose steps would emit more leaves than
+# this in all (Merge pairs times the workspace's leaves).  A pair bound
+# alone is not enough: each step's output grows with the workspace.
+# Measured on one core, JSON output: a 50-leaf comb under --identity-sm
+# --sibling-cut (2 499 pairs, 125 k leaves) in 2.3 s and 15 MB; a 1 024-leaf
+# balanced tree under --no-sm (2 046 pairs, 2.1 M leaves) in 17 s, 157 MB
+# and 1 GB of memory.
+MAX_EMITTED_LEAVES = 150_000
+
 
 def _add_common(p):
     p.add_argument("--mode", choices=("c", "d"), default="d", help="coproduct flavor")
-    p.add_argument("--im", dest="im", action="store_true", default=True)
-    p.add_argument("--no-im", dest="im", action="store_false")
+    p.add_argument("--no-im", dest="im", action="store_false", default=True)
     p.add_argument("--no-sm", dest="sm", action="store_false", default=True)
     p.add_argument("--identity-sm", action="store_true")
     p.add_argument("--sibling-cut", action="store_true")
@@ -148,7 +160,14 @@ def cmd_enumerate(args):
 
 def cmd_successors(args):
     ws = workspace_from_json(_parse_json("--workspace", args.workspace))
-    steps = all_merge_successors(ws, _cfg(args))
+    cfg = _cfg(args)
+    limit = MAX_EMITTED_LEAVES // max(ws.degree, 1)
+    if sum(1 for _ in islice(merge_pairs(ws, cfg), limit + 1)) > limit:
+        raise MergeError(
+            f"{ws.degree} leaves give more than {limit} Merge steps, over the bound of "
+            f"{MAX_EMITTED_LEAVES} emitted leaves"
+        )
+    steps = all_merge_successors(ws, cfg)
     rows = [
         {
             "tag": s.tag,
@@ -284,9 +303,6 @@ def cmd_color_check(args):
 
 
 def cmd_verify(args):
-    groups = [group for group, _ in ITEMS]
-    if args.only is not None and not any(args.only in group for group in groups):
-        raise InputError(f"--only {args.only!r} matches no check group; groups: {', '.join(groups)}")
     report = run_verify(only=args.only)
     for r in report["items"]:
         mark = "PASS" if r["ok"] else "FAIL"
@@ -370,6 +386,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # every recursion here follows tree depth, so only deep input gets here
+        print(f"error: the input is nested too deeply (recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 1
 
 

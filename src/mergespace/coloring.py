@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from mergespace.forest import ForestError, Leaf, Node, SyntaxTree, leaf, trace_leaf, tree_from_json
+from mergespace.forest import ForestError, Leaf, Node, SyntaxTree, leaf, positions, trace_leaf, tree_from_json
 
 WILDCARD = "*"
 
@@ -457,16 +457,7 @@ def reachable_by_colored_merge(
     tree as a single component."""
     constraints = _checked_constraints(rs, constraints)
     target = tree.key
-    leaves = []
-
-    def collect(t):
-        if isinstance(t, Leaf):
-            leaves.append(t)
-        else:
-            collect(t.left)
-            collect(t.right)
-
-    collect(tree)
+    leaves = [t for _, t in positions(tree) if isinstance(t, Leaf)]
     choice_lists = [
         [CLeaf(l.name, c, trace=l.trace) for c in _leaf_choices(rs, l, constraints)]
         for l in leaves

@@ -9,7 +9,7 @@ nothing in this module can insert material at an interior edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
 from typing import Iterator
 
@@ -21,6 +21,7 @@ from mergespace.forest import (
     Workspace,
     accessible_terms,
     nested,
+    positions,
     subtree_at,
     tree_from_json,
     tree_quotient,
@@ -302,14 +303,7 @@ def load_script(blob) -> tuple:
 def _permissive(cfg: MergeConfig) -> MergeConfig:
     # replay validates against the widest flag set for the chosen mode,
     # except sibling cuts, which stay an explicit opt-in
-    return MergeConfig(
-        mode=cfg.mode,
-        allow_im=True,
-        allow_sm=True,
-        allow_identity_sm=True,
-        allow_sibling_cut=cfg.allow_sibling_cut,
-        atomic_sm_only=False,
-    )
+    return replace(cfg, allow_im=True, allow_sm=True, allow_identity_sm=True, atomic_sm_only=False)
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +313,10 @@ def _permissive(cfg: MergeConfig) -> MergeConfig:
 class QuotientGraph:
     """Tree vertices merged under FormCopy identifications; may have cycles."""
 
-    classes: dict  # path -> class id
-    edges: set  # frozenset pairs of class ids
     vertex_count: int
     leaf_count: int  # distinct non-trace leaf classes after identification
     initial_leaf_count: int
     history: list  # vertex_count after each identification, starting value first
-
-
-def _all_paths(t: SyntaxTree, prefix=()):
-    yield prefix, t
-    if isinstance(t, Node):
-        yield from _all_paths(t.left, prefix + (0,))
-        yield from _all_paths(t.right, prefix + (1,))
 
 
 def load_form_copy(fc) -> tuple:
@@ -370,8 +355,8 @@ def form_copy_quotient(tree: SyntaxTree, pairs: list) -> QuotientGraph:
     into the pre-order list of positions carrying that key.  Identified
     occurrences must be distinct and disjoint.
     """
-    positions = list(_all_paths(tree))
-    parent: dict = {p: p for p, _ in positions}
+    vertices = list(positions(tree))
+    parent: dict = {p: p for p, _ in vertices}
 
     def find(x):
         while parent[x] != x:
@@ -385,11 +370,11 @@ def form_copy_quotient(tree: SyntaxTree, pairs: list) -> QuotientGraph:
             parent[rx] = ry
 
     def count():
-        return len({find(p) for p, _ in positions})
+        return len({find(p) for p, _ in vertices})
 
     history = [count()]
     for key, na, nb in pairs:
-        occ = [p for p, t in positions if t.key == key]
+        occ = [p for p, t in vertices if t.key == key]
         if na == nb:
             raise MergeError("identity pair: the two occurrences must differ")
         try:
@@ -399,23 +384,13 @@ def form_copy_quotient(tree: SyntaxTree, pairs: list) -> QuotientGraph:
         if nested(pa, pb):
             raise MergeError("occurrences must be disjoint")
         # same canonical key -> identical canonical shape -> positionwise map
-        sub = subtree_at(tree, pa)
-        for rel, _ in _all_paths(sub):
+        for rel, _ in positions(subtree_at(tree, pa)):
             union(pa + rel, pb + rel)
         history.append(count())
-    classes = {p: find(p) for p, _ in positions}
-    edges = set()
-    for p, t in positions:
-        if isinstance(t, Node):
-            for step in (0, 1):
-                edges.add(frozenset((classes[p], classes[p + (step,)])))
-    leaf_positions = [p for p, t in positions if isinstance(t, Leaf) and not t.trace]
-    leaf_classes = {classes[p] for p in leaf_positions}
+    leaf_positions = [p for p, t in vertices if isinstance(t, Leaf) and not t.trace]
     return QuotientGraph(
-        classes=classes,
-        edges=edges,
         vertex_count=history[-1],
-        leaf_count=len(leaf_classes),
+        leaf_count=len({find(p) for p in leaf_positions}),
         initial_leaf_count=len(leaf_positions),
         history=history,
     )

@@ -29,6 +29,7 @@ __all__ = [
     "trace_leaf",
     "workspace",
     "accessible_terms",
+    "positions",
     "subtree_at",
     "nested",
     "tree_quotient",
@@ -195,23 +196,23 @@ def subtree_at(t: SyntaxTree, path: tuple) -> SyntaxTree:
     return t
 
 
-def _accessible_in(t: SyntaxTree, prefix: tuple) -> Iterator[tuple]:
-    # pre-order; skips subtrees with no live leaves
-    for i, child in enumerate((t.left, t.right)):
-        if child.leaves > 0:
-            yield prefix + (i,)
-        if isinstance(child, Node):
-            yield from _accessible_in(child, prefix + (i,))
+def positions(t: SyntaxTree, prefix: tuple = ()) -> Iterator[tuple]:
+    """(path, subtree) for every vertex of t in pre-order, root first; each
+    path is prefix followed by the child selectors from t."""
+    yield prefix, t
+    if isinstance(t, Node):
+        yield from positions(t.left, prefix + (0,))
+        yield from positions(t.right, prefix + (1,))
 
 
 def accessible_terms(ws: Workspace) -> list:
     """All accessible terms of a workspace; the list has length ws.alpha."""
-    out = []
-    for ci, comp in enumerate(ws.components):
-        if isinstance(comp, Node):
-            for path in _accessible_in(comp, ()):
-                out.append(AccessibleTermRef(ci, path, subtree_at(comp, path)))
-    return out
+    return [
+        AccessibleTermRef(ci, path, sub)
+        for ci, comp in enumerate(ws.components)
+        for path, sub in positions(comp)
+        if path and sub.leaves > 0
+    ]
 
 
 def nested(p: tuple, q: tuple) -> bool:
@@ -311,9 +312,12 @@ def _trees(ms: tuple, seen: dict) -> list:
         out = [leaf(ms[0])]
     else:
         found = {}
-        for left_part, right_part in _splits(ms):
-            for lt in _trees(left_part, seen):
-                for rt in _trees(right_part, seen):
+        for block, rest in _blocks(ms):
+            if not rest:
+                continue
+            rights = _trees(rest, seen)
+            for lt in _trees(block, seen):
+                for rt in rights:
                     t = Node(lt, rt)
                     found[t.key] = t
         out = [found[k] for k in sorted(found)]
@@ -321,36 +325,33 @@ def _trees(ms: tuple, seen: dict) -> list:
     return out
 
 
-def _splits(ms: tuple) -> Iterator[tuple]:
-    """Unordered pairs of nonempty sub-multisets covering ms (each pair once)."""
+def _blocks(ms: tuple) -> Iterator[tuple]:
+    """Each distinct (block, rest) split of the sorted multiset ms with ms[0]
+    in the block, by increasing bit mask of the block; the block that is all
+    of ms, with an empty rest, comes last."""
     n = len(ms)
     emitted = set()
-    for mask in range(1, 2 ** n - 1, 2):  # bit 0 set, so ms[0] stays in part a
-        a = tuple(sorted(ms[i] for i in range(n) if mask >> i & 1))
-        b = tuple(sorted(ms[i] for i in range(n) if not mask >> i & 1))
-        if (a, b) in emitted:
+    for mask in range(1, 2 ** n, 2):  # bit 0 set, so ms[0] stays in the block
+        block = tuple(ms[i] for i in range(n) if mask >> i & 1)
+        if block in emitted:
             continue
-        emitted.add((a, b))
-        yield a, b
+        emitted.add(block)
+        yield block, tuple(ms[i] for i in range(n) if not mask >> i & 1)
 
 
-def _multiset_partitions(ms: tuple) -> Iterator[tuple]:
+def _forests(ms: tuple, trees: dict, memo: dict) -> list:
+    """The component tuples of the forests over the sorted multiset ms: a
+    tree over the block holding ms[0], then a forest over the rest.  Repeated
+    labels can give one forest more than once."""
     if not ms:
-        yield ()
-        return
-    first, rest = ms[0], ms[1:]
-    seen = set()
-    # first goes into a block with each sub-multiset of the rest
-    n = len(rest)
-    for mask in range(2 ** n):
-        block = (first,) + tuple(rest[i] for i in range(n) if mask >> i & 1)
-        remainder = tuple(rest[i] for i in range(n) if not mask >> i & 1)
-        blk = tuple(sorted(block))
-        if (blk, remainder) in seen:
-            continue
-        seen.add((blk, remainder))
-        for sub in _multiset_partitions(remainder):
-            yield (blk,) + sub
+        return [()]
+    if ms not in memo:
+        out = []
+        for block, rest in _blocks(ms):
+            tails = _forests(rest, trees, memo)
+            out += [(t,) + comps for t in _trees(block, trees) for comps in tails]
+        memo[ms] = out
+    return memo[ms]
 
 
 def enumerate_forests(labels, require_edge: bool = True) -> list:
@@ -367,22 +368,11 @@ def enumerate_forests(labels, require_edge: bool = True) -> list:
     if require_edge and len(labels) < 2:
         raise ForestError("need at least 2 leaves for a forest with an edge")
     found: dict = {}
-    trees: dict = {}  # one tree memo for every block of every partition
-    seen_partitions = set()
-    for part in _multiset_partitions(labels):
-        sig = tuple(sorted(part))
-        if sig in seen_partitions:
+    for comps in _forests(labels, {}, {}):
+        if require_edge and len(comps) == len(labels):
             continue
-        seen_partitions.add(sig)
-        if require_edge and all(len(b) == 1 for b in part):
-            continue
-        choices = [_trees(b, trees) for b in part]
-        stack = [()]
-        for ch in choices:
-            stack = [s + (t,) for s in stack for t in ch]
-        for comps in stack:
-            ws = Workspace(comps)
-            found[ws.key] = ws
+        ws = Workspace(comps)
+        found[ws.key] = ws
     return sorted(found.values(), key=lambda w: (w.b0, w.key))
 
 

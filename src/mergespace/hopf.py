@@ -25,6 +25,7 @@ from mergespace.forest import (
     accessible_terms,
     leaf,
     nested,
+    positions,
     quotient,
     workspace,
 )
@@ -331,8 +332,9 @@ def verify_cocycle(max_vertices: int, alphabet=("a", "b"), grafter=None) -> dict
     if max_vertices < 0:
         raise ForestError("max_vertices must be >= 0")
     checked = 0
-    for f in enumerate_ck_forests(max_vertices, alphabet):
-        for lab in alphabet:
+    labels = tuple(dict.fromkeys(alphabet))
+    for f in enumerate_ck_forests(max_vertices, labels):
+        for lab in labels:
             defect = cocycle_defect(f, lab, grafter=grafter)
             checked += 1
             if defect:
@@ -363,18 +365,6 @@ EC_VIOLATING = "insertion operators grow structure at non-root edges"
 
 
 def _insert_at_all_edges(t: SyntaxTree, alpha: str) -> list:
-    out = []
-
-    def rec(cur, path):
-        # one edge above every non-root vertex
-        if path:
-            out.append(path)
-        if isinstance(cur, Node):
-            rec(cur.left, path + (0,))
-            rec(cur.right, path + (1,))
-
-    rec(t, ())
-
     def rebuild(cur, path, target):
         if path == target:
             return Node(cur, leaf(alpha))
@@ -385,7 +375,8 @@ def _insert_at_all_edges(t: SyntaxTree, alpha: str) -> list:
             rebuild(cur.right, path + (1,), target),
         )
 
-    return [rebuild(t, (), p) for p in out]
+    # one edge above every non-root vertex
+    return [rebuild(t, (), p) for p, _ in positions(t) if p]
 
 
 def insertion_delta(target: SyntaxTree, alpha: str) -> LinComb:

@@ -651,7 +651,11 @@ def _fit_exponent(form, a, b, c, lo=1e-6, hi=1e-5) -> float:
     return math.log(y_hi / y_lo) / math.log(hi / lo)
 
 
-def asymptotic_check(regime: str, t_grid=None) -> dict:
+# the t values at which asymptotic_check reports the stationary distribution
+ASYMPTOTIC_T_GRID = tuple(np.linspace(0.05, 0.95, 10))
+
+
+def asymptotic_check(regime: str) -> dict:
     """Behavior of the stationary distribution across t.
 
     Verifies the t->0 limit (uniform 1/3 on the connected structures) and
@@ -663,8 +667,7 @@ def asymptotic_check(regime: str, t_grid=None) -> dict:
     if regime not in ("ms", "cl", "total"):
         raise MarkovError("asymptotics cover the ms / cl / total regimes")
     a, b, c = REGIME_EXPONENTS[regime]
-    grid = list(t_grid) if t_grid is not None else list(np.linspace(0.05, 0.95, 10))
-    xi_series = [(t, series_closed_form(a, b, c, t)["xi"]) for t in grid]
+    xi_series = [(t, series_closed_form(a, b, c, t)["xi"]) for t in ASYMPTOTIC_T_GRID]
     t0 = series_closed_form(a, b, c, 1e-12)["xi"]
     t1 = series_closed_form(a, b, c, 1.0 - 1e-6)["xi"]
     slope_series = _fit_exponent(series_closed_form, a, b, c)

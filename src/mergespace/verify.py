@@ -474,7 +474,14 @@ ITEMS = [
 ]
 
 
+class VerifyError(ValueError):
+    """A verify request that names no check group."""
+
+
 def run_verify(only: str | None = None) -> dict:
+    groups = [group for group, _ in ITEMS]
+    if only is not None and not any(only in group for group in groups):
+        raise VerifyError(f"--only {only!r} matches no check group; groups: {', '.join(groups)}")
     rows = []
     for group, fn in ITEMS:
         if only and only not in group:

@@ -12,6 +12,7 @@ from mergespace.cli import main
 from mergespace.coloring import ColoringError
 from mergespace.forest import enumerate_forests, forest_count, workspace_from_json
 from mergespace.rulesets import get_ruleset
+from mergespace.verify import VerifyError, run_verify
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "src" / "mergespace" / "data" / "scripts"
 
@@ -368,6 +369,39 @@ def test_large_color_search_refused(capsys):
     assert err.startswith("error: the search would build 3265513777429 candidate colorings, over the bound")
 
 
+def comb_text(depth):
+    # built as text: json.dumps itself recurses once per level
+    return '["M", ' * depth + '"a"' + ', "b"]' * depth
+
+
+def balanced(labels):
+    if len(labels) == 1:
+        return labels[0]
+    mid = len(labels) // 2
+    return ["M", balanced(labels[:mid]), balanced(labels[mid:])]
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["successors", "--workspace", "[" + comb_text(1200) + "]"], "the input is nested too deeply"),
+        (["color-check", "--tree", comb_text(985)], "the input is nested too deeply"),
+        (["successors", "--workspace", "[" + comb_text(199) + "]"], "200 leaves give more than 750 Merge steps"),
+        (
+            ["successors", "--workspace", json.dumps([balanced([f"x{i}" for i in range(1024)])]), "--no-sm"],
+            "1024 leaves give more than 146 Merge steps",
+        ),
+    ],
+    ids=["deep-workspace", "deep-tree", "wide-comb", "big-tree-no-sm"],
+)
+def test_deep_or_large_input_refused(capsys, argv, why):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and not out
+    assert err.startswith("error: " + why) and "Traceback" not in err
+
+
 class TestVerify:
     def test_filtered_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "state-space")
@@ -378,6 +412,10 @@ class TestVerify:
         assert code == 1 and not out
         assert err.startswith("error: --only 'zzz' matches no check group")
         assert "state-space" in err and "cocycles" in err
+
+    def test_library_filter_matching_no_group_refused(self):
+        with pytest.raises(VerifyError, match="matches no check group"):
+            run_verify(only="zzz")
 
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mergespace import forest
+from mergespace.engine import MergeConfig, all_merge_successors
 from mergespace.forest import (
     ForestError,
     Leaf,
@@ -15,7 +16,9 @@ from mergespace.forest import (
     enumerate_trees,
     leaf,
     node,
+    positions,
     quotient,
+    subtree_at,
     trace_leaf,
     tree_from_json,
     tree_to_json,
@@ -158,14 +161,15 @@ class TestEnumeration:
         ],
     )
     def test_shared_memo_matches_per_block_reference(self, labels, require_edge):
-        # the enumeration as it was before the tree memo was shared: every
-        # block of every partition expanded by its own enumerate_trees call
+        # every block of every set partition expanded by its own
+        # enumerate_trees call, with no memo shared between blocks
         found = {}
         seen = set()
-        for part in forest._multiset_partitions(tuple(sorted(labels))):
-            if tuple(sorted(part)) in seen:
+        for part in set_partitions(list(labels)):
+            part = sorted(tuple(sorted(block)) for block in part)
+            if tuple(part) in seen:
                 continue
-            seen.add(tuple(sorted(part)))
+            seen.add(tuple(part))
             if require_edge and all(len(block) == 1 for block in part):
                 continue
             for comps in itertools.product(*(enumerate_trees(block) for block in part)):
@@ -187,6 +191,67 @@ class TestEnumeration:
         monkeypatch.setattr(forest, "Node", CountedNode)
         enumerate_forests("abcdef")
         assert len(built) == 1875
+
+
+def set_partitions(items):
+    """Every partition of the list items into blocks, telling equal items
+    apart by position."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+
+
+def accessible_reference(ws):
+    """(component, path, subtree key) of every non-root vertex that holds a
+    live leaf, children visited left before right."""
+    out = []
+
+    def walk(ci, t, path):
+        if path and t.leaves > 0:
+            out.append((ci, path, t.key))
+        if isinstance(t, Node):
+            walk(ci, t.left, path + (0,))
+            walk(ci, t.right, path + (1,))
+
+    for ci, comp in enumerate(ws.components):
+        walk(ci, comp, ())
+    return out
+
+
+class TestPositions:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(random_tree())
+    def test_every_vertex_once_in_pre_order(self, t):
+        got = list(positions(t, (1, 0)))
+        paths = [p for p, _ in got]
+        assert paths[0] == (1, 0) and got[0][1] is t
+        # pre-order with the left child first is lexicographic path order
+        assert paths == sorted(set(paths))
+        assert len(paths) == 2 * t.leaves - 1
+        for p, sub in got:
+            assert subtree_at(t, p[2:]) is sub
+
+    @pytest.mark.parametrize("labels", ["abcdef", "aabc"])
+    def test_accessible_terms_match_reference(self, labels):
+        for ws in enumerate_forests(labels, require_edge=False):
+            got = [(r.component, r.path, r.subtree.key) for r in accessible_terms(ws)]
+            assert got == accessible_reference(ws)
+
+    def test_accessible_terms_with_traces_match_reference(self):
+        outputs = [
+            s.output_ws
+            for ws in enumerate_forests("abcd")
+            for s in all_merge_successors(ws, MergeConfig(mode="c"))
+        ]
+        assert any("~" in ws.key for ws in outputs)
+        for ws in outputs:
+            got = [(r.component, r.path, r.subtree.key) for r in accessible_terms(ws)]
+            assert got == accessible_reference(ws)
 
 
 def ref_to(ws, key, n=0):
