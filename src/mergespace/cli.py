@@ -8,6 +8,7 @@ failing verification item, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -100,22 +101,35 @@ def _cfg(args) -> MergeConfig:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as f:
-            f.write(text)
+        try:
+            with open(out, "w") as f:
+                f.write(text)
+        except OSError as exc:
+            raise InputError(f"--out: cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _jsonable(obj):
+def _json_default(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
     if hasattr(obj, "as_dict"):
-        return _jsonable(obj.as_dict())
-    return obj
+        return obj.as_dict()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_dumps = functools.partial(json.dumps, default=_json_default)
+
+
+def _to_json(obj) -> str:
+    """obj as JSON, with each top-level list item or dict entry on its own
+    line.  Entries go through json's C encoder, which `indent` would bypass
+    for the pure-Python one."""
+    if isinstance(obj, dict):
+        return "{\n" + ",\n".join(_dumps({k: v})[1:-1] for k, v in obj.items()) + "\n}"
+    if isinstance(obj, list):
+        return "[\n" + ",\n".join(map(_dumps, obj)) + "\n]"
+    return _dumps(obj)
 
 
 def _parse_json(option: str, text: str):
@@ -152,7 +166,7 @@ def cmd_enumerate(args):
         items = [workspace_to_text(w) for w in forests]
         blobs = [workspace_to_json(w) for w in forests]
     if args.format == "json":
-        _emit(json.dumps(blobs, indent=1), args.out)
+        _emit(_to_json(blobs), args.out)
     else:
         _emit("\n".join(items) + f"\n# {len(items)} structures", args.out)
     return 0
@@ -177,7 +191,7 @@ def cmd_successors(args):
         for s in steps
     ]
     if args.format == "json":
-        _emit(json.dumps(rows, indent=1), args.out)
+        _emit(_to_json(rows), args.out)
     else:
         lines = [f"{r['tag']:4} -> {r['output_text']}" for r in rows]
         _emit("\n".join(lines) + f"\n# {len(rows)} successors", args.out)
@@ -208,7 +222,7 @@ def cmd_graph(args):
             "matrix": g.K.tolist(),
             "scc": strong_connectivity(g, witness=False),
         }
-        _emit(json.dumps(blob, indent=1), args.out)
+        _emit(_to_json(blob), args.out)
     return 0
 
 
@@ -228,7 +242,7 @@ def cmd_markov(args):
     pf = perron_frobenius(g)
     blob = pf_to_json(pf)
     blob["vertices"] = [w.key for w in g.vertices]
-    _emit(json.dumps(blob, indent=1), args.out)
+    _emit(_to_json(blob), args.out)
     return 0
 
 
@@ -242,7 +256,6 @@ def _run_blob(blob):
     report = derivation_cost(deriv)
     report["kind"] = "derivation"
     report["final"] = workspace_to_text(deriv.final)
-    report["steps"] = [v.as_dict() for v in report["steps"]]
     return report
 
 
@@ -256,9 +269,9 @@ def cmd_derive(args):
                 k: [str(main["totals"][k]), str(other["totals"][k])]
                 for k in ("ms", "ms_ws", "my_d", "my_c", "cl", "cl_type")
             }
-        _emit(json.dumps(_jsonable(blob), indent=1), args.out)
+        _emit(_to_json(blob), args.out)
     else:
-        _emit(json.dumps(_jsonable(main), indent=1), args.out)
+        _emit(_to_json(main), args.out)
     return 0
 
 
@@ -266,27 +279,27 @@ def cmd_costs(args):
     report = _run_blob(_read_json("--script", args.script))
     totals = report.get("totals", report)
     if args.format == "csv" and "totals" in report:
-        lines = ["metric,value"] + [f"{k},{v}" for k, v in _jsonable(totals).items()]
+        lines = ["metric,value"] + [f"{k},{v}" for k, v in totals.items()]
         _emit("\n".join(lines), args.out)
     else:
-        _emit(json.dumps(_jsonable(totals), indent=1), args.out)
+        _emit(_to_json(totals), args.out)
     return 0
 
 
 def cmd_color_check(args):
     if args.dump_ruleset:
-        _emit(json.dumps(ruleset_to_json(get_ruleset(args.dump_ruleset)), indent=1), args.out)
+        _emit(_to_json(ruleset_to_json(get_ruleset(args.dump_ruleset))), args.out)
         return 0
     if args.scenario:
         blob = _read_json("--scenario", args.scenario)
         rows = coloring_mod.scenario_verdicts(blob)
-        _emit(json.dumps({"name": blob.get("name"), "cases": rows}, indent=1), args.out)
+        _emit(_to_json({"name": blob.get("name"), "cases": rows}), args.out)
         return 0 if all(r["ok"] for r in rows) else 1
     rs = get_ruleset(args.ruleset)
     if args.colored_tree:
         t = coloring_mod.colored_tree_from_json(_parse_json("--colored-tree", args.colored_tree))
         ok, why = coloring_mod.accepts(rs, t)
-        _emit(json.dumps({"accepted": ok, "failure": str(why) if not ok else None}), args.out)
+        _emit(_to_json({"accepted": ok, "failure": str(why) if not ok else None}), args.out)
         return 0
     if not args.tree:
         raise InputError("color-check needs --scenario, --tree, --colored-tree or --dump-ruleset")
@@ -298,7 +311,7 @@ def cmd_color_check(args):
         "accepted": bool(found),
         "examples": [coloring_mod.colored_tree_to_json(t) for t in found[:3]],
     }
-    _emit(json.dumps(blob, indent=1), args.out)
+    _emit(_to_json(blob), args.out)
     return 0
 
 
@@ -314,6 +327,7 @@ def cmd_verify(args):
     return 0 if report["ok"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mergespace", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -454,10 +454,17 @@ def reachable_by_colored_merge(
     rs: RuleSet, tree: SyntaxTree, constraints: Optional[dict] = None
 ) -> bool:
     """Whether some leaf coloring lets color-constrained Merge build the bare
-    tree as a single component."""
+    tree as a single component.
+
+    Merging only adds vertices above existing ones, so a build of the tree
+    forms subtrees of it alone: a merge whose bare result is not one of the
+    tree's subtrees is never taken.
+    """
     constraints = _checked_constraints(rs, constraints)
     target = tree.key
-    leaves = [t for _, t in positions(tree) if isinstance(t, Leaf)]
+    subtrees = [t for _, t in positions(tree)]
+    subtree_keys = {t.key for t in subtrees}
+    leaves = [t for t in subtrees if isinstance(t, Leaf)]
     choice_lists = [
         [CLeaf(l.name, c, trace=l.trace) for c in _leaf_choices(rs, l, constraints)]
         for l in leaves
@@ -467,12 +474,15 @@ def reachable_by_colored_merge(
         stack = [start]
         while stack:
             comps = stack.pop()
-            if len(comps) == 1 and bare(comps[0]).key == target:
+            bares = [bare(c) for c in comps]
+            if len(comps) == 1 and bares[0].key == target:
                 ok, _ = accepts(rs, comps[0])
                 if ok:
                     return True
                 continue
-            for new_comps, _root, _ij in colored_merge_successors(tuple(comps), rs):
+            for new_comps, _root, (i, j) in colored_merge_successors(tuple(comps), rs):
+                if Node(bares[i], bares[j]).key not in subtree_keys:
+                    continue
                 sig = tuple(sorted((repr(x) for x in new_comps)))
                 if sig not in seen:
                     seen.add(sig)

@@ -248,30 +248,29 @@ class _Form(NamedTuple):
     clusters: tuple
 
 
-def _tree_form(t, bit: dict, memo: dict) -> tuple:
-    """(shape, leaf bits in shape order, leaf masks of the internal
-    vertices) of one tree over distinct labels, bit[label] being each
-    label's bit.  memo maps the key of each tree already formed to its
-    form."""
+def _tree_form(t, bit: dict, memo: dict) -> _Form:
+    """The _Form of one tree over distinct labels, as the one-tree state,
+    bit[label] being each label's bit.  memo maps the key of each tree
+    already formed to its form."""
     form = memo.get(t.key)
     if form is None:
         if isinstance(t, Leaf):
-            form = "", (bit[t.name],), ()
+            form = _Form(("",), (bit[t.name],), ())
         else:
             a, b = sorted((_tree_form(t.left, bit, memo), _tree_form(t.right, bit, memo)))
-            bits = a[1] + b[1]
-            form = "(" + a[0] + "|" + b[0] + ")", bits, a[2] + b[2] + (sum(bits),)
+            bits = a.bits + b.bits
+            # the root's mask holds every other cluster's, so it sorts last
+            clusters = tuple(sorted(a.clusters + b.clusters)) + (sum(bits),)
+            form = _Form(("(" + a.shape[0] + "|" + b.shape[0] + ")",), bits, clusters)
         memo[t.key] = form
     return form
 
 
 def _state_form(ws, bit: dict, memo: dict) -> _Form:
-    forms = sorted(_tree_form(c, bit, memo) for c in ws.components)
-    return _Form(
-        tuple(f[0] for f in forms),
-        tuple(b for f in forms for b in f[1]),
-        tuple(sorted(m for f in forms for m in f[2])),
-    )
+    if len(ws.components) == 1:
+        return _tree_form(ws.components[0], bit, memo)
+    shapes, bits, clusters = zip(*sorted(_tree_form(c, bit, memo) for c in ws.components))
+    return _Form(sum(shapes, ()), sum(bits, ()), tuple(sorted(sum(clusters, ()))))
 
 
 class _StateKeys:

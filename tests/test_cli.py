@@ -432,3 +432,96 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].endswith("checks passed")
+
+
+WORKSPACE = '[["M", "a", "b"], "c"]'
+SCENARIOS = SCRIPTS.parent / "scenarios"
+
+
+def run_alone(argv, cwd):
+    """One CLI call in its own interpreter: (exit code, stdout)."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mergespace", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_reused_parser_keeps_no_state(capsys, monkeypatch, tmp_path):
+    # each call after the first parses with the parser the first one built
+    successors = ["successors", "--workspace", WORKSPACE]
+    markov = ["markov", "--leaves", "a,b,c"]
+    pairs = [
+        (successors + ["--mode", "c", "--no-im"], successors),
+        (markov + ["--regime", "total", "-t", "0.5"], markov),
+        (successors + ["--format", "json", "--out", "x.json"], successors + ["--format", "json"]),
+    ]
+    monkeypatch.chdir(tmp_path)
+    out_file = tmp_path / "x.json"
+    for first, then in pairs:
+        got = [run(capsys, *argv)[:2] for argv in (first, then)]
+        written = out_file.read_text() if out_file.exists() else None
+        out_file.unlink(missing_ok=True)
+        assert got == [run_alone(argv, tmp_path) for argv in (first, then)]
+        assert got[0] != got[1]
+        if written is not None:
+            assert written == out_file.read_text()
+            assert json.loads(written) == json.loads(got[1][1])
+
+
+JSON_REQUESTS = [
+    ["enumerate", "--leaves", "a,b,c", "--format", "json"],
+    ["enumerate", "--leaves", "a,b,c", "--trees-only", "--format", "json"],
+    ["successors", "--workspace", WORKSPACE, "--format", "json"],
+    ["graph", "--leaves", "a,b,c", "--format", "json"],
+    ["markov", "--leaves", "a,b,c"],
+    ["derive", "--script", str(SCRIPTS / "amalgam_sm.json")],
+    ["derive", "--script", str(SCRIPTS / "amalgam_sm.json"), "--compare", str(SCRIPTS / "lookup_sm1.json")],
+    ["derive", "--script", str(SCRIPTS / "amalgam_fc.json")],
+    ["costs", "--script", str(SCRIPTS / "amalgam_sm.json")],
+    ["color-check", "--scenario", str(SCENARIOS / "bulgarian_double_wh.json")],
+    ["color-check", "--tree", json.dumps(["M", "EA", ["M", "V", "IA"]])],
+    ["color-check", "--colored-tree", json.dumps({"label": "a", "color": "th_E"})],
+    ["color-check", "--dump-ruleset", "theta"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_REQUESTS, ids=lambda a: " ".join(a[:2]))
+def test_json_output_one_top_level_item_per_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    blob = json.loads(out)
+    lines = out.splitlines()
+    items = [line.removesuffix(",") for line in lines[1:-1]]
+    if isinstance(blob, list):
+        assert (lines[0], lines[-1]) == ("[", "]")
+        assert [json.loads(item) for item in items] == blob
+    else:
+        assert (lines[0], lines[-1]) == ("{", "}")
+        assert dict(json.loads("{" + item + "}").popitem() for item in items) == blob
+
+
+def test_totals_print_fractions_as_strings(capsys):
+    _, out, _ = run(capsys, "costs", "--script", str(SCRIPTS / "amalgam_sm.json"))
+    assert '"ms": "19/15",' in out.splitlines()
+    _, out, _ = run(capsys, "derive", "--script", str(SCRIPTS / "amalgam_sm.json"))
+    blob = json.loads(out)
+    assert blob["totals"]["ms"] == "19/15"
+    assert all(isinstance(step["ms"], str) for step in blob["steps"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["successors", "--workspace", WORKSPACE],
+        ["enumerate", "--leaves", "a,b,c", "--format", "json"],
+    ],
+)
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_out_is_domain_error(capsys, tmp_path, argv, target):
+    path = tmp_path / target
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 1 and not out
+    assert err.startswith(f"error: --out: cannot write {path}: ") and "Traceback" not in err

@@ -1,9 +1,10 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-
+from mergespace import coloring
 from mergespace.coloring import (
     CLeaf,
     CNode,
@@ -21,7 +22,7 @@ from mergespace.coloring import (
     theta_criterion,
 )
 from mergespace.engine import MergeConfig, MergeError, replay
-from mergespace.forest import enumerate_trees, tree_from_json, workspace_from_json
+from mergespace.forest import Leaf, enumerate_trees, positions, tree_from_json, workspace_from_json
 from mergespace.rulesets import BUILTIN_RULESETS, get_ruleset
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "mergespace" / "data"
@@ -301,6 +302,60 @@ class TestInvariants:
             tree = tree_from_json(blob["tree"])
             for colored in color_search(rs, tree, blob["constraints"]):
                 assert hat_confined(colored)
+
+    @pytest.mark.parametrize(
+        "ruleset, constraints",
+        [
+            ("theta", {"ea": ["th_E"], "vb": ["head:EI"], "ia": ["th_I"], "ad": ["th0'"]}),
+            ("phase+split", {"koj": ["c(v)"], "u": ["slot:m"], "e": ["h_zs(C)"], "kupil": ["z(C)"]}),
+        ],
+    )
+    def test_pruned_build_equals_unpruned_search(self, monkeypatch, ruleset, constraints):
+        # the search before merges were kept to subtrees of the target: every
+        # pair of components is merged under every matching root color
+        def unpruned(rs, tree, constraints):
+            constraints = coloring._checked_constraints(rs, constraints)
+            leaves = [t for _, t in positions(tree) if isinstance(t, Leaf)]
+            choice_lists = [
+                [CLeaf(l.name, c, trace=l.trace) for c in coloring._leaf_choices(rs, l, constraints)]
+                for l in leaves
+            ]
+            for start in itertools.product(*choice_lists):
+                seen = {tuple(sorted(repr(x) for x in start))}
+                stack = [start]
+                while stack:
+                    comps = stack.pop()
+                    if len(comps) == 1 and bare(comps[0]).key == tree.key:
+                        if accepts(rs, comps[0])[0]:
+                            return True
+                        continue
+                    for new_comps, _root, _ij in colored_merge_successors(tuple(comps), rs):
+                        sig = tuple(sorted(repr(x) for x in new_comps))
+                        if sig not in seen:
+                            seen.add(sig)
+                            stack.append(new_comps)
+            return False
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("colored building called color_search")
+
+        rs = get_ruleset(ruleset)
+        labels = sorted(constraints)
+        trees = [t for k in (3, 4) for sub in itertools.combinations(labels, k) for t in enumerate_trees(sub)]
+        want = [unpruned(rs, tree, constraints) for tree in trees]
+        accepted_keys = []
+
+        def end_only_accepts(rs, t):
+            accepted_keys.append(bare(t).key)
+            return accepts(rs, t)
+
+        monkeypatch.setattr(coloring, "color_search", no_search)
+        monkeypatch.setattr(coloring, "accepts", end_only_accepts)
+        for tree, reachable in zip(trees, want):
+            accepted_keys.clear()
+            assert reachable_by_colored_merge(rs, tree, constraints) == reachable, tree.key
+            assert set(accepted_keys) <= {tree.key}
+        assert 0 < sum(want) < len(trees)
 
     @pytest.mark.parametrize("ruleset", ["theta", "phase+split"])
     def test_filter_equals_constrained_merge(self, ruleset):

@@ -7,7 +7,7 @@ import pytest
 
 from mergespace import markov
 from mergespace.engine import MergeConfig, all_merge_successors
-from mergespace.forest import enumerate_forests
+from mergespace.forest import Leaf, enumerate_forests
 from mergespace.markov import (
     EXACT_T0_EXPONENT,
     MarkovError,
@@ -265,6 +265,35 @@ class TestOrbitTransport:
                     e: sorted(v) for e, v in weights.items()
                 }
             assert g.edge_tags == tags
+
+    @pytest.mark.parametrize("labels", ["abc", "abcd", "abcde", "abcdef"])
+    def test_state_forms_equal_unsorted_memo_reference(self, labels):
+        # the routine before tree forms kept their cluster masks sorted:
+        # every state, one tree or many, sorts and concatenates its forms
+        def tree_form(t, bit, memo):
+            form = memo.get(t.key)
+            if form is None:
+                if isinstance(t, Leaf):
+                    form = "", (bit[t.name],), ()
+                else:
+                    a, b = sorted((tree_form(t.left, bit, memo), tree_form(t.right, bit, memo)))
+                    bits = a[1] + b[1]
+                    form = "(" + a[0] + "|" + b[0] + ")", bits, a[2] + b[2] + (sum(bits),)
+                memo[t.key] = form
+            return form
+
+        def state_form(ws, bit, memo):
+            forms = sorted(tree_form(c, bit, memo) for c in ws.components)
+            return (
+                tuple(f[0] for f in forms),
+                tuple(b for f in forms for b in f[1]),
+                tuple(sorted(m for f in forms for m in f[2])),
+            )
+
+        bit = {label: 1 << i for i, label in enumerate(labels)}
+        memo, ref_memo = {}, {}
+        for ws in enumerate_forests(labels, require_edge=True):
+            assert tuple(markov._state_form(ws, bit, memo)) == state_form(ws, bit, ref_memo), ws.key
 
     def test_engine_runs_on_representatives(self, monkeypatch):
         # 9 orbits of states at 5 distinct leaves: each representative and
