@@ -440,14 +440,21 @@ def colored_merge_successors(components: tuple, rs: RuleSet) -> list:
     Returns (new components tuple, root color, (i, j)) triples, one per
     root color in sorted order.
     """
-    out = []
-    n = len(components)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rest = tuple(x for k, x in enumerate(components) if k not in (i, j))
-            for root in sorted(rs.roots(components[i].color, components[j].color)):
-                out.append((rest + (CNode(root, components[i], components[j]),), root, (i, j)))
-    return out
+    return [
+        (new_comps, root, (i, j))
+        for i, j in itertools.combinations(range(len(components)), 2)
+        for new_comps, root in _colored_merges(components, i, j, rs)
+    ]
+
+
+def _colored_merges(components: tuple, i: int, j: int, rs: RuleSet) -> list:
+    """(new components tuple, root color) for the merges of components i < j,
+    one per root color in sorted order."""
+    rest = tuple(x for k, x in enumerate(components) if k not in (i, j))
+    return [
+        (rest + (CNode(root, components[i], components[j]),), root)
+        for root in sorted(rs.roots(components[i].color, components[j].color))
+    ]
 
 
 def reachable_by_colored_merge(
@@ -457,8 +464,8 @@ def reachable_by_colored_merge(
     tree as a single component.
 
     Merging only adds vertices above existing ones, so a build of the tree
-    forms subtrees of it alone: a merge whose bare result is not one of the
-    tree's subtrees is never taken.
+    forms subtrees of it alone: a pair of components whose bare merge is not
+    one of the tree's subtrees is skipped before any colored merge is built.
     """
     constraints = _checked_constraints(rs, constraints)
     target = tree.key
@@ -480,13 +487,14 @@ def reachable_by_colored_merge(
                 if ok:
                     return True
                 continue
-            for new_comps, _root, (i, j) in colored_merge_successors(tuple(comps), rs):
+            for i, j in itertools.combinations(range(len(comps)), 2):
                 if Node(bares[i], bares[j]).key not in subtree_keys:
                     continue
-                sig = tuple(sorted((repr(x) for x in new_comps)))
-                if sig not in seen:
-                    seen.add(sig)
-                    stack.append(new_comps)
+                for new_comps, _root in _colored_merges(comps, i, j, rs):
+                    sig = tuple(sorted((repr(x) for x in new_comps)))
+                    if sig not in seen:
+                        seen.add(sig)
+                        stack.append(new_comps)
     return False
 
 

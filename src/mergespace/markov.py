@@ -11,6 +11,7 @@ dynamics.
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -421,6 +422,9 @@ def strong_components(rows: np.ndarray, cols: np.ndarray, n: int) -> list:
     return sccs
 
 
+_SCAN_ENTRIES = 1 << 18  # entries of a dense matrix scanned for nonzeros at once
+
+
 def _edges(K) -> tuple:
     """(rows, cols, values, n) of the nonzero entries of a TransitionGraph or
     of a dense square matrix, sorted by (row, col)."""
@@ -428,9 +432,16 @@ def _edges(K) -> tuple:
         keep = K.values != 0  # t^cost can underflow to 0
         return K.rows[keep], K.cols[keep], K.values[keep], K.n
     K = np.asarray(K, dtype=float)
-    flat = np.flatnonzero(K)
-    rows, cols = np.divmod(flat, K.shape[1])
-    return rows, cols, K.ravel()[flat], K.shape[0]
+    n, m = K.shape
+    # a block of rows at a time: one n x m boolean would cost as much memory as
+    # K / 8, and the boolean scan is several times faster than one over floats
+    b = max(1, _SCAN_ENTRIES // max(m, 1))
+    flat = np.concatenate(
+        [np.empty(0, dtype=np.intp)]
+        + [np.flatnonzero(K[i : i + b].ravel() != 0) + i * m for i in range(0, n, b)]
+    )
+    rows, cols = np.divmod(flat, m)
+    return rows, cols, K.ravel()[flat], n
 
 
 def _bfs_tree(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
@@ -493,16 +504,19 @@ class PFData:
     normalization K_hat[i, j] = K[i, j] eta[j] / (lam eta[i]).  K_hat is
     kept on K's nonzero entries: hat[e] at (rows[e], cols[e]); the dense
     K_hat is a view built on first read and refused above MAX_DENSE_STATES.
-    iterations is the number of matrix-vector products taken by the two
-    power iterations (right and left vector) together.  residual is the
-    larger of their final relative Collatz-Wielandt gaps (hi - lo) / lo; it
-    bounds the relative error of lam and the deviation of every row sum of
-    K_hat from 1.
+    cells is the number of cells of the equitable partition the power
+    iterations started from (n when it is discrete).  iterations is the
+    number of matrix-vector products of all the power iterations together:
+    on the cells' quotient matrices, then on K, for the right and the left
+    vector.  residual is the larger of the two final relative
+    Collatz-Wielandt gaps (hi - lo) / lo on K; it bounds the relative error
+    of lam and the deviation of every row sum of K_hat from 1.
     """
 
     lam: float
     eta: np.ndarray
     xi: np.ndarray
+    cells: int
     iterations: int
     residual: float
     rows: np.ndarray
@@ -528,21 +542,34 @@ def perron_frobenius(K, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
     makes (u * eta) K_hat = u * eta.  lam is the xi-weighted mean of the
     final ratios (K eta)_i / eta_i, i.e. u K eta / u eta.
 
+    Each iteration on K starts from a vector lifted from a few cells.  On a
+    partition of the states that is equitable for K and for its transpose
+    (_equitable_cells), the Perron vectors are constant on the cells, and
+    their values per cell are the Perron vectors of the quotient matrices
+    S[A, B] / |A| (right) and S[A, B] / |B| (left), S[A, B] the sum of K
+    over A x B.  Those are iterated to tol, lifted by cell, and the
+    iteration on K certifies them, by the same rule, in one product.  A
+    partition that is not equitable gives a worse start and costs products
+    on K, never a different certificate.  A discrete partition starts from
+    ones.
+
     Raises MarkovError on non-finite or negative entries, on support that is
-    not strongly connected, on a single state without a successor, and when
-    a bracket is still wider than tol after max_iter steps.
+    not strongly connected (naming a state that another cannot reach), on a
+    single state without a successor, and when a bracket is still wider than
+    tol after max_iter steps of one power iteration.
     """
     rows, cols, w, n = _edges(K)
     if not np.isfinite(w).all():
         raise MarkovError("non-finite entries")
     if (w < 0).any():
         raise MarkovError("negative entries")
-    if not n or any((_bfs_tree(s, d, n) == n).any() for s, d in ((rows, cols), (cols, rows))):
-        raise MarkovError("reducible support; Perron-Frobenius theory needs strong connectivity")
+    _check_strongly_connected(K, rows, cols, n)
     if not len(w):  # one state without a successor
         raise MarkovError("no positive dominant eigenvalue; some state has no successor")
-    eta, ratios, gap_right, steps_right = _perron_vector(rows, cols, w, n, tol, max_iter)
-    u, _, gap_left, steps_left = _perron_vector(*_transposed(rows, cols, w), n, tol, max_iter)
+    cell, k = _equitable_cells(rows, cols, w, n)
+    eta0, u0, lumped = _lifted_starts(rows, cols, w, cell, k, tol, max_iter)
+    eta, ratios, gap_right, steps_right = _perron_vector(rows, cols, w, n, tol, max_iter, eta0)
+    u, _, gap_left, steps_left = _perron_vector(*_transposed(rows, cols, w, n), n, tol, max_iter, u0)
     xi = u * eta
     xi /= xi.sum()
     lam = float(xi @ ratios)
@@ -550,7 +577,8 @@ def perron_frobenius(K, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
         lam=lam,
         eta=eta,
         xi=xi,
-        iterations=steps_right + steps_left,
+        cells=k,
+        iterations=lumped + steps_right + steps_left,
         residual=max(gap_right, gap_left),
         rows=rows,
         cols=cols,
@@ -558,22 +586,108 @@ def perron_frobenius(K, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
     )
 
 
-def _transposed(rows, cols, w) -> tuple:
-    """The reversed edges of row-sorted edge arrays, sorted by their new row:
-    one stable sort by column keeps each column's edges in row order."""
-    order = np.argsort(cols, kind="stable")
+def _check_strongly_connected(K, rows, cols, n: int) -> None:
+    """Raises MarkovError naming a state that breadth-first search from state
+    0 does not reach, along the edges or against them."""
+    if not n:
+        raise MarkovError("reducible support; Perron-Frobenius theory needs strong connectivity: no states")
+    for src, dst, forward in ((rows, cols, True), (cols, rows, False)):
+        missed = np.flatnonzero(_bfs_tree(src, dst, n) == n)
+        if len(missed):
+            src, dst = (0, missed[0]) if forward else (missed[0], 0)
+            raise MarkovError(
+                "reducible support; Perron-Frobenius theory needs strong connectivity: "
+                f"{_state_name(K, src)} cannot reach {_state_name(K, dst)}"
+            )
+
+
+def _state_name(K, i: int) -> str:
+    return f"state {i} = {K.vertices[i].key}" if isinstance(K, TransitionGraph) else f"state {i}"
+
+
+def _equitable_cells(rows, cols, w, n: int) -> tuple:
+    """(cell of each state, cell count k) of the coarsest partition of the
+    states that is equitable for K and for K^T, K having entries w at
+    (rows, cols): the states of one cell have, for every cell B and every
+    entry value x, as many entries x into B, and as many from B.
+
+    Colour refinement: each round weighs every edge by a random integer for
+    its exact value class times one for the cell at its other end, sums the
+    weights out of and into each state with two bincounts, and splits each
+    cell by those sums with one lexsort.  It stops when a round splits no
+    cell.  Each edge's weight is an integer of at most 53 - bits(n) bits,
+    so the sums of at most n of them are exact in double precision and the
+    split does not depend on summation order.  Two states with different
+    entries collide only by chance; the weights come from random.Random(0),
+    so the partition of a given K is reproducible.
+    """
+    bits = (53 - n.bit_length()) // 2
+    rng = random.Random(0)
+
+    def draw(count: int) -> np.ndarray:  # integers in [1, 2^bits], as floats
+        raw = np.frombuffer(rng.randbytes(8 * count), dtype=np.uint64)
+        return (raw >> np.uint64(64 - bits)).astype(float) + 1
+
+    # the distinct values by sort, not np.unique: numpy 2.4 runs that on a hash
+    # table whose first call adds about 1.4 MB to a short CLI process's RSS
+    values = np.sort(w)
+    values = values[np.concatenate([[True], values[1:] != values[:-1]])]
+    weight = draw(len(values))[np.searchsorted(values, w)]
+    cell = np.zeros(n, dtype=np.intp)
+    k = 1
+    while True:
+        h = draw(k)[cell]
+        out = np.bincount(rows, weight * h[cols], n)
+        into = np.bincount(cols, weight * h[rows], n)
+        order = np.lexsort((into, out, cell))
+        c, o, i = cell[order], out[order], into[order]
+        split = (c[1:] != c[:-1]) | (o[1:] != o[:-1]) | (i[1:] != i[:-1])
+        new = np.concatenate([[0], split.cumsum()])
+        if new[-1] + 1 == k:
+            return cell, k
+        k = int(new[-1]) + 1
+        cell = np.empty(n, dtype=np.intp)
+        cell[order] = new
+
+
+def _lifted_starts(rows, cols, w, cell, k: int, tol: float, max_iter: int) -> tuple:
+    """(right start, left start, products) for the power iterations on the
+    n x n matrix K with entries w at (rows, cols), from the partition of its
+    states into k cells: the Perron vectors of the quotients S[A, B] / |A|
+    and S^T[B, A] / |B|, S[A, B] the sum of K over A x B, lifted to the
+    states by cell.  A discrete partition (k = n) gives no start."""
+    if k == len(cell):
+        return None, None, 0
+    size = np.bincount(cell, minlength=k)
+    # dense k x k: k < n, and over every multiplicity pattern of 7 leaves the
+    # most cells a chain of build_graph has is 1 840 (a,a,a,b,b,c,d; 27 MB)
+    S = np.bincount(cell[rows] * k + cell[cols], w, k * k).reshape(k, k)
+    starts, products = [], 0
+    for Q in (S, S.T):
+        q_rows, q_cols = np.nonzero(Q)
+        v, _, _, steps = _perron_vector(q_rows, q_cols, Q[q_rows, q_cols] / size[q_rows], k, tol, max_iter)
+        starts.append(v[cell])
+        products += steps
+    return *starts, products
+
+
+def _transposed(rows, cols, w, n: int) -> tuple:
+    """The reversed edges of unique edge arrays over n states, sorted by
+    their new row and then column: one sort of the unique keys col * n + row."""
+    order = np.argsort(cols * n + rows)
     return cols[order], rows[order], w[order]
 
 
-def _perron_vector(rows, cols, w, n: int, tol: float, max_iter: int):
+def _perron_vector(rows, cols, w, n: int, tol: float, max_iter: int, start=None):
     """Perron vector (max 1) of the n x n matrix with entries w at (rows, cols),
-    edges sorted by row and every row nonempty, as strong connectivity gives.
+    edges sorted by row and every row nonempty, as strong connectivity gives,
+    iterated from start (positive, max 1) or from ones.
 
     Returns the vector, its ratios (Kv)_i / v_i, their relative gap and the
     number of matrix-vector steps taken.
     """
     starts = np.searchsorted(rows, np.arange(n))  # each row's first edge
-    v = np.ones(n)
+    v = np.ones(n) if start is None else start
     lo = hi = math.nan
     # an entry of v or Kv that underflows to 0 shows as a ratio of 0, x/0 or 0/0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -714,12 +828,17 @@ def graph_dot(g: TransitionGraph) -> str:
 
 
 def pf_to_json(pf: PFData) -> dict:
+    """The CLI's view of PFData: lambda, eta and xi; whether K_hat is also
+    column-stochastic (bistochastic, to 1e-10); the cell count of the
+    lumped start (cells, n when it was discrete); the products of all power
+    iterations (iterations); and the final relative gap on K (residual)."""
     col_sums = np.bincount(pf.cols, pf.hat, len(pf.eta))
     return {
         "lambda": pf.lam,
         "eta": pf.eta.tolist(),
         "xi": pf.xi.tolist(),
         "bistochastic": bool(np.allclose(col_sums, 1.0, atol=1e-10)),
+        "cells": pf.cells,
         "iterations": pf.iterations,
         "residual": pf.residual,
     }

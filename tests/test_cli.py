@@ -130,6 +130,19 @@ class TestGraphAndMarkov:
         assert code == 1 and not out
         assert err == "error: no positive dominant eigenvalue; some state has no successor\n"
 
+    def test_reducible_markov_names_the_unreached_state(self, capsys):
+        code, out, err = run(capsys, "markov", "--leaves", "a,b,c", "--no-sm")
+        assert code == 1 and not out
+        assert err == (
+            "error: reducible support; Perron-Frobenius theory needs strong connectivity: "
+            "state 0 = ((a|b)|c) cannot reach state 3 = (a|b)⊔c\n"
+        )
+
+    def test_markov_json_reports_cells(self, capsys):
+        code, out, _ = run(capsys, "markov", "--leaves", "a,b,c,d", "--regime", "total", "-t", "0.5")
+        blob = json.loads(out)
+        assert code == 0 and blob["cells"] == 5 and blob["iterations"] > 2
+
     def test_seven_leaf_markov(self, capsys):
         code, out, _ = run(capsys, "markov", "--leaves", "a,b,c,d,e,f,g")
         blob = json.loads(out)

@@ -403,6 +403,44 @@ class TestInvariants:
         assert not reachable_by_colored_merge(rs, tree, blob["constraints"])
 
 
+# verify's equivalence pools: every tree on the label sets, 246 in all
+EQUIVALENCE_POOLS = [
+    (
+        "theta",
+        {"ea": ["th_E"], "vb": ["head:EI"], "ia": ["th_I"], "ad": ["th0'"], "u": ["slot:th0"]},
+        (["ea", "vb", "ia"], ["ea", "vb", "ia", "ad"], ["ea", "vb", "ia", "ad", "u"]),
+    ),
+    (
+        "phase+split",
+        {"koj": ["c(v)"], "kakvo": ["c(v)"], "u": ["slot:m"], "e": ["h_zs(C)"], "kupil": ["z(C)"]},
+        (["koj", "u", "kupil"], ["koj", "u", "e", "kupil"], ["koj", "u", "kakvo", "e", "kupil"]),
+    ),
+]
+
+
+def test_colored_building_skips_pairs_before_merging(monkeypatch):
+    # a pair of components whose bare merge is not a subtree of the target
+    # builds no colored merge: 1 116 are built on the pools, where merging
+    # every pair under every root color before filtering built 6 644
+    built = []
+
+    class CountedCNode(coloring.CNode):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(coloring, "CNode", CountedCNode)
+    trees = reachable = 0
+    for rs_name, constraints, label_sets in EQUIVALENCE_POOLS:
+        rs = get_ruleset(rs_name)
+        for labels in label_sets:
+            for tree in enumerate_trees(labels):
+                trees += 1
+                reachable += reachable_by_colored_merge(rs, tree, constraints)
+    assert (trees, reachable) == (246, 8)
+    assert len(built) == 1_116
+
+
 class TestSerialization:
     def test_ruleset_round_trip(self):
         for name in ("theta", "phase+split", "phase+composite", "korean-pac"):

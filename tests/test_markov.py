@@ -158,6 +158,16 @@ class TestPerronFrobenius:
         with pytest.raises(MarkovError):
             perron_frobenius(g)
 
+    def test_reducible_support_names_an_unreached_state(self):
+        # without SM no tree reaches a two-component state
+        g = build_graph("abc", MergeConfig(mode="d", allow_sm=False))
+        with pytest.raises(
+            MarkovError, match=r"^reducible support; .*: state 0 = \(\(a\|b\)\|c\) cannot reach state 3 = \(a\|b\)⊔c$"
+        ):
+            perron_frobenius(g)
+        with pytest.raises(MarkovError, match=r"^reducible support; .*: state 0 cannot reach state 3$"):
+            perron_frobenius(g.K)
+
     def test_stall_names_steps_and_gap(self):
         with pytest.raises(MarkovError, match=r"stalled after 3 steps.*relative gap"):
             perron_frobenius(build_graph("abcd"), max_iter=3)
@@ -208,6 +218,186 @@ class TestAgainstLapack:
         assert np.abs(pf.xi @ pf.K_hat - pf.xi).max() <= 1e-12
         assert (pf.eta > 0).all() and (pf.xi > 0).all()
         assert pf.residual <= 1e-12
+
+
+def ones_start_pf(K, tol=1e-12, max_iter=10_000):
+    """(lam, eta, xi, products) by the power iterations from ones on K and on
+    its transpose, as perron_frobenius ran before it started from a lifted
+    quotient vector."""
+    rows, cols, w, n = markov._edges(K)
+
+    def vector(rows, cols, w):
+        starts = np.searchsorted(rows, np.arange(n))
+        v = np.ones(n)
+        for step in range(1, max_iter + 1):
+            Kv = np.add.reduceat(w * v[cols], starts)
+            ratios = Kv / v
+            lo, hi = ratios.min(), ratios.max()
+            if hi - lo <= tol * lo:
+                return v, ratios, step
+            Kv += v
+            v = Kv / Kv.max()
+        raise AssertionError("the reference power iteration stalled")
+
+    eta, ratios, right = vector(rows, cols, w)
+    order = np.argsort(cols, kind="stable")
+    u, _, left = vector(cols[order], rows[order], w[order])
+    xi = u * eta
+    xi /= xi.sum()
+    return float(xi @ ratios), eta, xi, right + left
+
+
+def assert_matches_ones_start(pf, K):
+    lam, eta, xi, _ = ones_start_pf(K)
+    assert abs(pf.lam - lam) <= 1e-12 * lam
+    np.testing.assert_allclose(pf.eta, eta, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(pf.xi, xi, rtol=1e-10, atol=0)
+    assert pf.residual <= 1e-12
+
+
+def orbits(g, labels):
+    """The states of a chain over the distinct labels, grouped by orbit
+    under leaf relabeling."""
+    bit = {label: 1 << i for i, label in enumerate(labels)}
+    memo, by_shape = {}, {}
+    for i, ws in enumerate(g.vertices):
+        by_shape.setdefault(markov._state_form(ws, bit, memo).shape, []).append(i)
+    return list(by_shape.values())
+
+
+# cells of the coarsest equitable partition: one per unlabeled forest shape
+CELL_COUNTS = {"abc": 2, "abcd": 5, "abcde": 9, "abcdef": 19, "abcdefg": 36}
+
+CELL_CHAINS = [
+    pytest.param({}, None, id="plain"),
+    pytest.param({"allow_im": False}, None, id="no-im"),
+    *(pytest.param({}, r, id=r) for r in REGIMES),
+]
+
+
+def coarsest_equitable(K):
+    """The coarsest partition of the states of a dense K that is equitable for
+    K and for K^T, by refinement on exact signatures: a set of frozensets."""
+    n = len(K)
+    cell = [0] * n
+    while True:
+        signatures = [
+            (
+                cell[i],
+                tuple(sorted((float(K[i, j]), cell[j]) for j in np.flatnonzero(K[i]))),
+                tuple(sorted((float(K[j, i]), cell[j]) for j in np.flatnonzero(K[:, i]))),
+            )
+            for i in range(n)
+        ]
+        ids = {}
+        new = [ids.setdefault(sig, len(ids)) for sig in signatures]
+        if len(ids) == len(set(cell)):
+            return {frozenset(np.flatnonzero(np.array(cell) == c).tolist()) for c in set(cell)}
+        cell = new
+
+
+def blown_up(seed):
+    """A random weighted digraph on 4 blocks of 3 alike states (a 3-cycle
+    inside each block), with one entry changed so that some blocks split."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, 3, (4, 4)).astype(float)
+    K = np.kron(A, np.ones((3, 3))) + np.kron(np.eye(4), 0.5 * np.roll(np.eye(3), 1, axis=1))
+    K[rng.integers(12), rng.integers(12)] += 1.0
+    return K
+
+
+EQUITABLE_CASES = [  # each builds its matrix when its test runs
+    # out-rows alike, values 1 and 2 in turn along a 4-cycle: two cells
+    pytest.param(lambda: np.roll(np.diag([1.0, 2.0, 1.0, 2.0]), 1, axis=1), id="values-split"),
+    # one entry 1 out of every state; in-degrees 2, 1 and 0: three cells
+    pytest.param(lambda: np.array([[0.0, 1, 0], [1, 0, 0], [1, 0, 0]]), id="in-edges-split"),
+    *(pytest.param(lambda seed=seed: blown_up(seed), id=f"blown-up-{seed}") for seed in range(6)),
+    pytest.param(lambda: build_graph("abcd").K, id="abcd"),
+    pytest.param(lambda: build_graph("abcd", regime="total", t=0.5).K, id="abcd-total"),
+    pytest.param(lambda: build_graph("aabc", MergeConfig(mode="d", allow_identity_sm=True)).K, id="aabc-identity-sm"),
+    pytest.param(lambda: build_graph("abcde", MergeConfig(mode="d", allow_im=False)).K, id="abcde-no-im"),
+]
+
+
+class TestLumpedStart:
+    @pytest.mark.parametrize("make", EQUITABLE_CASES)
+    def test_cells_are_the_coarsest_equitable_partition(self, make):
+        K = make()
+        rows, cols, w, n = markov._edges(K)
+        cell, k = markov._equitable_cells(rows, cols, w, n)
+        assert {frozenset(np.flatnonzero(cell == c).tolist()) for c in range(k)} == coarsest_equitable(K)
+
+    @pytest.mark.parametrize("labels", ["abc", "abcd", "abcde", "abcdef"])
+    @pytest.mark.parametrize("flags, regime", CELL_CHAINS)
+    def test_orbits_lie_in_cells(self, labels, flags, regime):
+        g = build_graph(labels, MergeConfig(mode="d", **flags), regime=regime, t=0.5)
+        cell, k = markov._equitable_cells(g.rows, g.cols, g.values, g.n)
+        assert k == CELL_COUNTS[labels] == len(orbits(g, labels))
+        for orbit in orbits(g, labels):
+            assert len(set(cell[orbit].tolist())) == 1
+        assert perron_frobenius(g).cells == k
+
+    @pytest.mark.parametrize("labels", ["abcd", "abcde", "aabc", "aabb"])
+    @pytest.mark.parametrize("flags, regime, t", LAPACK_CHAINS)
+    def test_lifted_start_matches_ones_start(self, monkeypatch, labels, flags, regime, t):
+        g = build_graph(labels, MergeConfig(mode="d", **flags), regime=regime, t=t)
+        products = []  # (states, products) of each power iteration
+        perron_vector = markov._perron_vector
+
+        def counted(rows, cols, w, n, *args):
+            out = perron_vector(rows, cols, w, n, *args)
+            products.append((n, out[3]))
+            return out
+
+        monkeypatch.setattr(markov, "_perron_vector", counted)
+        pf = perron_frobenius(g)
+        assert_matches_ones_start(pf, g)
+        assert 1 < pf.cells < g.n
+        # the two quotients, then one certifying product on K per vector
+        assert [n for n, _ in products] == [pf.cells, pf.cells, g.n, g.n]
+        assert products[2][1] == products[3][1] == 1
+        assert pf.iterations == sum(steps for _, steps in products)
+
+    def test_wrong_partition_costs_products_not_the_result(self, monkeypatch):
+        g = build_graph("abcde", regime="total", t=0.5)
+        right = perron_frobenius(g)
+        equitable_cells = markov._equitable_cells
+
+        def merged(*args):
+            # one cell of trees and one of three-component forests: their
+            # states have different rows, so the partition is not equitable
+            cell, k = equitable_cells(*args)
+            a, b = cell[0], cell[-1]
+            assert a != b
+            cell = np.where(cell == b, a, cell)
+            return np.unique(cell, return_inverse=True)[1], k - 1
+
+        monkeypatch.setattr(markov, "_equitable_cells", merged)
+        wrong = perron_frobenius(g)
+        assert wrong.cells == right.cells - 1
+        assert wrong.iterations > right.iterations
+        assert_matches_ones_start(wrong, g)
+
+    def test_discrete_partition_is_the_ones_start(self):
+        # random weights leave no two states alike: k = n, and the routine
+        # runs the iterations from ones on the same edges
+        rng = np.random.default_rng(11)
+        n = 40
+        K = rng.random((n, n)) * (rng.random((n, n)) < 0.2)
+        K[np.arange(n), (np.arange(n) + 1) % n] = 1.0 + rng.random(n)  # a Hamiltonian cycle
+        pf = perron_frobenius(K)
+        lam, eta, xi, products = ones_start_pf(K)
+        assert pf.cells == n
+        assert pf.lam == lam and pf.iterations == products
+        assert np.array_equal(pf.eta, eta) and np.array_equal(pf.xi, xi)
+
+    @pytest.mark.parametrize("K", ["graph", "dense"])
+    def test_two_calls_are_bit_identical(self, K):
+        g = build_graph("abcde", regime="ms", t=0.1)
+        a, b = (perron_frobenius(g if K == "graph" else g.K) for _ in range(2))
+        assert a.lam == b.lam and a.cells == b.cells and a.iterations == b.iterations
+        for x, y in [(a.eta, b.eta), (a.xi, b.xi), (a.hat, b.hat)]:
+            assert np.array_equal(x, y)
 
 
 ORBIT_FLAGS = [
@@ -570,6 +760,21 @@ class TestReachability:
         assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
         assert np.array_equal(w, K[want_rows, want_cols])
 
+    @pytest.mark.parametrize("entries", [1, 5, 13, 64, 1 << 18])
+    def test_dense_scan_in_row_blocks(self, monkeypatch, entries):
+        # blocks of one row, of one row for a block shorter than a row, of
+        # rows that do not divide the matrix, and of the whole matrix
+        monkeypatch.setattr(markov, "_SCAN_ENTRIES", entries)
+        K = np.random.default_rng(3).random((11, 13))
+        K[K < 0.6] = 0.0
+        K[4] = 0.0  # an empty row
+        K[7, 2] = math.nan  # kept, as np.nonzero keeps it
+        rows, cols, w, n = markov._edges(K)
+        want_rows, want_cols = np.nonzero(K)
+        assert n == 11
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        assert np.array_equal(w, K[want_rows, want_cols], equal_nan=True)
+
 
 class TestDegenerateChains:
     def test_two_leaf_chain_has_no_dominant_eigenvalue(self):
@@ -591,6 +796,14 @@ class TestDegenerateChains:
     def test_sink_is_reducible(self):
         with pytest.raises(MarkovError, match="reducible"):
             perron_frobenius(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_unreached_state_and_direction_named(self):
+        # state 1 is a sink: state 0 reaches it, it reaches nothing
+        with pytest.raises(MarkovError, match=r"^reducible support; .*: state 1 cannot reach state 0$"):
+            perron_frobenius(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # state 1 is a source
+        with pytest.raises(MarkovError, match=r"^reducible support; .*: state 0 cannot reach state 1$"):
+            perron_frobenius(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
     def test_two_cycle(self):
         pf = perron_frobenius(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -620,6 +833,8 @@ class TestMultiplicityAndExports:
         blob = pf_to_json(pf)
         assert blob["bistochastic"] is True
         assert abs(blob["lambda"] - (2 + SQRT2)) < 1e-9
+        assert blob["cells"] == pf.cells == 2
+        assert blob["iterations"] == pf.iterations
 
 
 EDGE_CHAINS = [
@@ -708,6 +923,13 @@ class TestSevenLeaves:
         assert np.abs(row_sums - 1.0).max() <= 1e-10
         xi_hat = np.bincount(pf.cols, pf.xi[pf.rows] * pf.hat, g.n)
         assert np.abs(xi_hat - pf.xi).max() <= 1e-12
+
+    def test_orbits_lie_in_cells(self, seven_leaves):
+        g, pf = seven_leaves
+        cell, k = markov._equitable_cells(g.rows, g.cols, g.values, g.n)
+        assert k == pf.cells == CELL_COUNTS["abcdefg"]
+        for orbit in orbits(g, "abcdefg"):
+            assert len(set(cell[orbit].tolist())) == 1
 
     def test_dense_views_refused(self, seven_leaves):
         g, pf = seven_leaves
