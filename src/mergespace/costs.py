@@ -15,6 +15,7 @@ quotient; only EM and IM avoid complexity loss.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from mergespace.engine import (
@@ -52,6 +53,9 @@ EM_AFTER_SM_TABLE = {
     (SM3, "d"): (0, 0, 0),
 }
 
+# the cost regimes of a weighted Merge chain, in the order of cost_ratios
+REGIMES = ("ms", "my", "cl", "total")
+
 _B_COMPONENTS = {EM: 2, IM: 1, SM1: 2, SM2: 2, SM3: 1, ID_SM: 1}
 
 
@@ -64,21 +68,36 @@ def _is_sibling_cut(step: MergeStep) -> bool:
     return step.tag == SM3 and p[:-1] == q[:-1]
 
 
+def _ms_ratio(step: MergeStep) -> tuple:
+    """Search cost of one Merge application as a reduced (numerator,
+    denominator) int pair; (0, 1) exactly for EM, IM and identity
+    reassembly (for IM, b = 1 and the extraction and quotient costs are
+    complementary).  Each extraction costs its share of its host's leaves,
+    and SM1's whole-component argument costs 1."""
+    tag = step.tag
+    if tag in (EM, IM, ID_SM):
+        return 0, 1
+    num, den = _B_COMPONENTS[tag] - (1 if tag == SM1 else 0), 1
+    for sub, host in step.extractions:
+        num, den = num * host.leaves - sub.leaves * den, den * host.leaves
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def ms_cost(step: MergeStep) -> Fraction:
     """Search cost of one Merge application; 0 exactly for EM and IM."""
-    b = Fraction(_B_COMPONENTS[step.tag])
-    if step.tag == EM:
-        return b - 1 - 1
-    if step.tag == IM:
-        return Fraction(0)  # b=1, extraction and quotient costs are complementary
-    if step.tag == ID_SM:
-        return Fraction(0)
-    cost = b
-    for sub, host in step.extractions:
-        cost -= Fraction(sub.leaves, host.leaves)
-    if step.tag == SM1:
-        cost -= 1  # the whole-component argument
-    return cost
+    return Fraction(*_ms_ratio(step))
+
+
+def cost_ratios(step: MergeStep) -> tuple:
+    """The cost of one step under each of REGIMES, in that order, as reduced
+    (numerator, denominator) int pairs: search, the sigma delta, complexity
+    loss and their sum.  ms_cost and markov.step_cost are its Fraction
+    views."""
+    num, den = _ms_ratio(step)
+    my = rr_delta(step)[2]
+    cl = cl_cost(step)
+    return (num, den), (my, 1), (cl, 1), (num + (my + cl) * den, den)
 
 
 def ms_cost_workspace_normalized(step: MergeStep) -> Fraction:
@@ -101,9 +120,10 @@ def rr_delta(step: MergeStep) -> tuple:
     """(db0, dalpha, dsigma) from the actual workspaces; asserted against the
     table row for the tag and mode (a mismatch means an engine bug)."""
     before, after = step.input_ws, step.output_ws
-    got = (after.b0 - before.b0, after.alpha - before.alpha, after.sigma - before.sigma)
+    db0, dalpha = after.b0 - before.b0, after.alpha - before.alpha
+    got = (db0, dalpha, db0 + dalpha)  # sigma = alpha + b0
     key = (step.tag, step.mode)
-    if key in RR_TABLE and not (_is_sibling_cut(step) and step.mode == "c"):
+    if key in RR_TABLE and not (step.mode == "c" and _is_sibling_cut(step)):
         if got != RR_TABLE[key]:
             raise CostError(f"{step.tag}/{step.mode}: computed {got}, table {RR_TABLE[key]}")
     return got

@@ -19,6 +19,8 @@ from mergespace.forest import (
     Node,
     SyntaxTree,
     Workspace,
+    _Frozen,
+    _set,
     accessible_terms,
     nested,
     positions,
@@ -53,23 +55,36 @@ class MergeConfig:
             raise MergeError(f"unknown coproduct mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class MergeStep:
+class MergeStep(_Frozen):
     """One application of a Merge operator.
 
     ``sources`` is the source pair (a, b) the step was built from;
     ``extractions`` holds (subtree, host component) for each accessible term
     pulled out; ``pair`` is the merged (S, S'); the tag is fixed by the
-    provenance of S and S'.
+    provenance of S and S'.  Equal when every field is.
     """
 
-    input_ws: Workspace
-    output_ws: Workspace
-    tag: str
-    mode: str
-    pair: tuple
-    extractions: tuple = ()
-    sources: tuple = ()
+    __slots__ = ("input_ws", "output_ws", "tag", "mode", "pair", "extractions", "sources")
+
+    def __init__(self, input_ws, output_ws, tag, mode, pair, extractions=(), sources=()):
+        _set(self, "input_ws", input_ws)
+        _set(self, "output_ws", output_ws)
+        _set(self, "tag", tag)
+        _set(self, "mode", mode)
+        _set(self, "pair", pair)
+        _set(self, "extractions", extractions)
+        _set(self, "sources", sources)
+
+    def _fields(self) -> tuple:
+        return self.input_ws, self.output_ws, self.tag, self.mode, self.pair, self.extractions, self.sources
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def __repr__(self):
         return f"<{self.tag} {self.input_ws!r} -> {self.output_ws!r}>"
@@ -142,21 +157,22 @@ def apply(ws: Workspace, a: tuple, b: tuple, mode: str = "d") -> MergeStep:
     """M_{S,S'} for a source pair from merge_pairs: cut each host once,
     graft Node(S, S') at a new root and reassemble the workspace."""
     comps = ws.components
-    cuts: dict = {}
-    for c, p in (a, b):
-        if p:
-            cuts.setdefault(c, []).append(p)
-    quots = {c: tree_quotient(comps[c], paths, mode) for c, paths in cuts.items()}
-
-    def source(c, p):
-        return subtree_at(comps[c], p) if p else quots.pop(c, comps[c])
-
-    pair = (source(*a), source(*b))
-    rest = [t for i, t in enumerate(comps) if i != a[0] and i != b[0]]
+    (ca, pa), (cb, pb) = a, b
+    if ca == cb and pa and pb:  # two cuts in one host: SM3, ID
+        quots = {ca: tree_quotient(comps[ca], [pa, pb], mode)}
+    else:
+        quots = {c: tree_quotient(comps[c], [p], mode) for c, p in (a, b) if p}
+    # a source is the subtree at its path, or its whole component after the cut
+    s = subtree_at(comps[ca], pa) if pa else quots.pop(ca, comps[ca])
+    t = subtree_at(comps[cb], pb) if pb else quots.pop(cb, comps[cb])
+    rest = [c for i, c in enumerate(comps) if i != ca and i != cb]
     rest += [q for q in quots.values() if q is not None]
-    out = Workspace(tuple(rest) + (Node(*pair),))
-    extractions = tuple((s, comps[c]) for s, (c, p) in zip(pair, (a, b)) if p)
-    return MergeStep(ws, out, _tag(a, b), mode, pair, extractions, (a, b))
+    rest.append(Node(s, t))
+    if pa:
+        extractions = ((s, comps[ca]), (t, comps[cb])) if pb else ((s, comps[ca]),)
+    else:
+        extractions = ((t, comps[cb]),) if pb else ()
+    return MergeStep(ws, Workspace(rest), _tag(a, b), mode, (s, t), extractions, (a, b))
 
 
 def all_merge_successors(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> list:

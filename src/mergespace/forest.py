@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
 from typing import Iterator, Union
 
 __all__ = [
@@ -46,61 +47,97 @@ __all__ = [
 
 # Reserved by the key encoding; labels must avoid them.
 _RESERVED = set("(|)~⊔ ")
+_by_key = attrgetter("key")
 
 
 class ForestError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Leaf:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable records: each subclass sets its slots once, in
+    __init__, and from then on a field can neither be assigned nor deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle would set the slots through __setattr__
+        names = [n for c in type(self).__mro__ for n in c.__dict__.get("__slots__", ())]
+        return _rebuilt, (type(self), {n: getattr(self, n) for n in names})
+
+
+def _rebuilt(cls, fields: dict):
+    """The record of class cls with the given fields, as copied or unpickled."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        _set(record, name, value)
+    return record
+
+
+class Leaf(_Frozen):
     """A labeled leaf.  ``trace=True`` marks a cancelled copy; ``name`` then
-    holds the canonical key of the cancelled subtree."""
+    holds the canonical key of the cancelled subtree.  Equal when name and
+    trace are."""
 
-    name: str
-    trace: bool = False
-    key: str = field(init=False, compare=False)
-    leaves: int = field(init=False, compare=False)  # non-trace leaf count
-    alpha: int = field(init=False, compare=False)
+    __slots__ = ("name", "trace", "key", "leaves", "alpha")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, trace: bool = False):
+        if not name:
             raise ForestError("empty leaf label")
-        if not self.trace and _RESERVED & set(self.name):
-            raise ForestError(f"label {self.name!r} uses a reserved character")
-        object.__setattr__(self, "key", "~" + self.name + "~" if self.trace else self.name)
-        object.__setattr__(self, "leaves", 0 if self.trace else 1)
-        object.__setattr__(self, "alpha", 0)
+        if not trace and not _RESERVED.isdisjoint(name):
+            raise ForestError(f"label {name!r} uses a reserved character")
+        _set(self, "name", name)
+        _set(self, "trace", trace)
+        _set(self, "key", "~" + name + "~" if trace else name)
+        _set(self, "leaves", 0 if trace else 1)  # non-trace leaf count
+        _set(self, "alpha", 0)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.trace == other.trace
 
     def __hash__(self):
-        return hash((self.name, self.trace))
+        return hash(self.key)
 
     def __repr__(self):
         return self.key
 
 
-@dataclass(frozen=True)
-class Node:
-    """Internal binary vertex; children are stored sorted by canonical key."""
+class Node(_Frozen):
+    """Internal binary vertex; children are stored sorted by canonical key.
 
-    left: "SyntaxTree"
-    right: "SyntaxTree"
-    key: str = field(init=False, compare=False)
-    leaves: int = field(init=False, compare=False)
-    alpha: int = field(init=False, compare=False)
+    Equal when the children are equal.  Keys alone are not enough: trace
+    names may hold the key's separators, so two different trees can share a
+    key."""
 
-    def __post_init__(self):
-        if self.left.key > self.right.key:
-            l, r = self.right, self.left
-            object.__setattr__(self, "left", l)
-            object.__setattr__(self, "right", r)
-        object.__setattr__(self, "key", "(" + self.left.key + "|" + self.right.key + ")")
-        object.__setattr__(self, "leaves", self.left.leaves + self.right.leaves)
+    __slots__ = ("left", "right", "key", "leaves", "alpha")
+
+    def __init__(self, left: "SyntaxTree", right: "SyntaxTree"):
+        if left.key > right.key:
+            left, right = right, left
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "key", "(" + left.key + "|" + right.key + ")")
+        _set(self, "leaves", left.leaves + right.leaves)
         # alpha counts non-root vertices whose subtree still holds a live leaf
-        a = self.left.alpha + self.right.alpha
-        a += 1 if self.left.leaves > 0 else 0
-        a += 1 if self.right.leaves > 0 else 0
-        object.__setattr__(self, "alpha", a)
+        _set(self, "alpha", left.alpha + right.alpha + (left.leaves > 0) + (right.leaves > 0))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key == other.key and self.left == other.left and self.right == other.right
 
     def __hash__(self):
         return hash(self.key)
@@ -132,17 +169,25 @@ def vertex_count(t: SyntaxTree) -> int:
     return t.alpha + (1 if t.leaves > 0 else 0)
 
 
-@dataclass(frozen=True)
-class Workspace:
-    """Multiset of syntactic objects; the empty workspace is the unit."""
+class Workspace(_Frozen):
+    """Multiset of syntactic objects; the empty workspace is the unit.  Equal
+    when the components, sorted by key, are.  alpha is the number of
+    accessible terms."""
 
-    components: tuple = ()
-    key: str = field(init=False, compare=False)
+    __slots__ = ("components", "key", "alpha")
 
-    def __post_init__(self):
-        comps = tuple(sorted(self.components, key=lambda t: t.key))
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "key", "⊔".join(t.key for t in comps) or "1")
+    def __init__(self, components: tuple = ()):
+        comps = tuple(sorted(components, key=_by_key))
+        _set(self, "components", comps)
+        _set(self, "key", "⊔".join([t.key for t in comps]) or "1")
+        _set(self, "alpha", sum([t.alpha for t in comps]))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key == other.key and self.components == other.components
 
     def __hash__(self):
         return hash(self.key)
@@ -153,10 +198,6 @@ class Workspace:
     @property
     def b0(self) -> int:
         return len(self.components)
-
-    @property
-    def alpha(self) -> int:
-        return sum(t.alpha for t in self.components)
 
     @property
     def sigma(self) -> int:
@@ -174,18 +215,30 @@ def workspace(*trees: SyntaxTree) -> Workspace:
     return Workspace(tuple(trees))
 
 
-@dataclass(frozen=True)
-class AccessibleTermRef:
+class AccessibleTermRef(_Frozen):
     """A non-root subtree of a workspace component, addressed by component
-    index and path of child selectors (in canonical child order)."""
+    index and path of child selectors (in canonical child order).  Equal
+    when component and path are."""
 
-    component: int
-    path: tuple
-    subtree: SyntaxTree = field(compare=False)
+    __slots__ = ("component", "path", "subtree")
 
-    def __post_init__(self):
-        if not self.path:
+    def __init__(self, component: int, path: tuple, subtree: SyntaxTree):
+        if not path:
             raise ForestError("root of a component is not an accessible term")
+        _set(self, "component", component)
+        _set(self, "path", path)
+        _set(self, "subtree", subtree)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.component == other.component and self.path == other.path
+
+    def __hash__(self):
+        return hash((self.component, self.path))
+
+    def __repr__(self):
+        return f"AccessibleTermRef(component={self.component!r}, path={self.path!r}, subtree={self.subtree!r})"
 
 
 def subtree_at(t: SyntaxTree, path: tuple) -> SyntaxTree:
@@ -234,22 +287,43 @@ def tree_quotient(t: SyntaxTree, paths, mode: str):
 
     mode "c" replaces each cut subtree by a trace leaf; mode "d" removes it
     and contracts the vertex left with one child, returning None when the
-    whole tree is consumed.  Only the vertices above a cut are rebuilt.
+    whole tree is consumed.  Only the vertices above a cut are rebuilt: the
+    walk goes down the spine, the paths' common prefix, cuts where it ends
+    or, where several cuts part, takes each child's share of them down that
+    child, and rebuilds the spine bottom-up.
     """
-    if () in paths:
-        return trace_leaf(t.key) if mode == "c" else None
-    if isinstance(t, Leaf):
-        return t
-    kids = []
-    for i, child in enumerate((t.left, t.right)):
-        below = [p[1:] for p in paths if p[0] == i]
-        kids.append(tree_quotient(child, below, mode) if below else child)
-    l, r = kids
-    if l is None:
-        return r
-    if r is None:
-        return l
-    return Node(l, r)
+    prefix = paths[0] if len(paths) == 1 else _common_prefix(paths)
+    spine = []
+    for step in prefix:
+        if isinstance(t, Leaf):
+            raise ForestError("path runs past a leaf")
+        spine.append(t)
+        t = t.right if step else t.left
+    if prefix in paths:
+        out = trace_leaf(t.key) if mode == "c" else None
+    elif isinstance(t, Leaf):
+        raise ForestError("path runs past a leaf")
+    else:
+        k = len(prefix)
+        l = tree_quotient(t.left, [p[k + 1 :] for p in paths if p[k] == 0], mode)
+        r = tree_quotient(t.right, [p[k + 1 :] for p in paths if p[k] == 1], mode)
+        out = r if l is None else l if r is None else Node(l, r)
+    for v, step in zip(reversed(spine), reversed(prefix)):
+        if step:
+            out = v.left if out is None else Node(v.left, out)
+        else:
+            out = v.right if out is None else Node(out, v.right)
+    return out
+
+
+def _common_prefix(paths) -> tuple:
+    """The longest common prefix of the paths: that of the least and the
+    greatest of them."""
+    first, last = min(paths), max(paths)
+    k = 0
+    while k < len(first) and first[k] == last[k]:
+        k += 1
+    return first[:k]
 
 
 def quotient(ws: Workspace, cut: list, mode: str) -> Workspace:

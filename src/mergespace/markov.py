@@ -20,11 +20,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from mergespace.costs import cl_cost, ms_cost, rr_delta
+from mergespace.costs import REGIMES, cost_ratios
 from mergespace.engine import MergeConfig, all_merge_successors
 from mergespace.forest import Leaf, enumerate_forests, forest_count
-
-REGIMES = ("ms", "my", "cl", "total")
 
 # sector exponents (SM3, SM1, EM) realized on the 3-leaf state space
 REGIME_EXPONENTS = {
@@ -40,15 +38,10 @@ class MarkovError(ValueError):
 
 
 def step_cost(step, regime: str) -> Fraction:
-    if regime == "ms":
-        return ms_cost(step)
-    if regime == "my":
-        return Fraction(rr_delta(step)[2])
-    if regime == "cl":
-        return Fraction(cl_cost(step))
-    if regime == "total":
-        return ms_cost(step) + rr_delta(step)[2] + cl_cost(step)
-    raise MarkovError(f"unknown regime {regime!r}")
+    """The step's exponent under one regime, as a Fraction."""
+    if regime not in REGIMES:
+        raise MarkovError(f"unknown regime {regime!r}")
+    return Fraction(*cost_ratios(step)[REGIMES.index(regime)])
 
 
 # build_graph refuses more states than this, counted with forest_count before
@@ -182,13 +175,16 @@ def build_graph(
             by_shape.setdefault(form.shape, []).append(i)
         orbits = list(by_shape.values())
 
+    pick = None if regime is None else REGIMES.index(regime)
+
     def direct_row(i: int) -> list:
+        # each exponent as a reduced (numerator, denominator) pair
         return [
-            (index[step.output_ws.key], step.tag, None if regime is None else step_cost(step, regime))
+            (index[step.output_ws.key], step.tag, None if pick is None else cost_ratios(step)[pick])
             for step in all_merge_successors(vertices[i], cfg)
         ]
 
-    kinds: dict = {}  # (sorted tags, exponents or None) -> index
+    kinds: dict = {}  # (sorted tags, exponent pairs or None) -> index
     parts = []  # (rows, cols, kind indices) per orbit
     for rep, *others in orbits:
         row = direct_row(rep)
@@ -219,7 +215,7 @@ def build_graph(
     rows, cols, kind = (np.concatenate(a) for a in zip(*parts))
     order = np.argsort(rows * len(vertices) + cols)
     rows, cols, kind = rows[order], cols[order], kind[order]
-    table = list(kinds)
+    table = [(tags, None if expos is None else tuple(Fraction(*x) for x in expos)) for tags, expos in kinds]
     per_kind = [float(len(tags)) if expos is None else _weight(t, expos) for tags, expos in table]
     values = np.array(per_kind)[kind]
     if collapse_01:
@@ -444,6 +440,16 @@ def _edges(K) -> tuple:
     return rows, cols, K.ravel()[flat], n
 
 
+def _square_edges(K) -> tuple:
+    """_edges of a TransitionGraph or of a square matrix; anything else is
+    refused with a MarkovError naming its shape."""
+    if not isinstance(K, TransitionGraph):
+        shape = np.shape(K)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise MarkovError(f"need a square matrix, got one of shape {shape}")
+    return _edges(K)
+
+
 def _bfs_tree(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
     """Breadth-first search from state 0 over the edges src[e] -> dst[e]:
     each reached state's parent is its lowest-numbered predecessor on the
@@ -465,16 +471,16 @@ def _bfs_tree(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
 
 
 def strong_connectivity(g, witness: bool = True) -> dict:
-    """Whether g, a TransitionGraph or a dense square matrix, is strongly
-    connected, its component count, and with witness shortest paths from
-    the first state to the last and back.
+    """Whether g, a TransitionGraph or a dense square matrix (any other shape
+    is a MarkovError), is strongly connected, its component count, and with
+    witness shortest paths from the first state to the last and back.
 
     One breadth-first search from state 0 along the edges and one against
     them decide: the chain is strongly connected when both reach every
     state.  The witnesses are read off the two trees, 0 -> n-1 from the
     first and n-1 -> 0 from the second.  Tarjan runs only to count the
     components of a reducible chain."""
-    rows, cols, _, n = _edges(g)
+    rows, cols, _, n = _square_edges(g)
     trees = [_bfs_tree(rows, cols, n), _bfs_tree(cols, rows, n)] if n else []
     connected = bool(trees) and all((parent < n).all() for parent in trees)
     out = {"strongly_connected": connected, "scc_count": 1, "witness_paths": []}
@@ -553,12 +559,13 @@ def perron_frobenius(K, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
     on K, never a different certificate.  A discrete partition starts from
     ones.
 
-    Raises MarkovError on non-finite or negative entries, on support that is
-    not strongly connected (naming a state that another cannot reach), on a
-    single state without a successor, and when a bracket is still wider than
-    tol after max_iter steps of one power iteration.
+    Raises MarkovError on a matrix that is not square, on non-finite or
+    negative entries, on support that is not strongly connected (naming a
+    state that another cannot reach), on a single state without a
+    successor, and when a bracket is still wider than tol after max_iter
+    steps of one power iteration.
     """
-    rows, cols, w, n = _edges(K)
+    rows, cols, w, n = _square_edges(K)
     if not np.isfinite(w).all():
         raise MarkovError("non-finite entries")
     if (w < 0).any():
@@ -608,18 +615,20 @@ def _state_name(K, i: int) -> str:
 def _equitable_cells(rows, cols, w, n: int) -> tuple:
     """(cell of each state, cell count k) of the coarsest partition of the
     states that is equitable for K and for K^T, K having entries w at
-    (rows, cols): the states of one cell have, for every cell B and every
-    entry value x, as many entries x into B, and as many from B.
+    (rows, cols) sorted by (row, col): the states of one cell have, for
+    every cell B and every entry value x, as many entries x into B, and as
+    many from B.
 
     Colour refinement: each round weighs every edge by a random integer for
     its exact value class times one for the cell at its other end, sums the
-    weights out of and into each state with two bincounts, and splits each
-    cell by those sums with one lexsort.  It stops when a round splits no
-    cell.  Each edge's weight is an integer of at most 53 - bits(n) bits,
-    so the sums of at most n of them are exact in double precision and the
-    split does not depend on summation order.  Two states with different
-    entries collide only by chance; the weights come from random.Random(0),
-    so the partition of a given K is reproducible.
+    weights out of each state with one segment sum over the row-sorted
+    edges and into each state with one bincount, and splits each cell by
+    those sums with one lexsort.  It stops when a round splits no cell.
+    Each edge's weight is an integer of at most 53 - bits(n) bits, so the
+    sums of at most n of them are exact in double precision and the split
+    does not depend on summation order.  Two states with different entries
+    collide only by chance; the weights come from random.Random(0), so the
+    partition of a given K is reproducible.
     """
     bits = (53 - n.bit_length()) // 2
     rng = random.Random(0)
@@ -633,11 +642,15 @@ def _equitable_cells(rows, cols, w, n: int) -> tuple:
     values = np.sort(w)
     values = values[np.concatenate([[True], values[1:] != values[:-1]])]
     weight = draw(len(values))[np.searchsorted(values, w)]
+    first = np.searchsorted(rows, np.arange(n + 1))  # each state's first edge
+    some = first[:-1] < first[1:]  # the states with an edge out
+    first = first[:-1][some]
     cell = np.zeros(n, dtype=np.intp)
     k = 1
     while True:
         h = draw(k)[cell]
-        out = np.bincount(rows, weight * h[cols], n)
+        out = np.zeros(n)
+        out[some] = np.add.reduceat(weight * h[cols], first)
         into = np.bincount(cols, weight * h[rows], n)
         order = np.lexsort((into, out, cell))
         c, o, i = cell[order], out[order], into[order]

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -13,14 +14,17 @@ from mergespace.engine import (
     replay,
 )
 from mergespace.forest import (
+    Leaf,
     Node,
     Workspace,
+    accessible_terms,
     enumerate_forests,
     leaf,
     node,
+    quotient,
     workspace,
 )
-from mergespace.hopf import coproduct, ws_union
+from mergespace.hopf import UNIT, _disjoint_collections, coproduct, ws_union
 
 a, b, c = leaf("a"), leaf("b"), leaf("c")
 CFG_D = MergeConfig(mode="d")
@@ -151,6 +155,101 @@ class TestAgainstCoproduct:
                     # with repeated labels a deeper cut can also give back ws
                     want[workspace(host.left, host.right).key, ws.key] -= 2
             assert got == want, ws.key
+
+
+FLAG_NAMES = ("allow_im", "allow_sm", "allow_identity_sm", "allow_sibling_cut", "atomic_sm_only")
+EVERY_SETTING = [dict(zip(FLAG_NAMES, bits)) for bits in itertools.product((False, True), repeat=len(FLAG_NAMES))]
+
+
+def host_cuts(host, mode):
+    """(extracted trees, paths, quotient) of every term of the coproduct of
+    the one-tree workspace host, one per cut, before equal terms are added
+    up; the whole-component split has paths None.  Checked against
+    coproduct(workspace(host), mode)."""
+    ws = workspace(host)
+    cuts = [(ws.components, None, UNIT)]
+    for cut in _disjoint_collections(accessible_terms(ws)):
+        cuts.append((tuple(r.subtree for r in cut), tuple(r.path for r in cut), quotient(ws, cut, mode)))
+    assert Counter((Workspace(trees), right) for trees, _, right in cuts) == coproduct(ws, mode).terms
+    return cuts
+
+
+def tagged_coproduct_pairs(ws, mode):
+    """(tag, extracted subtrees, sibling cut, pair key, output key) for every
+    two-tree term of ws's coproduct, and for every one-term cut of a
+    component's own coproduct paired with its quotient (IM), the tag read
+    off the terms' provenance: EM two whole components, SM1 a whole
+    component and a term of another, SM2 terms of two components, ID both
+    root children of one, SM3 two other terms of one, IM a term with its
+    own host."""
+    comps = ws.components
+    cuts = [host_cuts(c, mode) for c in comps]
+    out = []
+
+    def emit(tag, pair, parts, subtrees=(), siblings=False):
+        rest = list(parts.values()) + [workspace(c) for i, c in enumerate(comps) if i not in parts]
+        result = Workspace(sum((w.components for w in rest), ()) + (Node(*pair),))
+        out.append((tag, subtrees, siblings, Workspace(pair).key, result.key))
+
+    for i, host in enumerate(comps):
+        for trees, paths, right in cuts[i]:
+            if paths is None or len(paths) not in (1, 2):
+                continue
+            if len(paths) == 2:
+                p, q = paths
+                tag = "ID" if {p, q} == {(0,), (1,)} else "SM3"
+                emit(tag, trees, {i: right}, trees, tag == "SM3" and p[:-1] == q[:-1])
+            elif not (mode == "d" and len(paths[0]) == 1):  # a root child reassembles the host
+                emit("IM", (trees[0], *right.components), {i: UNIT}, trees)
+    for i, j in itertools.combinations(range(len(comps)), 2):
+        for trees_i, paths_i, right_i in cuts[i]:
+            for trees_j, paths_j, right_j in cuts[j]:
+                if len(trees_i) != 1 or len(trees_j) != 1:
+                    continue
+                whole = (paths_i is None, paths_j is None)
+                tag = {(True, True): "EM", (False, False): "SM2"}.get(whole, "SM1")
+                subtrees = () if tag == "EM" else tuple(
+                    t for t, w in zip(trees_i + trees_j, whole) if not w
+                )
+                emit(tag, trees_i + trees_j, {i: right_i, j: right_j}, subtrees)
+    return out
+
+
+def allowed(tag, subtrees, siblings, cfg):
+    """Whether the flags of cfg admit a step of that provenance."""
+    if tag == "EM":
+        return True
+    if tag == "IM":
+        return cfg.allow_im
+    if tag == "ID":
+        return cfg.allow_identity_sm
+    if not cfg.allow_sm or siblings and not cfg.allow_sibling_cut:
+        return False
+    return not cfg.atomic_sm_only or tag != "SM2" and all(isinstance(t, Leaf) for t in subtrees)
+
+
+class TestAgainstCoproductEverySetting:
+    """Under every setting of the five flags, in both modes, the engine's
+    steps are the coproduct pairs whose provenance the setting admits."""
+
+    # 5 leaves would add about 6 s; 4 already hold every provenance, sibling
+    # cuts below the root and SM2 between two non-leaf components
+    @pytest.mark.parametrize("mode", ["c", "d"])
+    @pytest.mark.parametrize("labels", ["abc", "abcd", "aabc", "aabb", "aaab"])
+    def test_steps_are_the_admitted_coproduct_pairs(self, labels, mode):
+        for ws in enumerate_forests(labels):
+            pairs = tagged_coproduct_pairs(ws, mode)
+            for flags in EVERY_SETTING:
+                cfg = MergeConfig(mode=mode, **flags)
+                got = Counter(
+                    (s.tag, Workspace(s.pair).key, s.output_ws.key) for s in all_merge_successors(ws, cfg)
+                )
+                want = Counter(
+                    (tag, pair, result)
+                    for tag, subtrees, siblings, pair, result in pairs
+                    if allowed(tag, subtrees, siblings, cfg)
+                )
+                assert got == want, (ws.key, flags)
 
 
 class TestReplay:

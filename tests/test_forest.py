@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,9 +186,11 @@ class TestEnumeration:
         built = []
 
         class CountedNode(Node):
-            def __post_init__(self):
+            __slots__ = ()
+
+            def __init__(self, left, right):
                 built.append(1)
-                super().__post_init__()
+                super().__init__(left, right)
 
         monkeypatch.setattr(forest, "Node", CountedNode)
         enumerate_forests("abcdef")
@@ -294,6 +298,131 @@ class TestQuotient:
                         if isinstance(t, Node):
                             stack.extend([t.left, t.right])
                             assert t.left is not None and t.right is not None
+
+
+def recursive_tree_quotient(t, paths, mode):
+    """tree_quotient as one recursion over both children at every vertex
+    above a cut."""
+    if () in paths:
+        return trace_leaf(t.key) if mode == "c" else None
+    if isinstance(t, Leaf):
+        return t
+    kids = []
+    for i, child in enumerate((t.left, t.right)):
+        below = [p[1:] for p in paths if p[0] == i]
+        kids.append(recursive_tree_quotient(child, below, mode) if below else child)
+    l, r = kids
+    if l is None:
+        return r
+    if r is None:
+        return l
+    return Node(l, r)
+
+
+def stored_shape(t) -> str:
+    """The tree's children as stored, left then right, with the labels left
+    out."""
+    return "." if isinstance(t, Leaf) else "(" + stored_shape(t.left) + stored_shape(t.right) + ")"
+
+
+class TestTreeQuotient:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_the_recursion(self, n):
+        # every tree over n distinct labels, every cut at one vertex and at
+        # two non-nested vertices, both modes.  At 7 leaves one tree per
+        # stored shape: the walks differ between trees of one shape only in
+        # the labels, which the two routines order with the same Node (all
+        # 10 395 trees take about 30 s)
+        trees = enumerate_trees("abcdefg"[:n])
+        if n == 7:
+            trees = list({stored_shape(t): t for t in trees}.values())
+        for t in trees:
+            paths = [p for p, _ in positions(t)]
+            cuts = [[p] for p in paths] + [
+                [p, q] for p, q in itertools.combinations(paths, 2) if not forest.nested(p, q)
+            ]
+            for cut in cuts:
+                for mode in ("c", "d"):
+                    got = forest.tree_quotient(t, cut, mode)
+                    want = recursive_tree_quotient(t, cut, mode)
+                    assert got == want and (got is None or got.key == want.key), (t.key, cut, mode)
+
+    def test_keeps_the_order_of_equal_keys(self):
+        # cutting z leaves the root two different children with one key,
+        # (~p~|~q~|~r~); the rebuilt root keeps each on the side it came from
+        kept = Node(trace_leaf("p~|~q"), trace_leaf("r"))
+        other = Node(trace_leaf("p"), trace_leaf("q~|~r"))
+        t = Node(Node(kept, leaf("z")), other)
+        assert subtree_at(t, (0, 1)).key == "z"
+        got = forest.tree_quotient(t, [(0, 1)], "d")
+        assert got.left is kept and got.right is other
+        assert got == recursive_tree_quotient(t, [(0, 1)], "d")
+
+    def test_path_past_a_leaf_rejected(self):
+        with pytest.raises(ForestError, match="past a leaf"):
+            forest.tree_quotient(node(a, b), [(0, 1)], "d")
+        with pytest.raises(ForestError, match="past a leaf"):
+            forest.tree_quotient(node(a, b), [(0, 0), (0, 1)], "c")
+
+
+def every_record():
+    """One instance of each of the five immutable record classes."""
+    t = node(node(a, b), c)
+    ws = workspace(t, d)
+    (step,) = [s for s in all_merge_successors(ws) if s.tag == "EM"]
+    return [a, t, ws, accessible_terms(ws)[0], step]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record", every_record(), ids=lambda r: type(r).__name__)
+    def test_fields_can_be_neither_assigned_nor_deleted(self, record):
+        for name in type(record).__slots__:
+            value = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) is value
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    @pytest.mark.parametrize("record", every_record(), ids=lambda r: type(r).__name__)
+    def test_copied_and_pickled_records_are_equal(self, record):
+        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record) and twin == record and hash(twin) == hash(record)
+            assert all(getattr(twin, n) == getattr(record, n) for n in type(record).__slots__)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(random_tree(), random_tree())
+    def test_child_order_does_not_matter(self, t1, t2):
+        one, other = Node(t1, t2), Node(t2, t1)
+        assert one == other and hash(one) == hash(other) and one.key == other.key
+        ws1, ws2 = workspace(t1, t2, c), workspace(c, t2, t1)
+        assert ws1 == ws2 and hash(ws1) == hash(ws2)
+
+    def test_hash_is_by_key(self):
+        for record in every_record()[:3]:
+            assert hash(record) == hash(record.key)
+
+    def test_equal_keys_of_different_workspaces(self):
+        # "~x~⊔~y~" is the key of both, but one holds one trace and the other two
+        one = workspace_from_json([{"trace": "x~⊔~y"}])
+        two = workspace_from_json([{"trace": "x"}, {"trace": "y"}])
+        assert one.key == two.key
+        assert one != two and two != one
+
+    def test_equal_keys_of_different_trees(self):
+        # trace names holding the key's separators give two trees one key
+        one = Node(trace_leaf("p~|~q"), trace_leaf("r"))
+        two = Node(trace_leaf("p"), trace_leaf("q~|~r"))
+        assert one.key == two.key and one != two
+
+    def test_equality_by_class_and_fields(self):
+        assert leaf("a") == leaf("a") and leaf("a") != trace_leaf("a")
+        assert node(a, b) != a and a != node(a, b)
+        ws = workspace(node(a, b), c)
+        x, y = accessible_terms(ws)[:2]
+        assert x == accessible_terms(workspace(node(a, b), c))[0] and x != y
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 
@@ -774,6 +775,14 @@ class TestReachability:
         assert n == 11
         assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
         assert np.array_equal(w, K[want_rows, want_cols], equal_nan=True)
+
+
+class TestNonSquareInput:
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3,), (2, 2, 2)])
+    @pytest.mark.parametrize("routine", [perron_frobenius, strong_connectivity])
+    def test_refused_with_its_shape(self, routine, shape):
+        with pytest.raises(MarkovError, match=re.escape(f"need a square matrix, got one of shape {shape}")):
+            routine(np.ones(shape))
 
 
 class TestDegenerateChains:
