@@ -5,7 +5,6 @@ from mergespace.forest import (
     Node,
     SyntaxTree,
     Workspace,
-    AccessibleTermRef,
     leaf,
     node,
     trace_leaf,
@@ -21,7 +20,6 @@ __all__ = [
     "Node",
     "SyntaxTree",
     "Workspace",
-    "AccessibleTermRef",
     "leaf",
     "node",
     "trace_leaf",

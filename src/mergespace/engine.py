@@ -90,8 +90,9 @@ class MergeStep(_Frozen):
         return f"<{self.tag} {self.input_ws!r} -> {self.output_ws!r}>"
 
 
-# A source is (component index, path); the empty path is the whole
-# component.  For IM the second source is the host itself, after the cut.
+# A source is (component index, path), as forest.accessible_terms names a
+# term; the empty path is the whole component.  For IM the second source is
+# the host itself, after the cut.
 
 
 def _tag(a: tuple, b: tuple) -> str:
@@ -125,23 +126,23 @@ def merge_pairs(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> Iterator[tup
     for i in range(n):
         for j in range(i + 1, n):
             yield (i, ()), (j, ())
-    refs = accessible_terms(ws)
+    terms = accessible_terms(ws)
     if cfg.allow_im:
-        for r in refs:
-            if cfg.mode == "c" or len(r.path) > 1:
-                yield (r.component, r.path), (r.component, ())
+        for (c, p), _ in terms:
+            if cfg.mode == "c" or len(p) > 1:
+                yield (c, p), (c, ())
     if cfg.allow_sm:
         atomic = cfg.atomic_sm_only
-        terms = [(r.component, r.path) for r in refs if not atomic or isinstance(r.subtree, Leaf)]
-        for c, p in terms:
+        sources = [src for src, sub in terms if not atomic or isinstance(sub, Leaf)]
+        for c, p in sources:
             for other in range(n):
                 if other != c:
                     yield (c, p), (other, ())
         if not atomic:
-            for a, b in combinations(terms, 2):
+            for a, b in combinations(sources, 2):
                 if a[0] != b[0]:
                     yield a, b
-        for a, b in combinations(terms, 2):
+        for a, b in combinations(sources, 2):
             if a[0] != b[0] or nested(a[1], b[1]):
                 continue
             if a[1][:-1] == b[1][:-1] and (len(a[1]) == 1 or not cfg.allow_sibling_cut):
@@ -210,12 +211,12 @@ def _key_and_n(ref) -> tuple:
 
 def _resolve_occurrence(ws: Workspace, ref) -> tuple:
     key, n = _key_and_n(ref)
-    hits = [r for r in accessible_terms(ws) if r.subtree.key == key]
+    hits = [src for src, sub in accessible_terms(ws) if sub.key == key]
     if not hits:
         raise MergeError(f"no accessible term with key {key!r}")
     if n >= len(hits):
         raise MergeError(f"occurrence {n} of {key!r} out of range ({len(hits)} found)")
-    return hits[n].component, hits[n].path
+    return hits[n]
 
 
 def _resolve_component(ws: Workspace, ref) -> int:

@@ -24,7 +24,6 @@ __all__ = [
     "Node",
     "SyntaxTree",
     "Workspace",
-    "AccessibleTermRef",
     "leaf",
     "node",
     "trace_leaf",
@@ -215,32 +214,6 @@ def workspace(*trees: SyntaxTree) -> Workspace:
     return Workspace(tuple(trees))
 
 
-class AccessibleTermRef(_Frozen):
-    """A non-root subtree of a workspace component, addressed by component
-    index and path of child selectors (in canonical child order).  Equal
-    when component and path are."""
-
-    __slots__ = ("component", "path", "subtree")
-
-    def __init__(self, component: int, path: tuple, subtree: SyntaxTree):
-        if not path:
-            raise ForestError("root of a component is not an accessible term")
-        _set(self, "component", component)
-        _set(self, "path", path)
-        _set(self, "subtree", subtree)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.component == other.component and self.path == other.path
-
-    def __hash__(self):
-        return hash((self.component, self.path))
-
-    def __repr__(self):
-        return f"AccessibleTermRef(component={self.component!r}, path={self.path!r}, subtree={self.subtree!r})"
-
-
 def subtree_at(t: SyntaxTree, path: tuple) -> SyntaxTree:
     for step in path:
         if isinstance(t, Leaf):
@@ -259,9 +232,12 @@ def positions(t: SyntaxTree, prefix: tuple = ()) -> Iterator[tuple]:
 
 
 def accessible_terms(ws: Workspace) -> list:
-    """All accessible terms of a workspace; the list has length ws.alpha."""
+    """All accessible terms of a workspace as (source, subtree) pairs, in
+    component order and pre-order; the list has length ws.alpha.  A source
+    is (component index, path), the path non-empty: a component's root is
+    not an accessible term."""
     return [
-        AccessibleTermRef(ci, path, sub)
+        ((ci, path), sub)
         for ci, comp in enumerate(ws.components)
         for path, sub in positions(comp)
         if path and sub.leaves > 0
@@ -273,13 +249,6 @@ def nested(p: tuple, q: tuple) -> bool:
     one tree overlap.  Cuts must be pairwise non-nested."""
     n = min(len(p), len(q))
     return p[:n] == q[:n]
-
-
-def _check_disjoint(refs) -> None:
-    for i, a in enumerate(refs):
-        for b in refs[i + 1 :]:
-            if a.component == b.component and nested(a.path, b.path):
-                raise ForestError(f"overlapping cut refs {a.path} / {b.path}")
 
 
 def tree_quotient(t: SyntaxTree, paths, mode: str):
@@ -326,24 +295,39 @@ def _common_prefix(paths) -> tuple:
     return first[:k]
 
 
-def quotient(ws: Workspace, cut: list, mode: str) -> Workspace:
-    """Quotient of a workspace by a set of disjoint accessible-term refs.
+def quotient(ws: Workspace, sources: list, mode: str) -> Workspace:
+    """Quotient of a workspace by disjoint accessible terms, each named by its
+    source (component index, non-empty path) as accessible_terms gives it.
 
     mode "c": each extracted subtree is replaced in place by a trace leaf.
     mode "d": extracted subtrees are removed and non-branching vertices
     contracted away; a fully consumed component disappears.
+    A source outside the workspace, at a component's root or past a leaf,
+    or one overlapping another, is a ForestError naming it.
     """
     if mode not in ("c", "d"):
         raise ForestError(f"unknown quotient mode {mode!r}")
-    _check_disjoint(cut)
     by_comp: dict = {}
-    for ref in cut:
-        by_comp.setdefault(ref.component, []).append(ref.path)
+    for src in sources:
+        ci, path = src
+        if not 0 <= ci < ws.b0:
+            raise ForestError(f"source {src}: no component {ci} in a workspace of {ws.b0}")
+        if not path:
+            raise ForestError(f"source {src}: the root of a component is not an accessible term")
+        paths = by_comp.setdefault(ci, [])
+        for q in paths:
+            if nested(q, path):
+                raise ForestError(f"overlapping sources {(ci, q)} / {src}")
+        paths.append(path)
     comps = []
     for ci, comp in enumerate(ws.components):
-        kept = tree_quotient(comp, by_comp[ci], mode) if ci in by_comp else comp
-        if kept is not None:
-            comps.append(kept)
+        if ci in by_comp:
+            try:
+                comp = tree_quotient(comp, by_comp[ci], mode)
+            except ForestError as exc:
+                raise ForestError(f"sources {[(ci, p) for p in by_comp[ci]]}: {exc}") from None
+        if comp is not None:
+            comps.append(comp)
     return Workspace(tuple(comps))
 
 

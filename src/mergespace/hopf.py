@@ -127,19 +127,20 @@ def _multiplicative(parts, unit, union: Callable) -> TensorComb:
 # ---------------------------------------------------------------------------
 # coproduct on workspaces
 
-def _disjoint_collections(refs: list) -> Iterator[list]:
-    """All sets of pairwise non-nested accessible-term refs (incl. empty)."""
+def _disjoint_collections(terms: list) -> Iterator[list]:
+    """All sets of pairwise non-nested accessible terms (incl. empty), from
+    the (source, subtree) pairs of accessible_terms."""
 
-    def conflicts(r, chosen):
-        return any(r.component == s.component and nested(r.path, s.path) for s in chosen)
+    def conflicts(src, chosen):
+        return any(src[0] == c and nested(src[1], p) for (c, p), _ in chosen)
 
     def rec(i, chosen):
-        if i == len(refs):
+        if i == len(terms):
             yield list(chosen)
             return
         yield from rec(i + 1, chosen)
-        if not conflicts(refs[i], chosen):
-            chosen.append(refs[i])
+        if not conflicts(terms[i][0], chosen):
+            chosen.append(terms[i])
             yield from rec(i + 1, chosen)
             chosen.pop()
 
@@ -150,8 +151,8 @@ def _tree_coproduct(t: SyntaxTree, mode: str) -> TensorComb:
     ws = workspace(t)
     out = TensorComb()
     for cut in _disjoint_collections(accessible_terms(ws)):
-        left = Workspace(tuple(r.subtree for r in cut))
-        right = quotient(ws, cut, mode)
+        left = Workspace(tuple(sub for _, sub in cut))
+        right = quotient(ws, [src for src, _ in cut], mode)
         out.add((left, right), 1)
     out.add((ws, UNIT), 1)  # whole-component split
     return out

@@ -48,6 +48,10 @@ def step_cost(step, regime: str) -> Fraction:
 # anything is enumerated.  The 7-leaf chain (27 006 states, 1 099 245 edges)
 # is the largest that fits; the next, 8 leaves, has 353 521 states.
 MAX_STATES = 30_000
+# Power iterations stop once the Collatz-Wielandt bracket's relative gap is
+# at most PF_TOL, and fail after PF_MAX_ITER steps.
+PF_TOL = 1e-12
+PF_MAX_ITER = 10_000
 # Dense matrices (TransitionGraph.K, PFData.K_hat, matrix_csv, the CLI's JSON
 # "matrix") are refused above the 6-leaf state count: 47 MB each there, and
 # 5.8 GB at 7 leaves.
@@ -63,8 +67,8 @@ class TransitionGraph:
     or 1 with collapse_01.  Edges are sorted by (row, col) and unique.
     kinds[edge_kind[e]] is the edge's (sorted step tags, Fraction exponents
     in step order or None), one table entry shared by every edge with the
-    same steps.  K, edge_tags and weights are views of the arrays, built on
-    first read and cached.
+    same steps.  K and weights are views of the arrays, built on first read
+    and cached.
     """
 
     vertices: list
@@ -86,19 +90,13 @@ class TransitionGraph:
         return _dense(self.rows, self.cols, self.values, self.n)
 
     @cached_property
-    def edge_tags(self) -> dict:
-        """(i, j) -> sorted list of the tags of the steps from i to j."""
-        return self._per_edge(0)
-
-    @cached_property
     def weights(self) -> Optional[dict]:
-        """(i, j) -> list of the exponents of those steps; None if unweighted."""
-        return None if self.regime is None else self._per_edge(1)
-
-    def _per_edge(self, part: int) -> dict:
-        table = [kind[part] for kind in self.kinds]
+        """(i, j) -> list of the exponents of the steps from i to j; None if
+        unweighted."""
+        if self.regime is None:
+            return None
         return {
-            (i, j): list(table[k])
+            (i, j): list(self.kinds[k][1])
             for i, j, k in zip(self.rows.tolist(), self.cols.tolist(), self.edge_kind.tolist())
         }
 
@@ -344,18 +342,17 @@ def three_leaf_pattern(regime: str, t: float, with_im: bool = True) -> np.ndarra
 
 
 def sector_exponents_match(g: TransitionGraph, regime: str) -> bool:
-    """Exact check of a weighted 3-leaf graph: every step's Fraction exponent
-    in g.weights equals its sector's entry of REGIME_EXPONENTS (IM steps
-    carry exponent 0), and all four sectors occur."""
+    """Exact check of a weighted 3-leaf graph: in every edge kind the graph
+    uses, each step's Fraction exponent equals its sector's entry of
+    REGIME_EXPONENTS (IM steps carry exponent 0), and all four sectors
+    occur."""
     a, b, c = REGIME_EXPONENTS[regime]
     sector = {"IM": Fraction(0), "SM3": a, "SM1": b, "EM": c}
-    tags = {tag for step_tags in g.edge_tags.values() for tag in step_tags}
-    if g.weights is None or tags != set(sector):
+    kinds = [g.kinds[k] for k in set(g.edge_kind.tolist())]
+    tags = {tag for step_tags, _ in kinds for tag in step_tags}
+    if g.regime is None or tags != set(sector):
         return False
-    return all(
-        sorted(g.weights[edge]) == sorted(sector[tag] for tag in step_tags)
-        for edge, step_tags in g.edge_tags.items()
-    )
+    return all(sorted(expos) == sorted(sector[tag] for tag in step_tags) for step_tags, expos in kinds)
 
 
 def _assert_three_leaf_pattern(g: TransitionGraph, regime: str, t: float) -> None:
@@ -423,31 +420,25 @@ _SCAN_ENTRIES = 1 << 18  # entries of a dense matrix scanned for nonzeros at onc
 
 def _edges(K) -> tuple:
     """(rows, cols, values, n) of the nonzero entries of a TransitionGraph or
-    of a dense square matrix, sorted by (row, col)."""
+    of a dense square matrix, sorted by (row, col); anything else is refused
+    with a MarkovError naming its shape."""
     if isinstance(K, TransitionGraph):
         keep = K.values != 0  # t^cost can underflow to 0
         return K.rows[keep], K.cols[keep], K.values[keep], K.n
+    shape = np.shape(K)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise MarkovError(f"need a square matrix, got one of shape {shape}")
     K = np.asarray(K, dtype=float)
-    n, m = K.shape
-    # a block of rows at a time: one n x m boolean would cost as much memory as
+    n = len(K)
+    # a block of rows at a time: one n x n boolean would cost as much memory as
     # K / 8, and the boolean scan is several times faster than one over floats
-    b = max(1, _SCAN_ENTRIES // max(m, 1))
+    b = max(1, _SCAN_ENTRIES // max(n, 1))
     flat = np.concatenate(
         [np.empty(0, dtype=np.intp)]
-        + [np.flatnonzero(K[i : i + b].ravel() != 0) + i * m for i in range(0, n, b)]
+        + [np.flatnonzero(K[i : i + b].ravel() != 0) + i * n for i in range(0, n, b)]
     )
-    rows, cols = np.divmod(flat, m)
+    rows, cols = np.divmod(flat, n)
     return rows, cols, K.ravel()[flat], n
-
-
-def _square_edges(K) -> tuple:
-    """_edges of a TransitionGraph or of a square matrix; anything else is
-    refused with a MarkovError naming its shape."""
-    if not isinstance(K, TransitionGraph):
-        shape = np.shape(K)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise MarkovError(f"need a square matrix, got one of shape {shape}")
-    return _edges(K)
 
 
 def _bfs_tree(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
@@ -480,7 +471,7 @@ def strong_connectivity(g, witness: bool = True) -> dict:
     state.  The witnesses are read off the two trees, 0 -> n-1 from the
     first and n-1 -> 0 from the second.  Tarjan runs only to count the
     components of a reducible chain."""
-    rows, cols, _, n = _square_edges(g)
+    rows, cols, _, n = _edges(g)
     trees = [_bfs_tree(rows, cols, n), _bfs_tree(cols, rows, n)] if n else []
     connected = bool(trees) and all((parent < n).all() for parent in trees)
     out = {"strongly_connected": connected, "scc_count": 1, "witness_paths": []}
@@ -534,7 +525,7 @@ class PFData:
         return _dense(self.rows, self.cols, self.hat, len(self.eta))
 
 
-def perron_frobenius(K, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
+def perron_frobenius(K) -> PFData:
     """Dominant eigendata by shifted power iteration on the edge arrays of K,
     a TransitionGraph or a dense matrix.
 
@@ -542,7 +533,7 @@ def perron_frobenius(K, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
     per row over the row-sorted nonzero entries; the identity shift removes
     periodicity (the unweighted chain has zero diagonal).  For v > 0 the Collatz-Wielandt
     bracket lo = min_i (Kv)_i / v_i <= lam <= max_i (Kv)_i / v_i = hi holds,
-    and the iteration stops once hi - lo <= tol * lo, a rule that does not
+    and the iteration stops once hi - lo <= PF_TOL * lo, a rule that does not
     depend on the size of K.  The same iteration on the transposed edges
     gives the left vector u, and xi = u * eta normalized, because u K = lam u
     makes (u * eta) K_hat = u * eta.  lam is the xi-weighted mean of the
@@ -553,7 +544,7 @@ def perron_frobenius(K, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
     (_equitable_cells), the Perron vectors are constant on the cells, and
     their values per cell are the Perron vectors of the quotient matrices
     S[A, B] / |A| (right) and S[A, B] / |B| (left), S[A, B] the sum of K
-    over A x B.  Those are iterated to tol, lifted by cell, and the
+    over A x B.  Those are iterated to PF_TOL, lifted by cell, and the
     iteration on K certifies them, by the same rule, in one product.  A
     partition that is not equitable gives a worse start and costs products
     on K, never a different certificate.  A discrete partition starts from
@@ -562,10 +553,10 @@ def perron_frobenius(K, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
     Raises MarkovError on a matrix that is not square, on non-finite or
     negative entries, on support that is not strongly connected (naming a
     state that another cannot reach), on a single state without a
-    successor, and when a bracket is still wider than tol after max_iter
+    successor, and when a bracket is still wider than PF_TOL after PF_MAX_ITER
     steps of one power iteration.
     """
-    rows, cols, w, n = _square_edges(K)
+    rows, cols, w, n = _edges(K)
     if not np.isfinite(w).all():
         raise MarkovError("non-finite entries")
     if (w < 0).any():
@@ -574,9 +565,9 @@ def perron_frobenius(K, tol: float = 1e-12, max_iter: int = 10_000) -> PFData:
     if not len(w):  # one state without a successor
         raise MarkovError("no positive dominant eigenvalue; some state has no successor")
     cell, k = _equitable_cells(rows, cols, w, n)
-    eta0, u0, lumped = _lifted_starts(rows, cols, w, cell, k, tol, max_iter)
-    eta, ratios, gap_right, steps_right = _perron_vector(rows, cols, w, n, tol, max_iter, eta0)
-    u, _, gap_left, steps_left = _perron_vector(*_transposed(rows, cols, w, n), n, tol, max_iter, u0)
+    eta0, u0, lumped = _lifted_starts(rows, cols, w, cell, k)
+    eta, ratios, gap_right, steps_right = _perron_vector(rows, cols, w, n, eta0)
+    u, _, gap_left, steps_left = _perron_vector(*_transposed(rows, cols, w, n), n, u0)
     xi = u * eta
     xi /= xi.sum()
     lam = float(xi @ ratios)
@@ -663,7 +654,7 @@ def _equitable_cells(rows, cols, w, n: int) -> tuple:
         cell[order] = new
 
 
-def _lifted_starts(rows, cols, w, cell, k: int, tol: float, max_iter: int) -> tuple:
+def _lifted_starts(rows, cols, w, cell, k: int) -> tuple:
     """(right start, left start, products) for the power iterations on the
     n x n matrix K with entries w at (rows, cols), from the partition of its
     states into k cells: the Perron vectors of the quotients S[A, B] / |A|
@@ -678,7 +669,7 @@ def _lifted_starts(rows, cols, w, cell, k: int, tol: float, max_iter: int) -> tu
     starts, products = [], 0
     for Q in (S, S.T):
         q_rows, q_cols = np.nonzero(Q)
-        v, _, _, steps = _perron_vector(q_rows, q_cols, Q[q_rows, q_cols] / size[q_rows], k, tol, max_iter)
+        v, _, _, steps = _perron_vector(q_rows, q_cols, Q[q_rows, q_cols] / size[q_rows], k)
         starts.append(v[cell])
         products += steps
     return *starts, products
@@ -691,7 +682,7 @@ def _transposed(rows, cols, w, n: int) -> tuple:
     return cols[order], rows[order], w[order]
 
 
-def _perron_vector(rows, cols, w, n: int, tol: float, max_iter: int, start=None):
+def _perron_vector(rows, cols, w, n: int, start=None):
     """Perron vector (max 1) of the n x n matrix with entries w at (rows, cols),
     edges sorted by row and every row nonempty, as strong connectivity gives,
     iterated from start (positive, max 1) or from ones.
@@ -704,7 +695,7 @@ def _perron_vector(rows, cols, w, n: int, tol: float, max_iter: int, start=None)
     lo = hi = math.nan
     # an entry of v or Kv that underflows to 0 shows as a ratio of 0, x/0 or 0/0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(1, max_iter + 1):
+        for step in range(1, PF_MAX_ITER + 1):
             Kv = np.add.reduceat(w * v[cols], starts)
             ratios = Kv / v
             lo, hi = ratios.min(), ratios.max()
@@ -713,13 +704,13 @@ def _perron_vector(rows, cols, w, n: int, tol: float, max_iter: int, start=None)
                     f"Perron vector underflowed at power-iteration step {step}: its "
                     f"entries span more than double precision holds"
                 )
-            if hi - lo <= tol * lo:
+            if hi - lo <= PF_TOL * lo:
                 return v, ratios, float((hi - lo) / lo), step
             Kv += v
             v = Kv / Kv.max()
     raise MarkovError(
-        f"power iteration stalled after {max_iter} steps: Collatz-Wielandt bracket "
-        f"[{lo:.12g}, {hi:.12g}] has relative gap {(hi - lo) / lo:.2e} > tol {tol:g}"
+        f"power iteration stalled after {PF_MAX_ITER} steps: Collatz-Wielandt bracket "
+        f"[{lo:.12g}, {hi:.12g}] has relative gap {(hi - lo) / lo:.2e} > tol {PF_TOL:g}"
     )
 
 

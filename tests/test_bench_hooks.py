@@ -1,24 +1,39 @@
 """The benchmark's tracer (bench/tracing.py) patches program functions by
 module and name.  A renamed or moved function would leave its span or
-counter empty without any error, so every name it lists must resolve."""
+counter empty without any error, so every name it lists must resolve.  The
+benchmark's requests (bench/workloads.py) read the program's graphs,
+matrices and CLI output; each kind runs here on small inputs and must pass
+its own check."""
 
 import importlib
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from mergespace import markov
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_module(monkeypatch, name: str):
+    monkeypatch.syspath_prepend(str(BENCH))
+    try:
+        yield importlib.import_module(name)
+    finally:
+        for mod in (name, "reference"):
+            sys.modules.pop(mod, None)
 
 
 @pytest.fixture
 def tracing(monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCH))
-    try:
-        yield importlib.import_module("tracing")
-    finally:
-        for name in ("tracing", "reference"):
-            sys.modules.pop(name, None)
+    yield from _bench_module(monkeypatch, "tracing")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    yield from _bench_module(monkeypatch, "workloads")
 
 
 def test_spanned_and_counted_functions_resolve(tracing):
@@ -34,3 +49,25 @@ def test_spanned_and_counted_functions_resolve(tracing):
 
 def test_patched_method_resolves(tracing):
     assert callable(getattr(tracing.coloring_mod.Generator, "child_pairs", None))
+
+
+def test_workload_requests_pass_their_checks(workloads):
+    rng = random.Random(0)
+    eig = workloads.ref.EigenReference()
+    labels5, labels4 = workloads._labels(rng, 5), workloads._labels(rng, 4)
+    ws = workloads._random_workspace(rng, 6)
+    reqs = [workloads._chain_unweighted(labels5, eig), workloads._chain_no_im(labels5)]
+    reqs += [workloads._chain_weighted(labels5, r, eig) for r in workloads.MARKOV_REGIMES]
+    for extra in ((), ("--no-im",), ("--regime", "total", "-t", "0.5")):
+        reqs.append(workloads._markov_request(labels4, extra, eig))
+    for mode in ("c", "d"):
+        reqs += [workloads._successors_request(ws, mode, flags) for flags in workloads.SUCCESSOR_FLAGS]
+    assert len(reqs) == 17
+    failed = [(req.key, req.inputs, err) for req in reqs if (err := req.check(req.run())) is not None]
+    assert not failed, failed
+
+
+def test_eigen_reference_reads_a_graph_as_its_matrix(workloads):
+    g = markov.build_graph("abcd")
+    Ref = workloads.ref.EigenReference
+    assert Ref().lam(g) == Ref().lam(g.K)

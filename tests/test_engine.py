@@ -169,7 +169,8 @@ def host_cuts(host, mode):
     ws = workspace(host)
     cuts = [(ws.components, None, UNIT)]
     for cut in _disjoint_collections(accessible_terms(ws)):
-        cuts.append((tuple(r.subtree for r in cut), tuple(r.path for r in cut), quotient(ws, cut, mode)))
+        sources = [src for src, _ in cut]
+        cuts.append((tuple(sub for _, sub in cut), tuple(p for _, p in sources), quotient(ws, sources, mode)))
     assert Counter((Workspace(trees), right) for trees, _, right in cuts) == coproduct(ws, mode).terms
     return cuts
 

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,13 +89,13 @@ class TestCounts:
     def test_cherry(self):
         t = node(a, b)
         terms = accessible_terms(workspace(t))
-        assert sorted(r.subtree.key for r in terms) == ["a", "b"]
+        assert sorted(sub.key for _, sub in terms) == ["a", "b"]
         assert t.alpha == 2
 
     def test_three_leaf_tree(self):
         t = node(node(a, b), c)
         terms = accessible_terms(workspace(t))
-        assert sorted(r.subtree.key for r in terms) == ["(a|b)", "a", "b", "c"]
+        assert sorted(sub.key for _, sub in terms) == ["(a|b)", "a", "b", "c"]
         assert t.alpha == 4
 
     def test_sigma_is_alpha_plus_b0(self):
@@ -243,7 +244,7 @@ class TestPositions:
     @pytest.mark.parametrize("labels", ["abcdef", "aabc"])
     def test_accessible_terms_match_reference(self, labels):
         for ws in enumerate_forests(labels, require_edge=False):
-            got = [(r.component, r.path, r.subtree.key) for r in accessible_terms(ws)]
+            got = [(c, p, sub.key) for (c, p), sub in accessible_terms(ws)]
             assert got == accessible_reference(ws)
 
     def test_accessible_terms_with_traces_match_reference(self):
@@ -254,12 +255,12 @@ class TestPositions:
         ]
         assert any("~" in ws.key for ws in outputs)
         for ws in outputs:
-            got = [(r.component, r.path, r.subtree.key) for r in accessible_terms(ws)]
+            got = [(c, p, sub.key) for (c, p), sub in accessible_terms(ws)]
             assert got == accessible_reference(ws)
 
 
 def ref_to(ws, key, n=0):
-    hits = [r for r in accessible_terms(ws) if r.subtree.key == key]
+    hits = [src for src, sub in accessible_terms(ws) if sub.key == key]
     return hits[n]
 
 
@@ -286,11 +287,27 @@ class TestQuotient:
         with pytest.raises(ForestError):
             quotient(ws, [ref_to(ws, "(a|b)"), ref_to(ws, "a")], "d")
 
+    @pytest.mark.parametrize(
+        "sources, message",
+        [
+            *(([(0, (1,)), (ci, (0,))], f"source ({ci}, (0,)): no component {ci} in a workspace of 2")
+              for ci in (2, 5, -1)),
+            ([(0, ())], "source (0, ()): the root of a component is not an accessible term"),
+            ([(0, (0,)), (1, (0,)), (0, (0, 1))], "overlapping sources (0, (0,)) / (0, (0, 1))"),
+            ([(1, (1,)), (1, (0,))], "sources [(1, (1,)), (1, (0,))]: path runs past a leaf"),
+        ],
+        ids=["component-2", "component-5", "component-minus-1", "root", "overlap", "past-a-leaf"],
+    )
+    def test_bad_source_named(self, sources, message):
+        ws = workspace(node(node(a, b), d), c)
+        with pytest.raises(ForestError, match=re.escape(message)):
+            quotient(ws, sources, "d")
+
     def test_deletion_always_full_binary(self):
         for ws in enumerate_forests("abcd"):
             terms = accessible_terms(ws)
-            for r in terms:
-                out = quotient(ws, [r], "d")
+            for src, _ in terms:
+                out = quotient(ws, [src], "d")
                 for comp in out.components:
                     stack = [comp]
                     while stack:
@@ -366,11 +383,11 @@ class TestTreeQuotient:
 
 
 def every_record():
-    """One instance of each of the five immutable record classes."""
+    """One instance of each of the four immutable record classes."""
     t = node(node(a, b), c)
     ws = workspace(t, d)
     (step,) = [s for s in all_merge_successors(ws) if s.tag == "EM"]
-    return [a, t, ws, accessible_terms(ws)[0], step]
+    return [a, t, ws, step]
 
 
 class TestRecords:
