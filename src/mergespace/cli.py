@@ -3,6 +3,10 @@
 Subcommands: enumerate, successors, graph, markov, costs, derive,
 color-check, verify.  Exit code 0 on success, 1 on a domain error or a
 failing verification item, 2 on usage errors.
+
+Only graph, markov and verify need numpy, through `markov` and `verify`;
+their commands import those modules when they run, so the others start
+without loading numpy.
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ from fractions import Fraction
 from itertools import islice
 
 from mergespace import coloring as coloring_mod
-from mergespace.coloring import ColoringError, color_search, ruleset_to_json
-from mergespace.costs import CostError, derivation_cost, fc_cost_report
+from mergespace.coloring import color_search, ruleset_to_json
+from mergespace.costs import derivation_cost, fc_cost_report
 from mergespace.engine import (
-    ECViolation,
     MergeConfig,
     MergeError,
     all_merge_successors,
@@ -29,39 +32,23 @@ from mergespace.engine import (
     replay,
 )
 from mergespace.forest import (
+    DomainError,
     ForestError,
+    Renderer,
     double_factorial,
     enumerate_forests,
     enumerate_trees,
     forest_count,
     tree_from_json,
-    tree_to_text,
     workspace_from_json,
-    workspace_to_json,
     workspace_to_text,
 )
-from mergespace.markov import (
-    MarkovError,
-    build_graph,
-    check_dense,
-    graph_dot,
-    matrix_csv,
-    perron_frobenius,
-    pf_to_json,
-    strong_connectivity,
-    weighted_matrix,
-)
 from mergespace.rulesets import BUILTIN_RULESETS, get_ruleset
-from mergespace.verify import VerifyError, run_verify
 
 
-class InputError(ValueError):
+class InputError(DomainError):
     """A command-line option or input file that cannot be read or parsed."""
 
-
-DOMAIN_ERRORS = (
-    ForestError, MergeError, ECViolation, CostError, MarkovError, ColoringError, VerifyError, InputError,
-)
 
 # `enumerate` refuses to list more structures than this.  Measured on one
 # core: 27 006 forests (7 leaves) in 1.3 s and 68 MB, 135 135 trees
@@ -121,6 +108,11 @@ def _json_default(obj):
 _dumps = functools.partial(json.dumps, default=_json_default)
 
 
+def _json_lines(items) -> str:
+    """The JSON of a list from its items' JSON, one item per line."""
+    return "[\n" + ",\n".join(items) + "\n]"
+
+
 def _to_json(obj) -> str:
     """obj as JSON, with each top-level list item or dict entry on its own
     line.  Entries go through json's C encoder, which `indent` would bypass
@@ -128,7 +120,7 @@ def _to_json(obj) -> str:
     if isinstance(obj, dict):
         return "{\n" + ",\n".join(_dumps({k: v})[1:-1] for k, v in obj.items()) + "\n}"
     if isinstance(obj, list):
-        return "[\n" + ",\n".join(map(_dumps, obj)) + "\n]"
+        return _json_lines(map(_dumps, obj))
     return _dumps(obj)
 
 
@@ -157,18 +149,17 @@ def cmd_enumerate(args):
         raise ForestError(
             f"{n} leaves give up to {count} {what}, over the enumeration bound {MAX_ENUMERATED}"
         )
+    render = Renderer()
     if args.trees_only:
-        trees = enumerate_trees(labels)
-        items = [tree_to_text(t) for t in trees]
-        blobs = [t.key for t in trees]
+        found = enumerate_trees(labels)
+        as_json, as_text = (lambda t: json.dumps(t.key)), render.tree_text
     else:
-        forests = enumerate_forests(labels, require_edge=not args.all)
-        items = [workspace_to_text(w) for w in forests]
-        blobs = [workspace_to_json(w) for w in forests]
+        found = enumerate_forests(labels, require_edge=not args.all)
+        as_json, as_text = render.workspace_json, render.workspace_text
     if args.format == "json":
-        _emit(_to_json(blobs), args.out)
+        _emit(_json_lines(map(as_json, found)), args.out)
     else:
-        _emit("\n".join(items) + f"\n# {len(items)} structures", args.out)
+        _emit("\n".join(map(as_text, found)) + f"\n# {len(found)} structures", args.out)
     return 0
 
 
@@ -182,19 +173,18 @@ def cmd_successors(args):
             f"{MAX_EMITTED_LEAVES} emitted leaves"
         )
     steps = all_merge_successors(ws, cfg)
-    rows = [
-        {
-            "tag": s.tag,
-            "output": workspace_to_json(s.output_ws),
-            "output_text": workspace_to_text(s.output_ws),
-        }
-        for s in steps
-    ]
+    render = Renderer()
     if args.format == "json":
-        _emit(_to_json(rows), args.out)
+        # each row as _to_json writes {"tag", "output", "output_text"}
+        rows = [
+            f'{{"tag": "{s.tag}", "output": {render.workspace_json(s.output_ws)}, '
+            f'"output_text": {json.dumps(render.workspace_text(s.output_ws))}}}'
+            for s in steps
+        ]
+        _emit(_json_lines(rows), args.out)
     else:
-        lines = [f"{r['tag']:4} -> {r['output_text']}" for r in rows]
-        _emit("\n".join(lines) + f"\n# {len(rows)} successors", args.out)
+        lines = [f"{s.tag:4} -> {render.workspace_text(s.output_ws)}" for s in steps]
+        _emit("\n".join(lines) + f"\n# {len(steps)} successors", args.out)
     return 0
 
 
@@ -203,11 +193,15 @@ def _refuse_dense_early(labels: list) -> None:
     give more states than a dense matrix may hold.  A leaf multiset has
     fewer states than forest_count; MAX_STATES bounds its build, and the
     dense view refuses it after the build."""
+    from mergespace.markov import check_dense
+
     if len(set(labels)) == len(labels):
         check_dense(forest_count(len(labels)) - 1)
 
 
 def cmd_graph(args):
+    from mergespace.markov import build_graph, graph_dot, matrix_csv, strong_connectivity
+
     labels = args.leaves.split(",")
     if args.format != "dot":
         _refuse_dense_early(labels)
@@ -227,6 +221,8 @@ def cmd_graph(args):
 
 
 def cmd_markov(args):
+    from mergespace.markov import build_graph, matrix_csv, perron_frobenius, pf_to_json, weighted_matrix
+
     labels = args.leaves.split(",")
     if args.format == "csv":
         _refuse_dense_early(labels)
@@ -316,6 +312,8 @@ def cmd_color_check(args):
 
 
 def cmd_verify(args):
+    from mergespace.verify import run_verify
+
     report = run_verify(only=args.only)
     for r in report["items"]:
         mark = "PASS" if r["ok"] else "FAIL"
@@ -398,7 +396,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -20,12 +20,22 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from mergespace.forest import ForestError, Leaf, Node, SyntaxTree, leaf, positions, trace_leaf, tree_from_json
+from mergespace.forest import (
+    DomainError,
+    ForestError,
+    Leaf,
+    Node,
+    SyntaxTree,
+    leaf,
+    positions,
+    trace_leaf,
+    tree_from_json,
+)
 
 WILDCARD = "*"
 
 
-class ColoringError(ValueError):
+class ColoringError(DomainError):
     pass
 
 

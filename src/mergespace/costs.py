@@ -28,6 +28,7 @@ from mergespace.engine import (
     Derivation,
     MergeStep,
 )
+from mergespace.forest import DomainError
 
 # (db0, dalpha, dsigma) per tag and coproduct mode
 RR_TABLE = {
@@ -59,7 +60,7 @@ REGIMES = ("ms", "my", "cl", "total")
 _B_COMPONENTS = {EM: 2, IM: 1, SM1: 2, SM2: 2, SM3: 1, ID_SM: 1}
 
 
-class CostError(ValueError):
+class CostError(DomainError):
     pass
 
 

@@ -14,6 +14,7 @@ from itertools import combinations
 from typing import Iterator
 
 from mergespace.forest import (
+    DomainError,
     ForestError,
     Leaf,
     Node,
@@ -33,7 +34,7 @@ from mergespace.forest import (
 EM, IM, SM1, SM2, SM3, ID_SM = "EM", "IM", "SM1", "SM2", "SM3", "ID"
 
 
-class MergeError(ValueError):
+class MergeError(DomainError):
     pass
 
 
@@ -279,7 +280,7 @@ def replay(initial: Workspace, script: list, cfg: MergeConfig = MergeConfig()) -
             if tag != op:
                 raise MergeError(f"the named terms make {tag}, not {op}")
             if (a, b) not in merge_pairs(ws, _permissive(cfg)):
-                raise MergeError("not a legal Merge application here")
+                raise MergeError(f"not a legal Merge application here: {_why_illegal(ws, a, b, cfg)}")
         except MergeError as exc:
             raise MergeError(f"step {k}: {op}: {exc}") from exc
         step = apply(ws, a, b, cfg.mode)
@@ -321,6 +322,17 @@ def _permissive(cfg: MergeConfig) -> MergeConfig:
     # replay validates against the widest flag set for the chosen mode,
     # except sibling cuts, which stay an explicit opt-in
     return replace(cfg, allow_im=True, allow_sm=True, allow_identity_sm=True, atomic_sm_only=False)
+
+
+def _why_illegal(ws: Workspace, a: tuple, b: tuple, cfg: MergeConfig) -> str:
+    """The rule by which merge_pairs under _permissive(cfg) leaves out the
+    resolved source pair (a, b).  Under it every EM, SM1, SM2 and ID pair is
+    legal, so only IM and SM3 pairs get here."""
+    if (a, b) in merge_pairs(ws, replace(_permissive(cfg), allow_sibling_cut=True)):
+        return "the terms are siblings below a non-root vertex, a cut that needs the flag allow_sibling_cut"
+    if not b[1]:
+        return "IM of a root child is the identity in mode d"
+    return "the terms are nested: one contains the other"
 
 
 # ---------------------------------------------------------------------------

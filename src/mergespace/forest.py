@@ -20,6 +20,7 @@ from operator import attrgetter
 from typing import Iterator, Union
 
 __all__ = [
+    "DomainError",
     "Leaf",
     "Node",
     "SyntaxTree",
@@ -38,6 +39,7 @@ __all__ = [
     "enumerate_forests",
     "double_factorial",
     "forest_count",
+    "Renderer",
     "tree_to_json",
     "tree_from_json",
     "workspace_to_json",
@@ -49,7 +51,13 @@ _RESERVED = set("(|)~⊔ ")
 _by_key = attrgetter("key")
 
 
-class ForestError(ValueError):
+class DomainError(ValueError):
+    """Base of every error that bad input to the program raises, from any
+    module: the CLI reports it as ``error: ...`` with exit code 1.  It lives
+    here, in the lowest layer, so that catching it loads no other module."""
+
+
+class ForestError(DomainError):
     pass
 
 
@@ -215,10 +223,17 @@ def workspace(*trees: SyntaxTree) -> Workspace:
 
 
 def subtree_at(t: SyntaxTree, path: tuple) -> SyntaxTree:
+    """The subtree of t at path, a sequence of child selectors: 0 for the
+    left child, 1 for the right."""
     for step in path:
         if isinstance(t, Leaf):
             raise ForestError("path runs past a leaf")
-        t = t.left if step == 0 else t.right
+        if step == 0:
+            t = t.left
+        elif step == 1:
+            t = t.right
+        else:
+            raise ForestError(f"path {path}: step {step!r} is neither 0 nor 1")
     return t
 
 
@@ -252,7 +267,8 @@ def nested(p: tuple, q: tuple) -> bool:
 
 
 def tree_quotient(t: SyntaxTree, paths, mode: str):
-    """Quotient of one tree by disjoint cuts at the given paths.
+    """Quotient of one tree by disjoint cuts at the given paths, each a
+    non-empty sequence of 0s and 1s, as `quotient` checks them.
 
     mode "c" replaces each cut subtree by a trace leaf; mode "d" removes it
     and contracts the vertex left with one child, returning None when the
@@ -303,7 +319,8 @@ def quotient(ws: Workspace, sources: list, mode: str) -> Workspace:
     mode "d": extracted subtrees are removed and non-branching vertices
     contracted away; a fully consumed component disappears.
     A source outside the workspace, at a component's root or past a leaf,
-    or one overlapping another, is a ForestError naming it.
+    with a path step other than 0 or 1, or one overlapping another, is a
+    ForestError naming it.
     """
     if mode not in ("c", "d"):
         raise ForestError(f"unknown quotient mode {mode!r}")
@@ -314,6 +331,8 @@ def quotient(ws: Workspace, sources: list, mode: str) -> Workspace:
             raise ForestError(f"source {src}: no component {ci} in a workspace of {ws.b0}")
         if not path:
             raise ForestError(f"source {src}: the root of a component is not an accessible term")
+        if path.count(0) + path.count(1) != len(path):
+            raise ForestError(f"source {src}: a path step is neither 0 nor 1")
         paths = by_comp.setdefault(ci, [])
         for q in paths:
             if nested(q, path):
@@ -463,13 +482,56 @@ def workspace_from_json(obj) -> Workspace:
     return Workspace(tuple(tree_from_json(t) for t in obj))
 
 
+class Renderer:
+    """The JSON and text forms of trees and workspaces, each tree object
+    rendered once.
+
+    Outputs built from one input share most of their subtree objects: a
+    Merge step rebuilds only the vertices above its cuts, and the forests of
+    one enumeration share their trees.  One Renderer per request renders
+    each shared subtree once.  The memo is keyed on identity, because keys
+    are not injective once traces appear, and it holds every tree it
+    rendered, so that no id is reused while it lives.
+    """
+
+    __slots__ = ("_json", "_text")
+
+    def __init__(self):
+        self._json: dict = {}
+        self._text: dict = {}
+
+    def tree_json(self, t: SyntaxTree) -> str:
+        """tree_to_json(t) as json.dumps writes it."""
+        hit = self._json.get(id(t))
+        if hit is None:
+            if isinstance(t, Leaf):
+                s = '{"trace": ' + json.dumps(t.name) + "}" if t.trace else json.dumps(t.name)
+            else:
+                s = '["M", ' + self.tree_json(t.left) + ", " + self.tree_json(t.right) + "]"
+            hit = self._json[id(t)] = (t, s)
+        return hit[1]
+
+    def tree_text(self, t: SyntaxTree) -> str:
+        """t with each vertex as [left right] and each leaf as its key."""
+        if isinstance(t, Leaf):
+            return t.key
+        hit = self._text.get(id(t))
+        if hit is None:
+            hit = self._text[id(t)] = (t, "[" + self.tree_text(t.left) + " " + self.tree_text(t.right) + "]")
+        return hit[1]
+
+    def workspace_json(self, ws: Workspace) -> str:
+        """workspace_to_json(ws) as json.dumps writes it."""
+        return "[" + ", ".join([self.tree_json(t) for t in ws.components]) + "]"
+
+    def workspace_text(self, ws: Workspace) -> str:
+        """The components' texts joined by ⊔; the empty workspace is 1."""
+        return " ⊔ ".join([self.tree_text(t) for t in ws.components]) or "1"
+
+
 def tree_to_text(t: SyntaxTree) -> str:
-    if isinstance(t, Leaf):
-        return t.key
-    return "[" + tree_to_text(t.left) + " " + tree_to_text(t.right) + "]"
+    return Renderer().tree_text(t)
 
 
 def workspace_to_text(ws: Workspace) -> str:
-    if ws.is_unit():
-        return "1"
-    return " ⊔ ".join(tree_to_text(t) for t in ws.components)
+    return Renderer().workspace_text(ws)

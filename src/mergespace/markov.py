@@ -22,7 +22,7 @@ import numpy as np
 
 from mergespace.costs import REGIMES, cost_ratios
 from mergespace.engine import MergeConfig, all_merge_successors
-from mergespace.forest import Leaf, enumerate_forests, forest_count
+from mergespace.forest import DomainError, Leaf, enumerate_forests, forest_count
 
 # sector exponents (SM3, SM1, EM) realized on the 3-leaf state space
 REGIME_EXPONENTS = {
@@ -33,7 +33,7 @@ REGIME_EXPONENTS = {
 }
 
 
-class MarkovError(ValueError):
+class MarkovError(DomainError):
     pass
 
 

@@ -43,6 +43,7 @@ from mergespace.engine import (
     replay,
 )
 from mergespace.forest import (
+    DomainError,
     enumerate_forests,
     enumerate_trees,
     leaf,
@@ -474,7 +475,7 @@ ITEMS = [
 ]
 
 
-class VerifyError(ValueError):
+class VerifyError(DomainError):
     """A verify request that names no check group."""
 
 

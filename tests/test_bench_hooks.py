@@ -5,7 +5,9 @@ benchmark's requests (bench/workloads.py) read the program's graphs,
 matrices and CLI output; each kind runs here on small inputs and must pass
 its own check."""
 
+import contextlib
 import importlib
+import io
 import random
 import sys
 from pathlib import Path
@@ -45,6 +47,20 @@ def test_spanned_and_counted_functions_resolve(tracing):
     ]
     assert not missing, missing
     assert "markov.strong_components" in hooks
+
+
+def test_traced_cli_calls_the_patched_markov_functions(tracing):
+    # cli imports markov inside the commands that need it, so it calls
+    # whatever markov holds at call time: the tracer's wrappers
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert tracing.cli_mod.main(["markov", "--leaves", "a,b,c"]) == 0
+    finally:
+        tracer.uninstall()
+    recorded = {name for name, nid in tracer._name_ids.items() if nid in tracer.name}
+    assert {"cli", "markov.build_graph", "markov.perron_frobenius"} <= recorded
 
 
 def test_patched_method_resolves(tracing):

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -8,13 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from mergespace.cli import main
+from mergespace.cli import InputError, main
 from mergespace.coloring import ColoringError
-from mergespace.forest import enumerate_forests, forest_count, workspace_from_json
+from mergespace.costs import CostError
+from mergespace.engine import ECViolation, MergeError
+from mergespace.forest import DomainError, ForestError, enumerate_forests, forest_count, workspace_from_json
+from mergespace.markov import MarkovError
 from mergespace.rulesets import get_ruleset
 from mergespace.verify import VerifyError, run_verify
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "src" / "mergespace" / "data" / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "src" / "mergespace" / "data" / "scripts"
 
 
 def run(capsys, *argv):
@@ -538,3 +543,89 @@ def test_unwritable_out_is_domain_error(capsys, tmp_path, argv, target):
     code, out, err = run(capsys, *argv, "--out", str(path))
     assert code == 1 and not out
     assert err.startswith(f"error: --out: cannot write {path}: ") and "Traceback" not in err
+
+
+DOMAIN_ERRORS = (ForestError, MergeError, ECViolation, CostError, MarkovError, ColoringError, VerifyError, InputError)
+
+
+def test_domain_errors_share_one_base():
+    assert issubclass(DomainError, ValueError)
+    assert all(issubclass(error, DomainError) for error in DOMAIN_ERRORS)
+
+
+@pytest.mark.parametrize("error", DOMAIN_ERRORS)
+def test_domain_error_in_a_subcommand_exits_1(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr("mergespace.cli.all_merge_successors", fail)
+    assert run(capsys, "successors", "--workspace", WORKSPACE) == (1, "", "error: boom\n")
+
+
+def test_plain_value_error_in_a_subcommand_propagates(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("not a domain error")
+
+    monkeypatch.setattr("mergespace.cli.all_merge_successors", fail)
+    with pytest.raises(ValueError, match="not a domain error"):
+        main(["successors", "--workspace", WORKSPACE])
+
+
+# the modules that only the chain and the verify suite need
+NUMPY_SIDE = ("numpy", "mergespace.markov", "mergespace.hopf", "mergespace.verify")
+# runs after the benchmark's set-up snippet, in the same interpreter: prints
+# the NUMPY_SIDE modules loaded before and after main() runs each argv
+LOADED = """
+import contextlib, io, json, sys
+from mergespace.cli import main
+watched = json.loads(sys.argv[3])
+print(json.dumps([m for m in watched if m in sys.modules]))
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(json.dumps([m for m in watched if m in sys.modules]))
+"""
+
+
+def setup_snippet() -> str:
+    """bench/run.py's SETUP_SNIPPET, read without running that file."""
+    for stmt in ast.parse((ROOT / "bench" / "run.py").read_text()).body:
+        if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["SETUP_SNIPPET"]:
+            return ast.literal_eval(stmt.value)
+    raise AssertionError("bench/run.py assigns no SETUP_SNIPPET")
+
+
+def loaded_in_a_fresh_interpreter(*argvs) -> tuple:
+    """The NUMPY_SIDE modules loaded after the set-up snippet, and after
+    main() has then run each argv."""
+    proc = subprocess.run(
+        [sys.executable, "-c", setup_snippet() + LOADED, str(ROOT / "src"), json.dumps(argvs), json.dumps(NUMPY_SIDE)],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.splitlines()[-2:]
+    return set(json.loads(before)), set(json.loads(after))
+
+
+def test_exact_subcommands_load_no_numpy():
+    script = str(SCRIPTS / "sixleaf_single.json")
+    before, after = loaded_in_a_fresh_interpreter(
+        ["successors", "--workspace", WORKSPACE, "--format", "json"],
+        ["derive", "--script", script],
+        ["costs", "--script", script],
+        ["color-check", "--scenario", str(SCENARIOS / "theta_transitive.json")],
+        ["enumerate", "--leaves", "a,b,c", "--format", "json"],
+    )
+    assert before == after == set()
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["graph", "--leaves", "a,b,c"], {"numpy", "mergespace.markov"}),
+        (["markov", "--leaves", "a,b,c"], {"numpy", "mergespace.markov"}),
+        (["verify", "--only", "cocycles"], set(NUMPY_SIDE)),
+    ],
+)
+def test_chain_and_verify_subcommands_load_what_they_use(argv, loads):
+    assert loaded_in_a_fresh_interpreter(argv) == (set(), loads)

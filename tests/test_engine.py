@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -300,6 +301,24 @@ class TestReplay:
             replay(workspace(T), script, CFG_D)
         deriv = replay(workspace(T), script, MergeConfig(mode="d", allow_sibling_cut=True))
         assert deriv.final.key == workspace(node(a, b), c).key
+
+    @pytest.mark.parametrize(
+        "mode, step, reason",
+        [
+            ("d", {"op": "SM3", "args": [{"key": "a"}, {"key": "b"}]},
+             "the terms are siblings below a non-root vertex, a cut that needs the flag allow_sibling_cut"),
+            ("c", {"op": "SM3", "args": [{"key": "(a|b)"}, {"key": "b"}]},
+             "the terms are nested: one contains the other"),
+            ("c", {"op": "SM3", "args": [{"key": "a"}, {"key": "a"}]},
+             "the terms are nested: one contains the other"),
+            ("d", {"op": "IM", "args": [{"key": "c"}]}, "IM of a root child is the identity in mode d"),
+        ],
+        ids=["sibling-cut", "nested", "same-term", "im-root-child"],
+    )
+    def test_illegal_step_names_its_rule(self, mode, step, reason):
+        message = f"step 0: {step['op']}: not a legal Merge application here: {reason}"
+        with pytest.raises(MergeError, match=re.escape(message) + "$"):
+            replay(workspace(node(node(a, b), c)), [step], MergeConfig(mode=mode))
 
     def test_empty_script(self):
         ws = workspace(node(a, b), c)

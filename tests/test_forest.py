@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import pickle
 import re
 
@@ -12,6 +13,7 @@ from mergespace.forest import (
     ForestError,
     Leaf,
     Node,
+    Renderer,
     Workspace,
     accessible_terms,
     double_factorial,
@@ -29,6 +31,7 @@ from mergespace.forest import (
     workspace,
     workspace_from_json,
     workspace_to_json,
+    workspace_to_text,
 )
 
 a, b, c, d, e = (leaf(x) for x in "abcde")
@@ -295,8 +298,11 @@ class TestQuotient:
             ([(0, ())], "source (0, ()): the root of a component is not an accessible term"),
             ([(0, (0,)), (1, (0,)), (0, (0, 1))], "overlapping sources (0, (0,)) / (0, (0, 1))"),
             ([(1, (1,)), (1, (0,))], "sources [(1, (1,)), (1, (0,))]: path runs past a leaf"),
+            *(([(0, (1,)), (0, path)], f"source {(0, path)}: a path step is neither 0 nor 1")
+              for path in [(7,), (-1,), (0, 2), ("x",), (0, None)]),
         ],
-        ids=["component-2", "component-5", "component-minus-1", "root", "overlap", "past-a-leaf"],
+        ids=["component-2", "component-5", "component-minus-1", "root", "overlap", "past-a-leaf",
+             "step-7", "step-minus-1", "inner-step-2", "step-x", "inner-step-none"],
     )
     def test_bad_source_named(self, sources, message):
         ws = workspace(node(node(a, b), d), c)
@@ -374,6 +380,11 @@ class TestTreeQuotient:
         got = forest.tree_quotient(t, [(0, 1)], "d")
         assert got.left is kept and got.right is other
         assert got == recursive_tree_quotient(t, [(0, 1)], "d")
+
+    @pytest.mark.parametrize("path", [(5,), (-1,), (0, 2), ("x",), (0, None)])
+    def test_subtree_at_refuses_a_step_other_than_0_or_1(self, path):
+        with pytest.raises(ForestError, match=re.escape(f"path {path}: step {path[-1]!r} is neither 0 nor 1")):
+            subtree_at(node(node(a, b), c), path)
 
     def test_path_past_a_leaf_rejected(self):
         with pytest.raises(ForestError, match="past a leaf"):
@@ -454,3 +465,38 @@ class TestSerialization:
     def test_json_shape(self):
         assert tree_to_json(node(a, b)) in (["M", "a", "b"], ["M", "b", "a"])
         assert tree_to_json(trace_leaf("x")) == {"trace": "x"}
+
+
+def recursive_text(t) -> str:
+    if isinstance(t, Leaf):
+        return t.key
+    return "[" + recursive_text(t.left) + " " + recursive_text(t.right) + "]"
+
+
+class TestRenderer:
+    # two different trees with one key, (~p~|~q~|~r~): a memo keyed on keys
+    # would render the second as the first
+    SAME_KEY = (Node(trace_leaf("p~|~q"), trace_leaf("r")), Node(trace_leaf("p"), trace_leaf("q~|~r")))
+
+    def check(self, render, ws):
+        assert render.workspace_json(ws) == json.dumps(workspace_to_json(ws))
+        text = " ⊔ ".join(recursive_text(t) for t in ws.components) or "1"
+        assert render.workspace_text(ws) == workspace_to_text(ws) == text
+
+    def test_matches_json_dumps_and_the_recursion(self):
+        render = Renderer()  # one memo for every output, as in one request
+        labels = [leaf(x) for x in ("a", "ü", "日本", 'q"\\')]
+        ws = workspace(Node(*labels[:2]), Node(Node(labels[2], trace_leaf("(a|ü)")), labels[3]))
+        for w in (ws, workspace(), workspace(*self.SAME_KEY), workspace(node(a, b), c)):
+            self.check(render, w)
+        for step in all_merge_successors(ws, MergeConfig(mode="c")):
+            self.check(render, step.output_ws)
+
+    def test_shared_subtrees_rendered_once(self):
+        render = Renderer()
+        shared = node(node(a, b), c)
+        render.tree_json(Node(shared, d))
+        rendered = len(render._json)
+        assert render.tree_json(Node(shared, e)) == '["M", ' + render.tree_json(shared) + ', "e"]'
+        # only the new root and its new leaf e; shared and its subtrees are reused
+        assert len(render._json) == rendered + 2
