@@ -12,11 +12,12 @@ without loading numpy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 from mergespace import coloring as coloring_mod
 from mergespace.coloring import color_search, ruleset_to_json
@@ -35,10 +36,11 @@ from mergespace.forest import (
     DomainError,
     ForestError,
     Renderer,
+    count_over,
     double_factorial,
     enumerate_forests,
     enumerate_trees,
-    forest_count,
+    forest_counts,
     tree_from_json,
     workspace_from_json,
     workspace_to_text,
@@ -100,8 +102,8 @@ def _emit(text: str, out: str | None):
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if hasattr(obj, "as_dict"):
-        return obj.as_dict()
+    if dataclasses.is_dataclass(obj):
+        return vars(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -143,12 +145,13 @@ def _read_json(option: str, path: str):
 def cmd_enumerate(args):
     labels = args.leaves.split(",")
     n = len(labels)
-    count = double_factorial(2 * n - 3) if args.trees_only else forest_count(n) - (not args.all)
-    if count > MAX_ENUMERATED:
-        what = "trees" if args.trees_only else "forests"
-        raise ForestError(
-            f"{n} leaves give up to {count} {what}, over the enumeration bound {MAX_ENUMERATED}"
-        )
+    if args.trees_only:
+        what, counts = "trees", map(double_factorial, count(-3, 2))  # (2n - 3)!!
+    else:
+        what, counts = "forests", (f - (not args.all) for f in forest_counts())
+    over = count_over(counts, n, MAX_ENUMERATED)
+    if over:
+        raise ForestError(f"{n} leaves can give {over} {what}, over the enumeration bound {MAX_ENUMERATED}")
     render = Renderer()
     if args.trees_only:
         found = enumerate_trees(labels)
@@ -191,12 +194,14 @@ def cmd_successors(args):
 def _refuse_dense_early(labels: list) -> None:
     """Refuses a dense output before anything is built when distinct labels
     give more states than a dense matrix may hold.  A leaf multiset has
-    fewer states than forest_count; MAX_STATES bounds its build, and the
+    fewer states than forest_counts; MAX_STATES bounds its build, and the
     dense view refuses it after the build."""
-    from mergespace.markov import check_dense
+    from mergespace.markov import MAX_DENSE_STATES, dense_refused
 
     if len(set(labels)) == len(labels):
-        check_dense(forest_count(len(labels)) - 1)
+        over = count_over((f - 1 for f in forest_counts()), len(labels), MAX_DENSE_STATES)
+        if over:
+            raise dense_refused(over)
 
 
 def cmd_graph(args):

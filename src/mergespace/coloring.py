@@ -440,23 +440,6 @@ def _checked_scenario(blob) -> tuple:
 # ---------------------------------------------------------------------------
 # color-constrained Merge (External Merge over colored components)
 
-def colored_merge_successors(components: tuple, rs: RuleSet) -> list:
-    """One-step color-constrained merges of whole components.
-
-    A pair of components with root colors (c1, c2) merges iff some generator
-    has those child colors; the new vertex takes that generator's root color.
-    Movement bookkeeping is already materialized as slot-colored leaves, so
-    this single move type generates exactly the accepted trees bottom-up.
-    Returns (new components tuple, root color, (i, j)) triples, one per
-    root color in sorted order.
-    """
-    return [
-        (new_comps, root, (i, j))
-        for i, j in itertools.combinations(range(len(components)), 2)
-        for new_comps, root in _colored_merges(components, i, j, rs)
-    ]
-
-
 def _colored_merges(components: tuple, i: int, j: int, rs: RuleSet) -> list:
     """(new components tuple, root color) for the merges of components i < j,
     one per root color in sorted order."""
@@ -521,11 +504,6 @@ def pattern_to_json(p: Pattern) -> dict:
     return {"color": p.color, "children": [pattern_to_json(c) for c in p.children]}
 
 
-def pattern_from_json(obj) -> Pattern:
-    kids = tuple(pattern_from_json(c) for c in obj.get("children", ()))
-    return Pattern(obj["color"], kids)
-
-
 def ruleset_to_json(rs: RuleSet) -> dict:
     return {
         "name": rs.name,
@@ -537,21 +515,6 @@ def ruleset_to_json(rs: RuleSet) -> dict:
         "role_inject": {k: list(v) for k, v in rs.role_inject.items()},
         "role_discharge": dict(rs.role_discharge),
     }
-
-
-def ruleset_from_json(obj) -> RuleSet:
-    return RuleSet(
-        name=obj["name"],
-        colors=set(obj["colors"]),
-        generators=[
-            Generator(g["root"], tuple(g["children"]), g.get("tag", "base"))
-            for g in obj["generators"]
-        ],
-        composites=[pattern_from_json(p) for p in obj.get("composites", ())],
-        global_checks=list(obj.get("global_checks", ())),
-        role_inject={k: tuple(v) for k, v in obj.get("role_inject", {}).items()},
-        role_discharge=dict(obj.get("role_discharge", {})),
-    )
 
 
 def colored_tree_to_json(t: ColoredTree) -> dict:

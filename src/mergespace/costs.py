@@ -93,8 +93,7 @@ def ms_cost(step: MergeStep) -> Fraction:
 def cost_ratios(step: MergeStep) -> tuple:
     """The cost of one step under each of REGIMES, in that order, as reduced
     (numerator, denominator) int pairs: search, the sigma delta, complexity
-    loss and their sum.  ms_cost and markov.step_cost are its Fraction
-    views."""
+    loss and their sum.  ms_cost is the search cost's Fraction view."""
     num, den = _ms_ratio(step)
     my = rr_delta(step)[2]
     cl = cl_cost(step)
@@ -192,19 +191,6 @@ class CostVector:
     dsigma_hat: int
     cl: int
     cl_type: int
-
-    def as_dict(self):
-        return {
-            "tag": self.tag,
-            "ms": str(self.ms),
-            "ms_ws": str(self.ms_ws),
-            "db0": self.db0,
-            "dalpha": self.dalpha,
-            "dsigma": self.dsigma,
-            "dsigma_hat": self.dsigma_hat,
-            "cl": self.cl,
-            "cl_type": self.cl_type,
-        }
 
 
 def step_costs(step: MergeStep) -> CostVector:

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import FrozenInstanceError
 from operator import attrgetter
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 __all__ = [
     "DomainError",
@@ -38,7 +39,8 @@ __all__ = [
     "enumerate_trees",
     "enumerate_forests",
     "double_factorial",
-    "forest_count",
+    "forest_counts",
+    "count_over",
     "Renderer",
     "tree_to_json",
     "tree_from_json",
@@ -358,16 +360,31 @@ def double_factorial(n: int) -> int:
     return out
 
 
-def forest_count(n: int) -> int:
-    """Number of forests over n distinct labels, the edgeless one included.
+def forest_counts() -> Iterator[int]:
+    """The numbers of forests over 0, 1, 2, ... distinct labels, the
+    edgeless one included.
 
     The block holding the last label has k other labels and (2k - 1)!! trees:
     f(m + 1) = sum_k C(m, k) (2k - 1)!! f(m - k), f(0) = 1.
     """
     f = [1]
-    for m in range(n):
+    while True:
+        yield f[-1]
+        m = len(f) - 1
         f.append(sum(math.comb(m, k) * double_factorial(2 * k - 1) * f[m - k] for k in range(m + 1)))
-    return f[n]
+
+
+def count_over(counts: Iterable[int], n: int, bound: int) -> Optional[str]:
+    """None when the n-th of the increasing counts (from the 0-th) is at
+    most bound; otherwise the count that a refusal names.  That is the n-th
+    count while the counts fit in 64 bits.  The walk stops at the first
+    count c past both the bound and 64 bits and names "more than c", so that
+    a refusal never computes or prints a count that a large n makes huge."""
+    for m, c in enumerate(counts):
+        if m == n:
+            return str(c) if c > bound else None
+        if c > max(bound, sys.maxsize):
+            return f"more than {c}"
 
 
 def enumerate_trees(labels) -> list:
@@ -527,10 +544,6 @@ class Renderer:
     def workspace_text(self, ws: Workspace) -> str:
         """The components' texts joined by ⊔; the empty workspace is 1."""
         return " ⊔ ".join([self.tree_text(t) for t in ws.components]) or "1"
-
-
-def tree_to_text(t: SyntaxTree) -> str:
-    return Renderer().tree_text(t)
 
 
 def workspace_to_text(ws: Workspace) -> str:

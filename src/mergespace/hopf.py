@@ -212,19 +212,12 @@ class CKForest:
     def __repr__(self):
         return self.key
 
-    def is_unit(self) -> bool:
-        return not self.trees
-
     @property
     def size(self) -> int:
         return sum(t.size for t in self.trees)
 
 
 CK_UNIT = CKForest(())
-
-
-def ck_forest(*trees: CKTree) -> CKForest:
-    return CKForest(tuple(trees))
 
 
 def ck_union(a: CKForest, b: CKForest) -> CKForest:
@@ -272,15 +265,6 @@ def ck_coproduct(f: CKForest) -> TensorComb:
     return _multiplicative(map(_ck_tree_coproduct, f.trees), CK_UNIT, ck_union)
 
 
-def ck_counit_check(f: CKForest) -> bool:
-    """(eps (x) id) Delta = id on the given forest."""
-    collapsed = LinComb()
-    for (x, y), c in ck_coproduct(f).terms.items():
-        if x.is_unit():
-            collapsed.add(y, c)
-    return collapsed == LinComb.of(f)
-
-
 def _ck_forests(n: int, alphabet, memo: dict) -> list:
     """All labeled forests with exactly n vertices, sorted by key; memo maps
     each vertex count done so far to its list.  Each forest is built once: its
@@ -298,14 +282,6 @@ def _ck_forests(n: int, alphabet, memo: dict) -> list:
                     )
         memo[n] = sorted(found, key=lambda f: f.key)
     return memo[n]
-
-
-def enumerate_ck_trees(n_vertices: int, alphabet) -> list:
-    """All labeled arbitrary-arity trees with exactly n vertices."""
-    if n_vertices < 1:
-        return []
-    labels = tuple(dict.fromkeys(alphabet))
-    return [CKTree(lab, f.trees) for lab in labels for f in _ck_forests(n_vertices - 1, labels, {})]
 
 
 def enumerate_ck_forests(max_vertices: int, alphabet) -> list:
@@ -361,9 +337,6 @@ def perturbed_grafter(root_label: str):
 
 # ---------------------------------------------------------------------------
 # edge insertions (grow-at-an-edge, never reachable from the merge engine)
-
-EC_VIOLATING = "insertion operators grow structure at non-root edges"
-
 
 def _insert_at_all_edges(t: SyntaxTree, alpha: str) -> list:
     def rebuild(cur, path, target):

@@ -55,6 +55,7 @@ from mergespace.hopf import (
     insertion_cocycle_defect,
     insertion_delta,
     insertion_delta_ws,
+    perturbed_grafter,
     verify_cocycle,
     ws_union,
 )
@@ -357,10 +358,12 @@ def check_hierarchy(c: Check):
 
 def check_cocycles(c: Check):
     rep = verify_cocycle(4)
+    # negative control: the check must be able to fail
+    bad = verify_cocycle(4, grafter=perturbed_grafter("a"))
     c.true(
         "grafting cocycle identity exact for all labeled forests to 4 vertices",
-        rep["ok"],
-        f"{rep['checked']} cases",
+        rep["ok"] and not bad["ok"],
+        f"{rep['checked']} cases; perturbed grafting {'passes' if bad['ok'] else 'fails'} after {bad['checked']}",
     )
     a, b = leaf("a"), leaf("b")
     t1, t2 = node(a, b), node(node(a, leaf("c")), b)

@@ -58,3 +58,16 @@ def test_mutation_negative_control(monkeypatch):
     rep = run_verify(only="perron")
     bad = [r for r in rep["items"] if not r["ok"]]
     assert bad and any("lambda" in r["name"] for r in bad)
+
+
+def test_cocycle_row_needs_its_negative_control(monkeypatch):
+    # a perturbed grafting that is in fact the correct one passes the
+    # identity, so the grafting row must fail
+    import mergespace.verify as V
+    from mergespace.hopf import graft_B
+
+    monkeypatch.setattr(V, "perturbed_grafter", lambda label: lambda f: graft_B(f, label))
+    rows = run_verify(only="cocycles")["items"]
+    assert len(rows) == 3
+    assert not rows[0]["ok"] and rows[0]["name"].startswith("grafting cocycle identity")
+    assert all(r["ok"] for r in rows[1:])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import warnings
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from mergespace.cli import InputError, main
 from mergespace.coloring import ColoringError
 from mergespace.costs import CostError
 from mergespace.engine import ECViolation, MergeError
-from mergespace.forest import DomainError, ForestError, enumerate_forests, forest_count, workspace_from_json
+from mergespace.forest import DomainError, ForestError, enumerate_forests, forest_counts, workspace_from_json
 from mergespace.markov import MarkovError
 from mergespace.rulesets import get_ruleset
 from mergespace.verify import VerifyError, run_verify
@@ -53,8 +54,40 @@ class TestEnumerate:
         assert err.startswith("error: 12 leaves") and str(count) in err
 
     def test_forest_count_closed_form(self):
-        for n in range(1, 7):
-            assert forest_count(n) == len(enumerate_forests("abcdef"[:n], require_edge=False))
+        for n, count in zip(range(1, 7), islice(forest_counts(), 1, None)):
+            assert count == len(enumerate_forests("abcdef"[:n], require_edge=False))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate",),
+        ("enumerate", "--trees-only"),
+        ("markov",),
+        ("markov", "--format", "csv"),
+        ("graph",),
+        ("graph", "--format", "json"),
+    ],
+)
+def test_leaf_bounds_stop_counting_past_the_bound(capsys, monkeypatch, argv):
+    # every leaf-count bound refuses 5 000 labels from a handful of counts:
+    # the exact count there has more than 17 000 digits, takes hours to
+    # compute and cannot be printed
+    import mergespace.cli
+    import mergespace.forest
+
+    calls = []
+
+    def counted(n, real=mergespace.forest.double_factorial):
+        calls.append(n)
+        assert len(calls) <= 1_000, "the count went on past the bound"
+        return real(n)
+
+    for mod in (mergespace.forest, mergespace.cli):
+        monkeypatch.setattr(mod, "double_factorial", counted)
+    code, out, err = run(capsys, *argv, "--leaves", ",".join(f"l{i}" for i in range(5_000)))
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
 
 class TestSuccessors:

@@ -9,15 +9,15 @@ from mergespace.coloring import (
     CLeaf,
     CNode,
     ColoringError,
+    Generator,
+    RuleSet,
     accepts,
     bare,
     candidate_count,
     color_search,
-    colored_merge_successors,
     colored_tree_from_json,
     colored_tree_to_json,
     reachable_by_colored_merge,
-    ruleset_from_json,
     ruleset_to_json,
     theta_criterion,
 )
@@ -166,16 +166,16 @@ def reference_roots(rs, a, b):
     return {g.root for g in rs.generators if g.child_pairs(a, b)}
 
 
-WILDCARD_RULESET = {
-    "name": "wild",
-    "colors": ["x", "y", "z", "r"],
-    "generators": [
-        {"root": "r", "children": ["*", "x"]},
-        {"root": "z", "children": ["*", "*"]},
-        {"root": "y", "children": ["x", "y"]},
-        {"root": "x", "children": ["y", "y"]},
+WILDCARD_RULESET = RuleSet(
+    name="wild",
+    colors={"x", "y", "z", "r"},
+    generators=[
+        Generator("r", ("*", "x")),
+        Generator("z", ("*", "*")),
+        Generator("y", ("x", "y")),
+        Generator("x", ("y", "y")),
     ],
-}
+)
 
 
 class TestGeneratorIndex:
@@ -190,7 +190,7 @@ class TestGeneratorIndex:
         assert pairs == 10907
 
     def test_wildcard_buckets(self):
-        rs = ruleset_from_json(WILDCARD_RULESET)
+        rs = WILDCARD_RULESET
         for a in sorted(rs.colors):
             for b in sorted(rs.colors):
                 assert rs.roots(a, b) == reference_roots(rs, a, b), (a, b)
@@ -239,49 +239,31 @@ class TestCandidateBound:
 
 
 class TestColoredMerge:
-    def wrap_parts(self, label):
-        return CLeaf(label, "c(v)"), CLeaf("1", "slot:m")
-
+    # two components with root colors (c1, c2) merge under each color of
+    # rs.roots(c1, c2), which becomes the new vertex's color
     def test_single_landing_allowed(self):
         rs = get_ruleset("phase")
-        comps = (*self.wrap_parts("who"),)
-        succ = colored_merge_successors(comps, rs)
-        assert any(x[0][-1].color.startswith("s(") for x in succ)
+        assert any(root.startswith("s(") for root in rs.roots("c(v)", "slot:m"))
 
     def test_second_landing_needs_split_generators(self):
         base = get_ruleset("phase")
         split = get_ruleset("phase+split")
-        who = CNode("s(C)", *self.wrap_parts("who"))
-        what_parts = self.wrap_parts("what")
 
         def cluster_reachable(rs):
-            # wrap the second wh, then try to pair the two landings
-            for comps, g, _ in colored_merge_successors(what_parts, rs):
-                wrapped = comps[-1]
-                for comps2, g2, _ in colored_merge_successors((who, wrapped), rs):
-                    if len(comps2) == 1:
-                        return True
-            return False
+            # wrap the second wh, then try to pair it with the first landing
+            return any(rs.roots("s(C)", wrapped) for wrapped in rs.roots("c(v)", "slot:m"))
 
         assert not cluster_reachable(base)
         # with splits the second landing takes the hat color and clusters
-        what_hat = CNode("shat(C)", *self.wrap_parts("what"))
-        who_hat = CNode("shat(C)", *self.wrap_parts("who"))
-        paired = colored_merge_successors((who_hat, what_hat), split)
-        assert any(x[0][0].color == "s(C)" for x in paired)
+        assert "s(C)" in split.roots("shat(C)", "shat(C)")
 
     def test_hat_colors_unreachable_from_plain_components(self):
         rs = get_ruleset("phase+split")
-        koj = CLeaf("koj", "c(v)")
-        kakvo = CLeaf("kakvo", "c(v)")
-        assert colored_merge_successors((koj, kakvo), rs) == []
+        assert rs.roots("c(v)", "c(v)") == frozenset()
 
     def test_clitic_docking_generator(self):
         rs = get_ruleset("phase+split")
-        subj = CLeaf("Mario", "s(INFL)")
-        cl = CNode("shat(INFL)", CLeaf("el", "c(v)"), CLeaf("1", "slot:m"))
-        succ = colored_merge_successors((subj, cl), rs)
-        assert any(x[0][0].color == "s(INFL)" for x in succ)
+        assert "s(INFL)" in rs.roots("s(INFL)", "shat(INFL)")
 
 
 def hat_confined(t, parent_color=None):
@@ -329,11 +311,12 @@ class TestInvariants:
                         if accepts(rs, comps[0])[0]:
                             return True
                         continue
-                    for new_comps, _root, _ij in colored_merge_successors(tuple(comps), rs):
-                        sig = tuple(sorted(repr(x) for x in new_comps))
-                        if sig not in seen:
-                            seen.add(sig)
-                            stack.append(new_comps)
+                    for i, j in itertools.combinations(range(len(comps)), 2):
+                        for new_comps, _root in coloring._colored_merges(comps, i, j, rs):
+                            sig = tuple(sorted(repr(x) for x in new_comps))
+                            if sig not in seen:
+                                seen.add(sig)
+                                stack.append(new_comps)
             return False
 
         def no_search(*args, **kwargs):
@@ -445,11 +428,17 @@ class TestSerialization:
     def test_ruleset_round_trip(self):
         for name in ("theta", "phase+split", "phase+composite", "korean-pac"):
             rs = get_ruleset(name)
-            rs2 = ruleset_from_json(ruleset_to_json(rs))
-            assert rs2.colors == rs.colors
-            assert len(rs2.generators) == len(rs.generators)
-            assert len(rs2.composites) == len(rs.composites)
-            assert rs2.global_checks == rs.global_checks
+            blob = json.loads(json.dumps(ruleset_to_json(rs)))
+            assert blob["name"] == rs.name
+            assert set(blob["colors"]) == rs.colors
+            assert [(g["root"], tuple(g["children"]), g["tag"]) for g in blob["generators"]] == [
+                (g.root, g.children, g.tag) for g in rs.generators
+            ]
+            assert blob["composite"] == rs.composite
+            assert len(blob["composites"]) == len(rs.composites)
+            assert blob["global_checks"] == rs.global_checks
+            assert blob["role_inject"] == {k: list(v) for k, v in rs.role_inject.items()}
+            assert blob["role_discharge"] == rs.role_discharge
 
     def test_colored_tree_round_trip(self):
         t = CNode(

@@ -14,17 +14,15 @@ from mergespace.forest import (
 )
 from mergespace.hopf import (
     CK_UNIT,
+    CKForest,
     CKTree,
     LinComb,
     TensorComb,
     UNIT,
     ck_coproduct,
-    ck_counit_check,
-    ck_forest,
     cocycle_defect,
     coproduct,
     enumerate_ck_forests,
-    enumerate_ck_trees,
     insertion_cocycle_defect,
     insertion_delta,
     insertion_delta_ws,
@@ -104,9 +102,14 @@ def v(label, *kids):
     return CKTree(label, tuple(kids))
 
 
+def ck_trees(n, alphabet):
+    """The labeled trees with exactly n vertices: the single-tree forests."""
+    return [f.trees[0] for f in enumerate_ck_forests(n, alphabet) if len(f.trees) == 1 and f.size == n]
+
+
 class TestCKCoproduct:
     def test_single_vertex_primitive(self):
-        f = ck_forest(v("a"))
+        f = CKForest((v("a"),))
         got = ck_coproduct(f)
         want = TensorComb.pure(CK_UNIT, f) + TensorComb.pure(f, CK_UNIT)
         assert got == want
@@ -114,26 +117,31 @@ class TestCKCoproduct:
     def test_ladder_terms(self):
         # alpha above beta: empty cut, the one edge cut, full cut
         t = v("a", v("b"))
-        got = ck_coproduct(ck_forest(t))
+        got = ck_coproduct(CKForest((t,)))
         want = TensorComb()
-        want.add((CK_UNIT, ck_forest(t)), 1)
-        want.add((ck_forest(v("b")), ck_forest(v("a"))), 1)
-        want.add((ck_forest(t), CK_UNIT), 1)
+        want.add((CK_UNIT, CKForest((t,))), 1)
+        want.add((CKForest((v("b"),)), CKForest((v("a"),))), 1)
+        want.add((CKForest((t,)), CK_UNIT), 1)
         assert got == want
 
     def test_corolla_all_edge_subsets(self):
         t = v("a", v("b"), v("c"), v("d"))
-        got = ck_coproduct(ck_forest(t))
+        got = ck_coproduct(CKForest((t,)))
         # 2^3 admissible cut subsets plus the full cut, all distinct
         assert len(got) == 2 ** 3 + 1
         assert all(coef == 1 for _, coef in got)
 
     def test_counit_exhaustive(self):
+        # (eps (x) id) Delta = id: the terms with an empty left side sum to F
         for f in enumerate_ck_forests(4, "ab"):
-            assert ck_counit_check(f)
+            collapsed = LinComb()
+            for (x, y), coef in ck_coproduct(f).terms.items():
+                if x == CK_UNIT:
+                    collapsed.add(y, coef)
+            assert collapsed == LinComb.of(f)
 
     def test_forest_enumeration_is_every_multiset_once(self):
-        trees = {t.key for n in range(1, 6) for t in enumerate_ck_trees(n, "ab")}
+        trees = {t.key for n in range(1, 6) for t in ck_trees(n, "ab")}
         for m, count in enumerate([1, 3, 10, 36, 143, 601]):
             forests = enumerate_ck_forests(m, "ab")
             assert len(forests) == count
@@ -142,10 +150,10 @@ class TestCKCoproduct:
             assert all(f.size <= m and {t.key for t in f.trees} <= trees for f in forests)
 
     def test_tree_enumeration_sizes(self):
-        assert len(enumerate_ck_trees(1, "ab")) == 2
-        assert len(enumerate_ck_trees(2, "ab")) == 4
+        assert len(ck_trees(1, "ab")) == 2
+        assert len(ck_trees(2, "ab")) == 4
         # 3 vertices: ladder (2*4) + two-child root (2*3 label multisets)
-        assert len(enumerate_ck_trees(3, "ab")) == 14
+        assert len(ck_trees(3, "ab")) == 14
 
 
 class TestGrafting:
@@ -156,11 +164,11 @@ class TestGrafting:
         assert t.size == 1 and t.children == () and t.label is None
 
     def test_labeled_binary_and_ternary_roots(self):
-        from mergespace.hopf import graft_B, ck_forest
+        from mergespace.hopf import graft_B
 
-        t2 = graft_B(ck_forest(v("a"), v("b")), root_label="x")
+        t2 = graft_B(CKForest((v("a"), v("b"))), root_label="x")
         assert t2.label == "x" and len(t2.children) == 2
-        t3 = graft_B(ck_forest(v("a"), v("b"), v("c")))
+        t3 = graft_B(CKForest((v("a"), v("b"), v("c"))))
         assert len(t3.children) == 3
 
 
@@ -185,7 +193,7 @@ class TestCocycle:
 class TestIntegerCoefficients:
     def test_coproducts_and_defects_count_in_ints(self):
         combs = [coproduct(workspace(node(node(a, b), node(a, b)), c), mode) for mode in "cd"]
-        f = ck_forest(v("a", v("b"), v("b")), v("a"))
+        f = CKForest((v("a", v("b"), v("b")), v("a")))
         combs.append(ck_coproduct(f))
         combs.append(cocycle_defect(f, "a", grafter=perturbed_grafter("a")))
         combs.append(insertion_cocycle_defect(node(node(a, b), c), "x"))

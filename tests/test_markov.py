@@ -2,11 +2,13 @@ import math
 import re
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mergespace import markov
+from mergespace.costs import cost_ratios
 from mergespace.engine import MergeConfig, all_merge_successors
 from mergespace.forest import Leaf, enumerate_forests
 from mergespace.markov import (
@@ -23,7 +25,6 @@ from mergespace.markov import (
     pf_to_json,
     sector_exponents_match,
     series_closed_form,
-    step_cost,
     strong_connectivity,
     structured_closed_form,
     three_leaf_pattern,
@@ -425,7 +426,7 @@ def _reference_graph(vertices, steps, regime, t, collapse_01):
             if regime is None:
                 K[i, j] += 1.0
             else:
-                expo = step_cost(step, regime)
+                expo = Fraction(*cost_ratios(step)[REGIMES.index(regime)])
                 weights.setdefault((i, j), []).append(expo)
                 K[i, j] += t ** float(expo)
     if collapse_01:
@@ -572,9 +573,8 @@ class TestWeightedMatrices:
 
         for ws in g.vertices:
             for s in all_merge_successors(ws, g.cfg):
-                assert step_cost(s, "total") == (
-                    step_cost(s, "ms") + step_cost(s, "my") + step_cost(s, "cl")
-                )
+                ms, my, cl, total = (Fraction(*r) for r in cost_ratios(s))
+                assert total == ms + my + cl
 
 
 class TestClosedForm:
