@@ -102,10 +102,12 @@ class RuleSet:
     """Colors, generators and checks of one coloring system.
 
     ``roots(c1, c2)`` is the one generator lookup: at construction every
-    generator is filed under its sorted child pair, wildcards included, and
-    a lookup unions the buckets ``{c1, *} x {c2, *}``.  ``fragments`` holds
-    the internal vertices of the composite bodies.  Generators and
-    composites are stored as tuples, so neither can go stale.
+    generator is filed under its child pair, in both orders, wildcards
+    included, and a lookup unions the buckets ``{c1, *} x {c2, *}``.  The
+    internal vertices of the composite bodies are filed the same way, a body
+    leaf keyed by its color or ``*``, a body vertex by (color, True) for "a
+    vertex of this color".  Generators and composites are stored as tuples,
+    so neither can go stale.
     """
 
     name: str
@@ -119,10 +121,12 @@ class RuleSet:
     def __post_init__(self):
         self.generators = tuple(self.generators)
         self.composites = tuple(self.composites)
-        self._index: dict = {}
-        for g in self.generators:
-            self._index.setdefault(tuple(sorted(g.children)), set()).add(g.root)
-        self.fragments = tuple(q for p in self.composites for q in _internal(p))
+        self._index = _filed((g.children, g.root) for g in self.generators)
+        self._bodies = _filed(
+            ([q.color if q.is_leaf else (q.color, True) for q in p.children], p.color)
+            for body in self.composites
+            for p in _internal(body)
+        )
 
     @property
     def composite(self) -> bool:
@@ -134,11 +138,19 @@ class RuleSet:
     def roots(self, c1: str, c2: str) -> frozenset:
         """Root colors of every generator whose children match (c1, c2) in
         either order."""
-        out = _NONE
-        for a in {c1, WILDCARD}:
-            for b in {c2, WILDCARD}:
-                out = out | self._index.get((a, b) if a <= b else (b, a), _NONE)
-        return out
+        return _lookup(self._index, (c1, WILDCARD), (c2, WILDCARD))
+
+    def candidate_roots(self, t: Node, c1: str, c2: str) -> list:
+        """Candidate colors, sorted, of the vertex ``t`` over children colored
+        (c1, c2): the generator roots, plus the colors of the body vertices
+        whose children match.  A color that only a body offers is justified
+        by a body match at or above ``t``; any other color can never be
+        covered."""
+        roots = self.roots(c1, c2)
+        if self._bodies:
+            keys = [(c, WILDCARD, (c, isinstance(x, Node))) for c, x in ((c1, t.left), (c2, t.right))]
+            roots = roots | _lookup(self._bodies, *keys)
+        return sorted(roots)
 
     def extended(self, name: str, extra_generators, extra_colors=()) -> "RuleSet":
         return RuleSet(
@@ -153,6 +165,23 @@ class RuleSet:
 
 
 _NONE = frozenset()
+
+
+def _filed(entries) -> dict:
+    """Root colors by child key pair; both orders of a pair share a bucket."""
+    index: dict = {}
+    for (a, b), root in entries:
+        bucket = index[b, a] = index.setdefault((a, b), set())
+        bucket.add(root)
+    return index
+
+
+def _lookup(index: dict, keys1, keys2) -> frozenset:
+    out = _NONE
+    for a in keys1:
+        for b in keys2:
+            out = out | index.get((a, b), _NONE)
+    return out
 
 
 def _internal(p: Pattern) -> list:
@@ -172,14 +201,33 @@ def _check_colors_known(rs: RuleSet, t: ColoredTree) -> None:
             stack.extend([x.left, x.right])
 
 
+def _uncovered(rs: RuleSet, t: ColoredTree, memo: dict) -> Optional[tuple]:
+    """None when the subtree ``t`` is accepted, else the path below ``t`` of
+    its first vertex, in pre-order, that neither a generator over covered
+    children nor a composite body covers: a vertex that is a generator root
+    over its children's colors passes the blame to its first uncovered
+    child.  ``memo`` is keyed by vertex identity."""
+    if isinstance(t, CLeaf):
+        return None
+    key = id(t)
+    if key in memo:
+        return memo[key]
+    bad = ()
+    if t.color in rs.roots(t.left.color, t.right.color):
+        below = ((k, _uncovered(rs, x, memo)) for k, x in enumerate((t.left, t.right)))
+        bad = next(((k,) + b for k, b in below if b is not None), None)
+    if bad is not None and any(_match_pattern(rs, pat, t, memo) for pat in rs.composites):
+        bad = None
+    memo[key] = bad
+    return bad
+
+
 def _match_pattern(rs: RuleSet, pat: Pattern, t: ColoredTree, memo: dict) -> bool:
     """Pattern internal vertices must coincide with tree vertices (colors
     fixed, no further generator needed there); pattern leaves require the
     plugged-in subtree to be accepted with the stated root color."""
     if pat.is_leaf:
-        if pat.color == WILDCARD:
-            return _accepted_subtree(rs, t, t.color, memo)
-        return t.color == pat.color and _accepted_subtree(rs, t, pat.color, memo)
+        return pat.color in (WILDCARD, t.color) and _uncovered(rs, t, memo) is None
     if isinstance(t, CLeaf) or t.color != pat.color:
         return False
     p1, p2 = pat.children
@@ -188,26 +236,6 @@ def _match_pattern(rs: RuleSet, pat: Pattern, t: ColoredTree, memo: dict) -> boo
     ) or (
         _match_pattern(rs, p1, t.right, memo) and _match_pattern(rs, p2, t.left, memo)
     )
-
-
-def _accepted_subtree(rs: RuleSet, t: ColoredTree, root_color: str, memo: dict) -> bool:
-    if t.color != root_color:
-        return False
-    key = (id(t), root_color)
-    if key in memo:
-        return memo[key]
-    if isinstance(t, CLeaf):
-        out = True
-    else:
-        out = False
-        if t.color in rs.roots(t.left.color, t.right.color):
-            out = _accepted_subtree(rs, t.left, t.left.color, memo) and _accepted_subtree(
-                rs, t.right, t.right.color, memo
-            )
-        if not out:
-            out = any(_match_pattern(rs, pat, t, memo) for pat in rs.composites)
-    memo[key] = out
-    return out
 
 
 def theta_criterion(rs: RuleSet, t: ColoredTree) -> bool:
@@ -232,27 +260,17 @@ def theta_criterion(rs: RuleSet, t: ColoredTree) -> bool:
 GLOBAL_CHECKS = {"theta": theta_criterion}
 
 
-def accepts(rs: RuleSet, t: ColoredTree, _memo: Optional[dict] = None):
+def _failed_check(rs: RuleSet, t: ColoredTree) -> Optional[str]:
+    return next((check for check in rs.global_checks if not GLOBAL_CHECKS[check](rs, t)), None)
+
+
+def accepts(rs: RuleSet, t: ColoredTree):
     """(accepted, first failing vertex path or check name)."""
     _check_colors_known(rs, t)
-    memo = _memo if _memo is not None else {}
-
-    def walk(x, path):
-        if isinstance(x, CLeaf):
-            return None
-        if not rs.composite:
-            if x.color not in rs.roots(x.left.color, x.right.color):
-                return path
-            return walk(x.left, path + (0,)) or walk(x.right, path + (1,))
-        return None if _accepted_subtree(rs, x, x.color, memo) else path
-
-    bad = walk(t, ())
-    if bad is not None:
-        return False, bad
-    for check in rs.global_checks:
-        if not GLOBAL_CHECKS[check](rs, t):
-            return False, check
-    return True, None
+    bad = _uncovered(rs, t, {})
+    if bad is None:
+        bad = _failed_check(rs, t)
+    return bad is None, bad
 
 
 # ---------------------------------------------------------------------------
@@ -289,31 +307,6 @@ def _leaf_choices(rs: RuleSet, t: Leaf, constraints: dict) -> list:
     return list(constraints.get(t.key, sorted(rs.colors)))
 
 
-def _vertex_roots(rs: RuleSet, t: Node, cl: str, cr: str) -> list:
-    """Candidate colors of vertex ``t`` over children colored (cl, cr): the
-    generator roots, plus the roots of composite-body fragments whose
-    children shallowly match.  Vertices consumed inside a composite body are
-    justified top-down by `accepts`; any other color can never be covered."""
-    roots = rs.roots(cl, cr)
-    if rs.fragments:
-        left = (cl, isinstance(t.left, Node))
-        right = (cr, isinstance(t.right, Node))
-        roots = roots | {
-            p.color
-            for p in rs.fragments
-            if (_shallow(p.children[0], left) and _shallow(p.children[1], right))
-            or (_shallow(p.children[0], right) and _shallow(p.children[1], left))
-        }
-    return sorted(roots)
-
-
-def _shallow(p: Pattern, child: tuple) -> bool:
-    color, internal = child
-    if p.is_leaf:
-        return p.color == WILDCARD or p.color == color
-    return internal and p.color == color
-
-
 def candidate_count(rs: RuleSet, tree: SyntaxTree, constraints: Optional[dict] = None) -> int:
     """How many colored trees `color_search` builds on ``tree``, counting
     every vertex's candidates (leaves included), without building any:
@@ -330,7 +323,7 @@ def candidate_count(rs: RuleSet, tree: SyntaxTree, constraints: Optional[dict] =
             out = Counter()
             for cl, nl in left.items():
                 for cr, nr in right.items():
-                    for root in _vertex_roots(rs, t, cl, cr):
+                    for root in rs.candidate_roots(t, cl, cr):
                         out[root] += nl * nr
         total += sum(out.values())
         return out
@@ -366,17 +359,17 @@ def color_search(
             CNode(root, lt, rt)
             for lt in lefts
             for rt in rights
-            for root in _vertex_roots(rs, t, lt.color, rt.color)
+            for root in rs.candidate_roots(t, lt.color, rt.color)
         ]
 
+    # candidates hold known colors only, and each vertex is a generator root
+    # over its children unless a body offered its color
     out = []
-    shared_memo: dict = {}
+    memo: dict = {}
     for colored in colorings(tree):
-        if rs.composite or rs.global_checks:
-            ok, _ = accepts(rs, colored, _memo=shared_memo)
-        else:
-            ok = True  # single-vertex candidates are generator-matched by construction
-        if ok:
+        if rs.composite and _uncovered(rs, colored, memo) is not None:
+            continue
+        if _failed_check(rs, colored) is None:
             out.append(colored)
             if limit is not None and len(out) >= limit:
                 break

@@ -69,18 +69,20 @@ def _is_sibling_cut(step: MergeStep) -> bool:
     return step.tag == SM3 and p[:-1] == q[:-1]
 
 
-def _ms_ratio(step: MergeStep) -> tuple:
+def _ms_ratio(step: MergeStep, grading: int = 0) -> tuple:
     """Search cost of one Merge application as a reduced (numerator,
     denominator) int pair; (0, 1) exactly for EM, IM and identity
     reassembly (for IM, b = 1 and the extraction and quotient costs are
-    complementary).  Each extraction costs its share of its host's leaves,
-    and SM1's whole-component argument costs 1."""
+    complementary).  Each extraction costs its share of the grading, its
+    host's leaves unless a grading is given, and SM1's whole-component
+    argument costs 1."""
     tag = step.tag
     if tag in (EM, IM, ID_SM):
         return 0, 1
     num, den = _B_COMPONENTS[tag] - (1 if tag == SM1 else 0), 1
     for sub, host in step.extractions:
-        num, den = num * host.leaves - sub.leaves * den, den * host.leaves
+        whole = grading or host.leaves
+        num, den = num * whole - sub.leaves * den, den * whole
     g = math.gcd(num, den)
     return num // g, den // g
 
@@ -98,22 +100,6 @@ def cost_ratios(step: MergeStep) -> tuple:
     my = rr_delta(step)[2]
     cl = cl_cost(step)
     return (num, den), (my, 1), (cl, 1), (num + (my + cl) * den, den)
-
-
-def ms_cost_workspace_normalized(step: MergeStep) -> Fraction:
-    """Variant accounting that charges extractions against the grading of the
-    whole input workspace instead of the host component.  Agrees with
-    ms_cost on single-component workspaces; used for side-by-side derivation
-    comparisons."""
-    if step.tag in (EM, IM, ID_SM):
-        return ms_cost(step)
-    total = step.input_ws.degree
-    cost = Fraction(_B_COMPONENTS[step.tag])
-    for sub, _host in step.extractions:
-        cost -= Fraction(sub.leaves, total)
-    if step.tag == SM1:
-        cost -= 1
-    return cost
 
 
 def rr_delta(step: MergeStep) -> tuple:
@@ -198,7 +184,7 @@ def step_costs(step: MergeStep) -> CostVector:
     return CostVector(
         tag=step.tag,
         ms=ms_cost(step),
-        ms_ws=ms_cost_workspace_normalized(step),
+        ms_ws=Fraction(*_ms_ratio(step, step.input_ws.degree)),
         db0=db0,
         dalpha=dalpha,
         dsigma=dsigma,

@@ -171,13 +171,6 @@ def node(left: SyntaxTree, right: SyntaxTree) -> Node:
     return Node(left, right)
 
 
-def vertex_count(t: SyntaxTree) -> int:
-    """Number of vertices whose subtree holds at least one non-trace leaf."""
-    if isinstance(t, Leaf):
-        return t.leaves
-    return t.alpha + (1 if t.leaves > 0 else 0)
-
-
 class Workspace(_Frozen):
     """Multiset of syntactic objects; the empty workspace is the unit.  Equal
     when the components, sorted by key, are.  alpha is the number of
@@ -215,9 +208,6 @@ class Workspace(_Frozen):
     @property
     def degree(self) -> int:
         return sum(t.leaves for t in self.components)
-
-    def is_unit(self) -> bool:
-        return not self.components
 
 
 def workspace(*trees: SyntaxTree) -> Workspace:

@@ -50,12 +50,6 @@ class LinComb:
             for t, coef in terms.items() if isinstance(terms, dict) else terms:
                 self.add(t, coef)
 
-    @classmethod
-    def of(cls, term, coef=1):
-        lc = cls()
-        lc.add(term, coef)
-        return lc
-
     def add(self, term, coef=1) -> None:
         new = self.terms.get(term, 0) + coef
         if new:

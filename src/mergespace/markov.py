@@ -765,7 +765,7 @@ def asymptotic_check(regime: str) -> dict:
     the t->1 limit (uniform 1/6 overall), and fits the small-t exponent of
     the disconnected-sector probability.  The asserted slopes (5/6 for ms, 3
     for cl, 17/6 for total) belong to the series variant of the closed form;
-    the exact-matrix slopes (1/3, 2, 7/3) are reported alongside.
+    the structured closed-form slopes (1/3, 2, 7/3) are reported alongside.
     """
     if regime not in ("ms", "cl", "total"):
         raise MarkovError("asymptotics cover the ms / cl / total regimes")

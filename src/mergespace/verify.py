@@ -200,7 +200,7 @@ def check_weighted_chains(c: Check):
         c.true(
             f"{regime} small-t disconnected exponent fits {SERIES_T0_EXPONENT[regime]} (series form)",
             rep["series_exponent_ok"],
-            f"fit {rep['series_exponent']:.4f}, exact-matrix slope {rep['exact_exponent']:.4f}",
+            f"fit {rep['series_exponent']:.4f}, structured closed-form slope {rep['exact_exponent']:.4f}",
         )
         c.true(f"{regime} t->1 limit uniform within 1e-6", rep["t1_limit_ok"])
         c.true(f"{regime} t->0 limit concentrates on connected structures", rep["t0_limit_ok"])

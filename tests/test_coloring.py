@@ -6,6 +6,7 @@ import pytest
 
 from mergespace import coloring
 from mergespace.coloring import (
+    WILDCARD,
     CLeaf,
     CNode,
     ColoringError,
@@ -22,7 +23,7 @@ from mergespace.coloring import (
     theta_criterion,
 )
 from mergespace.engine import MergeConfig, MergeError, replay
-from mergespace.forest import Leaf, enumerate_trees, positions, tree_from_json, workspace_from_json
+from mergespace.forest import Leaf, Node, enumerate_trees, positions, tree_from_json, workspace_from_json
 from mergespace.rulesets import BUILTIN_RULESETS, get_ruleset
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "mergespace" / "data"
@@ -79,6 +80,23 @@ class TestAccepts:
         rs = get_ruleset("theta")
         with pytest.raises(ColoringError):
             accepts(rs, CLeaf("x", "no-such-color"))
+
+    def test_composite_rule_set_names_the_uncovered_vertex(self):
+        # the edge cluster is a composite body; the head projection below the
+        # root is no generator root over (h_zs(C), z(D))
+        rs = get_ruleset("phase+composite")
+        wrap = lambda lab: CNode("s(C)", CLeaf("1", "slot:m"), CLeaf(lab, "c(v)"))
+        cluster = CNode("s(C)", wrap("kakvo"), wrap("koj"))
+        good = CNode("s(TOP)", cluster, CNode("h_s(C)", CLeaf("e", "h_zs(C)"), CLeaf("kupil", "z(C)")))
+        bad = CNode("s(TOP)", cluster, CNode("h_s(C)", CLeaf("e", "h_zs(C)"), CLeaf("kupil", "z(D)")))
+        assert accepts(rs, good) == (True, None)
+        assert accepts(rs, bad) == (False, (1,))
+        # a body whose plugged-in subtree fails is blamed at its own root
+        rejected = CNode("z(C)", CLeaf("koj", "c(v)"), CLeaf("x", "m"))
+        bad_body = CNode(
+            "s(TOP)", CNode("s(C)", wrap("kakvo"), CNode("s(C)", CLeaf("1", "slot:m"), rejected)), good.right
+        )
+        assert accepts(rs, bad_body) == (False, (0,))
 
     def test_wh_cluster_vertex(self):
         rs = get_ruleset("phase+split")
@@ -202,7 +220,71 @@ class TestGeneratorIndex:
         rs = get_ruleset("phase+composite")
         assert isinstance(rs.generators, tuple) and isinstance(rs.composites, tuple)
         # each body is an edge vertex over two unit-move wrappers
-        assert len(rs.composites) == 7 and len(rs.fragments) == 21
+        assert len(rs.composites) == 7 and sum(len(internal_body_vertices(p)) for p in rs.composites) == 21
+
+    def test_generator_and_body_colors_are_known(self):
+        # color_search checks no candidate's colors: they come from here
+        for name in BUILTIN_RULESETS:
+            rs = get_ruleset(name)
+            used = {c for g in rs.generators for c in (g.root,) + g.children}
+            used |= {c for p in rs.composites for c in body_colors(p)}
+            assert used - {WILDCARD} <= rs.colors, name
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_RULESETS))
+    def test_candidate_roots_equal_fragment_scan(self, name, monkeypatch):
+        # every vertex of every scenario tree, every child-color pair that
+        # candidate_count reaches, with the scenario's constraints where the
+        # rule set knows their colors and unconstrained otherwise
+        rs = get_ruleset(name)
+        fragments = [q for p in rs.composites for q in internal_body_vertices(p)]
+        indexed = RuleSet.candidate_roots
+        calls = []
+
+        def checked(self, t, cl, cr):
+            got = indexed(self, t, cl, cr)
+            assert got == reference_vertex_roots(self, fragments, t, cl, cr), (t.key, cl, cr)
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(RuleSet, "candidate_roots", checked)
+        for path in sorted((DATA / "scenarios").glob("*.json")):
+            blob = json.loads(path.read_text())
+            constraints = blob["constraints"]
+            if not all(rs.known(c) for allowed in constraints.values() for c in allowed):
+                constraints = None
+            candidate_count(rs, tree_from_json(blob["tree"]), constraints)
+        assert calls
+
+
+def body_colors(p):
+    return [p.color] + [c for q in p.children for c in body_colors(q)]
+
+
+def reference_vertex_roots(rs, fragments, t, cl, cr):
+    """Candidate colors by a linear scan over the internal vertices of the
+    composite bodies, each matched shallowly against the two children."""
+    roots = rs.roots(cl, cr)
+    if fragments:
+        left = (cl, isinstance(t.left, Node))
+        right = (cr, isinstance(t.right, Node))
+        roots = roots | {
+            p.color
+            for p in fragments
+            if (shallow(p.children[0], left) and shallow(p.children[1], right))
+            or (shallow(p.children[0], right) and shallow(p.children[1], left))
+        }
+    return sorted(roots)
+
+
+def internal_body_vertices(p):
+    return [] if p.is_leaf else [p] + [q for c in p.children for q in internal_body_vertices(c)]
+
+
+def shallow(p, child):
+    color, internal = child
+    if p.is_leaf:
+        return p.color == WILDCARD or p.color == color
+    return internal and p.color == color
 
 
 def counted_init(cls, built):

@@ -626,7 +626,7 @@ class TestAsymptotics:
         assert report["t1_limit_ok"]
         assert report["series_exponent_ok"]
         assert abs(report["series_exponent"] - float(SERIES_T0_EXPONENT[regime])) <= 0.05
-        # the exact-matrix slope is reported and differs from the series one
+        # the structured closed-form slope is reported and differs from the series one
         assert abs(report["exact_exponent"] - float(EXACT_T0_EXPONENT[regime])) <= 0.05
 
     def test_t1_uniform_within_tolerance(self):

@@ -1,17 +1,20 @@
-"""Every module-level function and class in the package has a caller.
+"""Every module-level function and class in the package has a caller, and so
+does every method and property of a module-level class.
 
-A definition counts as used when `src/` names it outside its own body (an
-`ast.Name` or `ast.Attribute`), or when anything in `bench/*.py` names it:
-there a string constant counts too, because the benchmark's tracer names
-the functions it wraps as strings.  Tests do not count: a helper that only
-tests call is not part of the program."""
+A definition counts as used when `src/` reads its name outside its own body
+(an `ast.Name` or `ast.Attribute` in Load context: a field declaration or an
+assignment of the same name is no use), or when anything in `bench/*.py`
+names it: there a string constant counts too, because the benchmark's tracer
+names the functions it wraps as strings.  Dunder methods are exempt, since
+the interpreter calls them.  Tests do not count: a helper that only tests
+call is not part of the program."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _parse(paths) -> list:
@@ -21,13 +24,23 @@ def _parse(paths) -> list:
 def _names(tree, with_strings: bool = False) -> Counter:
     found = Counter()
     for n in ast.walk(tree):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             found[n.id] += 1
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             found[n.attr] += 1
         elif with_strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
             found[n.value] += 1
     return found
+
+
+def _definitions(tree):
+    for d in tree.body:
+        if isinstance(d, FUNCTIONS + (ast.ClassDef,)):
+            yield d
+        if isinstance(d, ast.ClassDef):
+            for m in d.body:
+                if isinstance(m, FUNCTIONS) and not (m.name.startswith("__") and m.name.endswith("__")):
+                    yield m
 
 
 def unreferenced() -> list:
@@ -39,10 +52,8 @@ def unreferenced() -> list:
     return sorted(
         d.name
         for tree in src
-        for d in tree.body
-        if isinstance(d, DEFINITIONS)
-        and in_src[d.name] == _names(d)[d.name]
-        and not bench[d.name]
+        for d in _definitions(tree)
+        if in_src[d.name] == _names(d)[d.name] and not bench[d.name]
     )
 
 
