@@ -17,7 +17,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 
 from mergespace import coloring as coloring_mod
 from mergespace.coloring import color_search, ruleset_to_json
@@ -36,11 +36,9 @@ from mergespace.forest import (
     DomainError,
     ForestError,
     Renderer,
-    count_over,
-    double_factorial,
     enumerate_forests,
     enumerate_trees,
-    forest_counts,
+    leaf_count_over,
     tree_from_json,
     workspace_from_json,
     workspace_to_text,
@@ -144,14 +142,12 @@ def _read_json(option: str, path: str):
 
 def cmd_enumerate(args):
     labels = args.leaves.split(",")
-    n = len(labels)
-    if args.trees_only:
-        what, counts = "trees", map(double_factorial, count(-3, 2))  # (2n - 3)!!
-    else:
-        what, counts = "forests", (f - (not args.all) for f in forest_counts())
-    over = count_over(counts, n, MAX_ENUMERATED)
+    what = "trees" if args.trees_only else "forests"
+    over = leaf_count_over(labels, MAX_ENUMERATED, trees=args.trees_only, require_edge=not args.all)
     if over:
-        raise ForestError(f"{n} leaves can give {over} {what}, over the enumeration bound {MAX_ENUMERATED}")
+        raise ForestError(
+            f"{len(labels)} leaves can give {over} {what}, over the enumeration bound {MAX_ENUMERATED}"
+        )
     render = Renderer()
     if args.trees_only:
         found = enumerate_trees(labels)
@@ -192,16 +188,13 @@ def cmd_successors(args):
 
 
 def _refuse_dense_early(labels: list) -> None:
-    """Refuses a dense output before anything is built when distinct labels
-    give more states than a dense matrix may hold.  A leaf multiset has
-    fewer states than forest_counts; MAX_STATES bounds its build, and the
-    dense view refuses it after the build."""
+    """Refuses a dense output before anything is built when the leaves give
+    more states than a dense matrix may hold."""
     from mergespace.markov import MAX_DENSE_STATES, dense_refused
 
-    if len(set(labels)) == len(labels):
-        over = count_over((f - 1 for f in forest_counts()), len(labels), MAX_DENSE_STATES)
-        if over:
-            raise dense_refused(over)
+    over = leaf_count_over(labels, MAX_DENSE_STATES, require_edge=True)
+    if over:
+        raise dense_refused(over)
 
 
 def cmd_graph(args):

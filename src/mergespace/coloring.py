@@ -277,7 +277,7 @@ def accepts(rs: RuleSet, t: ColoredTree):
 # coloring search over bare trees
 
 # `color_search` refuses to build more candidate colored trees than this
-# (leaves and subtrees included; see `candidate_count`).  Measured on one
+# (leaves and subtrees included; see `candidate_table`).  Measured on one
 # core, unconstrained `phase+split` combs: 5 leaves build 179 882 candidates
 # in 3.8 s with a 37 MB peak; 6 leaves (1 136 153 candidates, 29 s, 153 MB)
 # are refused.  The shipped scenarios build at most 144.
@@ -307,12 +307,16 @@ def _leaf_choices(rs: RuleSet, t: Leaf, constraints: dict) -> list:
     return list(constraints.get(t.key, sorted(rs.colors)))
 
 
-def candidate_count(rs: RuleSet, tree: SyntaxTree, constraints: Optional[dict] = None) -> int:
+def candidate_table(rs: RuleSet, tree: SyntaxTree, constraints: Optional[dict] = None) -> tuple:
     """How many colored trees `color_search` builds on ``tree``, counting
     every vertex's candidates (leaves included), without building any:
-    exact counts per root color, bottom-up."""
+    exact counts per root color, bottom-up.  With the count comes each
+    internal vertex's candidate roots by pair of child colors, keyed by the
+    vertex's id: every pair that occurs at a vertex is looked up once there.
+    """
     constraints = _checked_constraints(rs, constraints)
     total = 0
+    roots_at: dict = {}
 
     def count(t: SyntaxTree) -> Counter:
         nonlocal total
@@ -320,16 +324,18 @@ def candidate_count(rs: RuleSet, tree: SyntaxTree, constraints: Optional[dict] =
             out = Counter(_leaf_choices(rs, t, constraints))
         else:
             left, right = count(t.left), count(t.right)
+            table = roots_at[id(t)] = {}
             out = Counter()
             for cl, nl in left.items():
                 for cr, nr in right.items():
-                    for root in rs.candidate_roots(t, cl, cr):
+                    roots = table[cl, cr] = rs.candidate_roots(t, cl, cr)
+                    for root in roots:
                         out[root] += nl * nr
         total += sum(out.values())
         return out
 
     count(tree)
-    return total
+    return total, roots_at
 
 
 def color_search(
@@ -344,7 +350,7 @@ def color_search(
     Searches that would build more than ``MAX_CANDIDATES`` candidates are
     refused before building any.
     """
-    total = candidate_count(rs, tree, constraints)
+    total, roots_at = candidate_table(rs, tree, constraints)
     constraints = constraints or {}
     if total > MAX_CANDIDATES:
         raise ColoringError(
@@ -354,13 +360,8 @@ def color_search(
     def colorings(t: SyntaxTree) -> list:
         if isinstance(t, Leaf):
             return [CLeaf(t.name, c, trace=t.trace) for c in _leaf_choices(rs, t, constraints)]
-        lefts, rights = colorings(t.left), colorings(t.right)
-        return [
-            CNode(root, lt, rt)
-            for lt in lefts
-            for rt in rights
-            for root in rs.candidate_roots(t, lt.color, rt.color)
-        ]
+        lefts, rights, table = colorings(t.left), colorings(t.right), roots_at[id(t)]
+        return [CNode(root, lt, rt) for lt in lefts for rt in rights for root in table[lt.color, rt.color]]
 
     # candidates hold known colors only, and each vertex is a generator root
     # over its children unless a body offered its color

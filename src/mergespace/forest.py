@@ -13,6 +13,7 @@ accessible terms, degree).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -41,6 +42,8 @@ __all__ = [
     "double_factorial",
     "forest_counts",
     "count_over",
+    "multiset_counts",
+    "leaf_count_over",
     "Renderer",
     "tree_to_json",
     "tree_from_json",
@@ -79,9 +82,10 @@ class _Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # copy and pickle would set the slots through __setattr__
+        # copy and pickle would set the slots through __setattr__; a slot
+        # filled on first use may still be unset
         names = [n for c in type(self).__mro__ for n in c.__dict__.get("__slots__", ())]
-        return _rebuilt, (type(self), {n: getattr(self, n) for n in names})
+        return _rebuilt, (type(self), {n: getattr(self, n) for n in names if hasattr(self, n)})
 
 
 def _rebuilt(cls, fields: dict):
@@ -375,6 +379,78 @@ def count_over(counts: Iterable[int], n: int, bound: int) -> Optional[str]:
             return str(c) if c > bound else None
         if c > max(bound, sys.maxsize):
             return f"more than {c}"
+
+
+def multiset_counts(labels) -> Iterator[tuple]:
+    """(trees, forests) over each growing prefix of the sorted leaf multiset:
+    the first label, the first two, and so on up to all of them.  Each count
+    is at least the one before.
+
+    A count depends on the vector w of label multiplicities alone.  The trees
+    over w, |w| >= 2, are its unordered splits {u, w - u} into non-empty
+    parts, one tree on each: T(w) = (sum_u T(u) T(w - u) + T(w / 2)) / 2, the
+    last term only when every multiplicity is even.  Forests are multisets of
+    trees, counted by the Euler transform along a coordinate i with w_i > 0:
+    w_i F(w) = sum_{0 < s <= w} F(w - s) sum_{d | s} (s_i / d) T(s / d).
+    The tables hold every vector below the prefix's, one coordinate for each
+    label seen so far.
+    """
+    T, F = {(): 0}, {(): 1}
+    top: tuple = ()
+    previous = None
+    for lab in sorted(labels):
+        if lab != previous:  # a new coordinate, 0 in every vector so far
+            T = {w + (0,): c for w, c in T.items()}
+            F = {w + (0,): c for w, c in F.items()}
+            top, previous = top + (0,), lab
+        top = top[:-1] + (top[-1] + 1,)
+        # the new vectors end in top[-1]; each comes after those below it
+        for rest in itertools.product(*(range(c + 1) for c in top[:-1])):
+            _count_at(rest + top[-1:], T, F)
+        yield T[top], F[top]
+
+
+def _count_at(w: tuple, T: dict, F: dict) -> None:
+    """Fills T(w) and F(w) from the counts of the vectors below w."""
+    below = list(itertools.product(*(range(c + 1) for c in w)))[1:]  # 0 < u <= w
+    if len(below) == 1:
+        T[w] = 1
+    else:
+        half = tuple(c // 2 for c in w)
+        twice = T[half] if all(c % 2 == 0 for c in w) else 0
+        T[w] = (sum(T[u] * T[_minus(w, u)] for u in below[:-1]) + twice) // 2
+    i = next(k for k, c in enumerate(w) if c)
+    total = 0
+    for s in below:
+        if s[i]:
+            g = math.gcd(*s)
+            shares = sum((s[i] // d) * T[tuple(c // d for c in s)] for d in range(1, g + 1) if g % d == 0)
+            total += F[_minus(w, s)] * shares
+    F[w] = total // w[i]
+
+
+def _minus(w: tuple, u: tuple) -> tuple:
+    return tuple(a - b for a, b in zip(w, u))
+
+
+def leaf_count_over(labels, bound: int, trees: bool = False, require_edge: bool = False) -> Optional[str]:
+    """None when the trees (trees=True) or the forests (with require_edge,
+    those with an edge) over the leaf multiset number at most bound;
+    otherwise the count that a refusal names.  Distinct labels walk the
+    closed forms with count_over.  Repeated labels walk multiset_counts and
+    stop at the first prefix past the bound, which names "at least c" when it
+    is not the whole multiset, so that the counting costs no more than the
+    bound allows."""
+    n = len(labels)
+    drop = require_edge and not trees  # the edgeless forest
+    if len(set(labels)) == n:
+        closed = map(double_factorial, itertools.count(-3, 2)) if trees else forest_counts()  # (2n - 3)!!
+        return count_over((c - drop for c in closed), n, bound)
+    for m, (t, f) in enumerate(multiset_counts(labels), 1):
+        c = t if trees else f - drop
+        if c > bound:
+            return str(c) if m == n else f"at least {c}"
+    return None
 
 
 def enumerate_trees(labels) -> list:

@@ -12,8 +12,9 @@ terms, and nothing in this module touches floats.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from itertools import chain, product
+from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
 from mergespace.forest import (
@@ -22,6 +23,9 @@ from mergespace.forest import (
     Node,
     SyntaxTree,
     Workspace,
+    _Frozen,
+    _by_key,
+    _set,
     accessible_terms,
     leaf,
     nested,
@@ -164,24 +168,30 @@ def coproduct(ws: Workspace, mode: str) -> TensorComb:
 # ---------------------------------------------------------------------------
 # arbitrary-arity labeled trees and the admissible-cut coproduct
 
-@dataclass(frozen=True)
-class CKTree:
+class CKTree(_Frozen):
     """Rooted tree of arbitrary arity; every vertex carries a label (or None).
 
-    Children are unordered: stored sorted by canonical key.
+    Children are unordered: stored sorted by canonical key.  Hashed by key;
+    equal when the labels and the children are.  The tree's cut list, its
+    full cut and admissible cuts, is computed on first use and kept in the
+    ``_cuts`` slot, unset until then, so a tree shared by many forests is
+    cut once.
     """
 
-    label: Optional[str]
-    children: tuple = ()
-    key: str = field(init=False, compare=False)
-    size: int = field(init=False, compare=False)  # vertex count
+    __slots__ = ("label", "children", "key", "_cuts")
 
-    def __post_init__(self):
-        kids = tuple(sorted(self.children, key=lambda t: t.key))
-        object.__setattr__(self, "children", kids)
-        lab = self.label if self.label is not None else "•"
-        object.__setattr__(self, "key", lab + "[" + "|".join(k.key for k in kids) + "]")
-        object.__setattr__(self, "size", 1 + sum(k.size for k in kids))
+    def __init__(self, label: Optional[str], children: tuple = ()):
+        kids = tuple(sorted(children, key=_by_key) if len(children) > 1 else children)
+        _set(self, "label", label)
+        _set(self, "children", kids)
+        _set(self, "key", ("•" if label is None else label) + "[" + "|".join(map(_by_key, kids)) + "]")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key == other.key and self.label == other.label and self.children == other.children
 
     def __hash__(self):
         return hash(self.key)
@@ -189,16 +199,33 @@ class CKTree:
     def __repr__(self):
         return self.key
 
+    @property
+    def size(self) -> int:
+        """Vertex count."""
+        return 1 + sum(k.size for k in self.children)
 
-@dataclass(frozen=True)
-class CKForest:
-    trees: tuple = ()
-    key: str = field(init=False, compare=False)
 
-    def __post_init__(self):
-        ts = tuple(sorted(self.trees, key=lambda t: t.key))
-        object.__setattr__(self, "trees", ts)
-        object.__setattr__(self, "key", "⊔".join(t.key for t in ts) or "1")
+class CKForest(_Frozen):
+    """Multiset of CKTrees, stored sorted by key; the empty forest is the
+    unit.  Hashed by key; equal when the trees are."""
+
+    __slots__ = ("trees", "key")
+
+    def __init__(self, trees: tuple = ()):
+        if len(trees) > 1:
+            trees = sorted(trees, key=_by_key)
+            key = "⊔".join(map(_by_key, trees))
+        else:
+            key = trees[0].key if trees else "1"
+        _set(self, "trees", tuple(trees))
+        _set(self, "key", key)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key == other.key and self.trees == other.trees
 
     def __hash__(self):
         return hash(self.key)
@@ -214,75 +241,95 @@ class CKForest:
 CK_UNIT = CKForest(())
 
 
-def ck_union(a: CKForest, b: CKForest) -> CKForest:
-    return CKForest(a.trees + b.trees)
-
-
 def graft_B(f: CKForest, root_label: Optional[str] = None) -> CKTree:
     """New root (optionally labeled) over the forest; the empty forest grafts
     to a single vertex."""
     return CKTree(root_label, f.trees)
 
 
-def _tree_admissible_cuts(t: CKTree) -> Iterator[tuple]:
-    """Yield (pruned forest, kept tree) over admissible cuts: at most one cut
-    edge on any root path.  Cutting an edge sends that whole subtree to the
-    pruned side, so no further cuts happen below it."""
-    child_options = []
-    for ch in t.children:
-        opts = [((ch,), None)]  # cut the edge above ch
-        for pi, rho in _tree_admissible_cuts(ch):
-            opts.append((pi, rho))
-        child_options.append(opts)
-    for combo in itertools.product(*child_options):
-        pruned: tuple = ()
-        kept = []
-        for pi, rho in combo:
-            pruned += pi
-            if rho is not None:
-                kept.append(rho)
-        yield pruned, CKTree(t.label, tuple(kept))
+def _cut_list(t: CKTree) -> list:
+    """The terms of the coproduct of t, computed once and then read from its
+    slot."""
+    try:
+        return t._cuts
+    except AttributeError:
+        cuts = _tree_admissible_cuts(t)
+        _set(t, "_cuts", cuts)
+        return cuts
 
 
-def _ck_tree_coproduct(t: CKTree) -> TensorComb:
-    out = TensorComb()
-    for pruned, kept in _tree_admissible_cuts(t):
-        out.add((CKForest(pruned), CKForest((kept,))), 1)
-    out.add((CKForest((t,)), CK_UNIT), 1)  # full cut
+def _tree_admissible_cuts(t: CKTree) -> list:
+    """(pruned forest, kept forest) for the full cut of t, then for each
+    admissible cut: at most one cut edge on any root path.  Cutting the edge
+    above a child sends that whole subtree to the pruned side, which is the
+    child's full cut, so each child's options are its own cut list.  The cut
+    that prunes nothing keeps t itself.  One term may come more than once."""
+    alone = CKForest((t,))
+    out = [(alone, CK_UNIT)]
+    for pruned, kept in map(_parts, product(*map(_cut_list, t.children))):
+        if pruned:
+            kept_tree = CKTree(t.label, [y.trees[0] for y in kept])
+            out.append((_union(pruned), CKForest((kept_tree,))))
+        else:
+            out.append((CK_UNIT, alone))
     return out
+
+
+def _parts(terms) -> tuple:
+    """The non-empty pruned forests and kept forests of one term per tree."""
+    pruned, kept = [], []
+    for x, y in terms:
+        if x.trees:
+            pruned.append(x)
+        if y.trees:
+            kept.append(y)
+    return pruned, kept
+
+
+_by_trees = attrgetter("trees")
+
+
+def _union(forests: list) -> CKForest:
+    """Disjoint union of non-empty forests; the union of one is itself."""
+    if len(forests) < 2:
+        return forests[0] if forests else CK_UNIT
+    return CKForest(tuple(chain.from_iterable(map(_by_trees, forests))))
 
 
 def ck_coproduct(f: CKForest) -> TensorComb:
     """Admissible-cut coproduct on labeled arbitrary-arity forests, including
     the empty cut (1 (x) F) and the full cut (F (x) 1); multiplicative over
-    disjoint union."""
-    return _multiplicative(map(_ck_tree_coproduct, f.trees), CK_UNIT, ck_union)
-
-
-def _ck_forests(n: int, alphabet, memo: dict) -> list:
-    """All labeled forests with exactly n vertices, sorted by key; memo maps
-    each vertex count done so far to its list.  Each forest is built once: its
-    key-least tree beside a forest whose trees are all no less."""
-    if n not in memo:
-        found = [CK_UNIT] if n == 0 else []
-        for k in range(1, n + 1):
-            for lab in alphabet:
-                for kids in _ck_forests(k - 1, alphabet, memo):
-                    t = CKTree(lab, kids.trees)
-                    found += (
-                        CKForest((t,) + rest.trees)
-                        for rest in _ck_forests(n - k, alphabet, memo)
-                        if not rest.trees or rest.trees[0].key >= t.key
-                    )
-        memo[n] = sorted(found, key=lambda f: f.key)
-    return memo[n]
+    disjoint union: each term joins one term of every tree's cut list."""
+    if len(f.trees) == 1:
+        terms = _cut_list(f.trees[0])
+    else:
+        combos = map(_parts, product(*map(_cut_list, f.trees)))
+        terms = [(_union(pruned), _union(kept)) for pruned, kept in combos]
+    out = TensorComb()
+    out.terms = dict(Counter(terms))
+    return out
 
 
 def enumerate_ck_forests(max_vertices: int, alphabet) -> list:
     """All labeled forests with 0 < size <= max_vertices, plus the unit,
-    sorted by (size, key)."""
-    labels, memo = tuple(dict.fromkeys(alphabet)), {}
-    return [f for n in range(max(max_vertices, 0) + 1) for f in _ck_forests(n, labels, memo)]
+    sorted by (size, key).  Each tree is built once, as a label over a
+    smaller forest, and shared by every forest that holds it; each forest is
+    built once, as its key-least tree beside a forest whose trees are all no
+    less."""
+    labels = tuple(dict.fromkeys(alphabet))
+    trees: list = [[]]  # trees[k]: the trees with k vertices
+    forests = [[CK_UNIT]]  # forests[n]: the forests with n vertices, by key
+    for n in range(1, max(max_vertices, 0) + 1):
+        trees.append([CKTree(lab, kids.trees) for lab in labels for kids in forests[n - 1]])
+        found = [
+            CKForest((t,) + rest.trees)
+            for k in range(1, n + 1)
+            for t in trees[k]
+            for rest in forests[n - k]
+            if not rest.trees or rest.trees[0].key >= t.key
+        ]
+        forests.append(sorted(found, key=_by_key))
+    return [f for level in forests for f in level]
 
 
 def cocycle_defect(f: CKForest, root_label: Optional[str], grafter=None) -> TensorComb:
@@ -290,11 +337,11 @@ def cocycle_defect(f: CKForest, root_label: Optional[str], grafter=None) -> Tens
     identity holds for this forest."""
     B = grafter or (lambda fr: graft_B(fr, root_label))
     grafted = CKForest((B(f),))
-    defect = ck_coproduct(grafted)
-    defect.add((grafted, CK_UNIT), -1)
+    lhs = ck_coproduct(grafted)
+    rhs = TensorComb.pure(grafted, CK_UNIT)
     for (x, y), c in ck_coproduct(f).terms.items():
-        defect.add((x, CKForest((B(y),))), -c)
-    return defect
+        rhs.add((x, CKForest((B(y),))), c)
+    return TensorComb() if lhs == rhs else lhs - rhs
 
 
 def verify_cocycle(max_vertices: int, alphabet=("a", "b"), grafter=None) -> dict:

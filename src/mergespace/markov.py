@@ -22,7 +22,7 @@ import numpy as np
 
 from mergespace.costs import REGIMES, cost_ratios
 from mergespace.engine import MergeConfig, all_merge_successors
-from mergespace.forest import DomainError, Leaf, count_over, enumerate_forests, forest_counts
+from mergespace.forest import DomainError, Leaf, enumerate_forests, leaf_count_over
 
 # sector exponents (SM3, SM1, EM) realized on the 3-leaf state space
 REGIME_EXPONENTS = {
@@ -37,7 +37,7 @@ class MarkovError(DomainError):
     pass
 
 
-# build_graph refuses more states than this, counted with forest_counts before
+# build_graph refuses more states than this, counted with leaf_count_over before
 # anything is enumerated.  The 7-leaf chain (27 006 states, 1 099 245 edges)
 # is the largest that fits; the next, 8 leaves, has 353 521 states.
 MAX_STATES = 30_000
@@ -100,7 +100,7 @@ class TransitionGraph:
 
 def dense_refused(states) -> MarkovError:
     """The error for a dense matrix over too many states; states is a count
-    or count_over's text."""
+    or leaf_count_over's text."""
     return MarkovError(f"{states} states: dense matrices are refused above {MAX_DENSE_STATES} states (6 leaves)")
 
 
@@ -125,8 +125,8 @@ def build_graph(
     Unweighted entries count distinct Merge steps (or clip to 0/1 with
     collapse_01); with a regime, each step contributes t^cost instead.
     Requires the deletion coproduct: contraction quotients leave traces and
-    fall outside the state space.  More than MAX_STATES states (counted for
-    distinct labels) are refused before anything is enumerated.
+    fall outside the state space.  More than MAX_STATES states (counted over
+    the leaf multiset) are refused before anything is enumerated.
 
     Merge and every cost regime commute with relabeling the leaves, so the
     engine and the cost model run on one representative per orbit of states
@@ -140,7 +140,7 @@ def build_graph(
     labels = tuple(sorted(leaves))
     if len(labels) < 2:
         raise MarkovError("transition graphs need at least 2 leaves")
-    over = count_over((f - 1 for f in forest_counts()), len(labels), MAX_STATES)
+    over = leaf_count_over(labels, MAX_STATES, require_edge=True)
     if over:
         raise MarkovError(f"{len(labels)} leaves can give {over} states, over the bound of {MAX_STATES}")
     if cfg.mode != "d":

@@ -63,6 +63,19 @@ def test_traced_cli_calls_the_patched_markov_functions(tracing):
     assert {"cli", "markov.build_graph", "markov.perron_frobenius"} <= recorded
 
 
+def test_counted_coproduct_calls_on_the_cocycle_group(tracing):
+    # two ck_coproduct calls for each of the 286 cases, and six for the
+    # three cases the perturbed grafting runs before it fails
+    tracer = tracing.Tracer()
+    tracer.install(counted=True)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert tracing.cli_mod.main(["verify", "--only", "cocycles"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["hopf.ck_coproduct.calls"] == 2 * 286 + 6 == 578
+
+
 def test_patched_method_resolves(tracing):
     assert callable(getattr(tracing.coloring_mod.Generator, "child_pairs", None))
 

@@ -53,6 +53,17 @@ class TestEnumerate:
         assert code == 1 and not out
         assert err.startswith("error: 12 leaves") and str(count) in err
 
+    @pytest.mark.parametrize("extra, count", [((), 151), (("--all",), 152), (("--trees-only",), 46)])
+    def test_repeated_labels_counted_over_the_multiset(self, capsys, extra, count):
+        code, out, err = run(capsys, "enumerate", "--leaves", ",".join("a" * 9), *extra)
+        assert code == 0 and not err
+        assert out.endswith(f"# {count} structures\n")
+
+    def test_repeated_labels_past_the_bound(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--leaves", ",".join("aabbccddeeff"))
+        assert code == 1 and not out
+        assert err.startswith("error: 12 leaves can give at least ") and "over the enumeration bound 150000" in err
+
     def test_forest_count_closed_form(self):
         for n, count in zip(range(1, 7), islice(forest_counts(), 1, None)):
             assert count == len(enumerate_forests("abcdef"[:n], require_edge=False))
@@ -73,7 +84,6 @@ def test_leaf_bounds_stop_counting_past_the_bound(capsys, monkeypatch, argv):
     # every leaf-count bound refuses 5 000 labels from a handful of counts:
     # the exact count there has more than 17 000 digits, takes hours to
     # compute and cannot be printed
-    import mergespace.cli
     import mergespace.forest
 
     calls = []
@@ -83,8 +93,7 @@ def test_leaf_bounds_stop_counting_past_the_bound(capsys, monkeypatch, argv):
         assert len(calls) <= 1_000, "the count went on past the bound"
         return real(n)
 
-    for mod in (mergespace.forest, mergespace.cli):
-        monkeypatch.setattr(mod, "double_factorial", counted)
+    monkeypatch.setattr(mergespace.forest, "double_factorial", counted)
     code, out, err = run(capsys, *argv, "--leaves", ",".join(f"l{i}" for i in range(5_000)))
     assert code == 1 and not out
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
@@ -115,6 +124,12 @@ class TestSuccessors:
 
 
 class TestGraphAndMarkov:
+    def test_markov_on_nine_equal_leaves(self, capsys):
+        # 151 states, not the 5 329 836 of nine distinct labels
+        code, out, err = run(capsys, "markov", "--leaves", ",".join("a" * 9))
+        assert code == 0 and not err
+        assert len(json.loads(out)["eta"]) == 151
+
     def test_dot(self, capsys):
         code, out, _ = run(capsys, "graph", "--leaves", "a,b,c")
         assert code == 0 and out.startswith("digraph")

@@ -14,7 +14,7 @@ from mergespace.coloring import (
     RuleSet,
     accepts,
     bare,
-    candidate_count,
+    candidate_table,
     color_search,
     colored_tree_from_json,
     colored_tree_to_json,
@@ -233,7 +233,7 @@ class TestGeneratorIndex:
     @pytest.mark.parametrize("name", sorted(BUILTIN_RULESETS))
     def test_candidate_roots_equal_fragment_scan(self, name, monkeypatch):
         # every vertex of every scenario tree, every child-color pair that
-        # candidate_count reaches, with the scenario's constraints where the
+        # candidate_table reaches, with the scenario's constraints where the
         # rule set knows their colors and unconstrained otherwise
         rs = get_ruleset(name)
         fragments = [q for p in rs.composites for q in internal_body_vertices(p)]
@@ -252,7 +252,7 @@ class TestGeneratorIndex:
             constraints = blob["constraints"]
             if not all(rs.known(c) for allowed in constraints.values() for c in allowed):
                 constraints = None
-            candidate_count(rs, tree_from_json(blob["tree"]), constraints)
+            candidate_table(rs, tree_from_json(blob["tree"]), constraints)
         assert calls
 
 
@@ -306,10 +306,41 @@ class TestCandidateBound:
         built = []
         for cls in (CLeaf, CNode):
             monkeypatch.setattr(cls, "__init__", counted_init(cls, built))
-        count = candidate_count(rs, tree, blob["constraints"])
+        count = candidate_table(rs, tree, blob["constraints"])[0]
         assert not built
         color_search(rs, tree, blob["constraints"])
         assert len(built) == count <= 144
+
+    def test_each_color_pair_is_looked_up_once_per_vertex(self, monkeypatch):
+        # the same colorings, in the same order, as building with one lookup
+        # per pair of child colorings and filtering through accepts
+        indexed = RuleSet.candidate_roots
+        calls = []
+
+        def counted(self, t, cl, cr):
+            calls.append((id(t), cl, cr))
+            return indexed(self, t, cl, cr)
+
+        def rebuilt(rs, t, constraints):
+            if isinstance(t, Leaf):
+                return [CLeaf(t.name, c, trace=t.trace) for c in constraints.get(t.key, sorted(rs.colors))]
+            lefts, rights = rebuilt(rs, t.left, constraints), rebuilt(rs, t.right, constraints)
+            return [
+                CNode(root, lt, rt) for lt in lefts for rt in rights for root in indexed(rs, t, lt.color, rt.color)
+            ]
+
+        monkeypatch.setattr(RuleSet, "candidate_roots", counted)
+        total = 0
+        for blob, case in load_scenarios():
+            rs, tree = get_ruleset(case["ruleset"]), tree_from_json(blob["tree"])
+            calls.clear()
+            found = color_search(rs, tree, blob["constraints"])
+            assert calls and len(set(calls)) == len(calls), case
+            total += len(calls)
+            want = [c for c in rebuilt(rs, tree, blob["constraints"]) if accepts(rs, c)[0]]
+            assert list(map(colored_tree_to_json, found)) == list(map(colored_tree_to_json, want))
+        # one lookup per (vertex, left color, right color) triple
+        assert total == 1513
 
     @pytest.mark.parametrize(
         "constraints, why",

@@ -3,6 +3,7 @@ import itertools
 import json
 import pickle
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,10 @@ from mergespace.forest import (
     double_factorial,
     enumerate_forests,
     enumerate_trees,
+    forest_counts,
     leaf,
+    leaf_count_over,
+    multiset_counts,
     node,
     positions,
     quotient,
@@ -114,6 +118,65 @@ class TestCounts:
         assert t.leaves == 1
         assert t.alpha == 1  # only b counts
         assert t.alpha + 1 == 2
+
+
+def multiplicity_patterns(n, largest=None):
+    """The partitions of n, largest part first: one leaf multiset each."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in multiplicity_patterns(n - k, k):
+            yield (k,) + rest
+
+
+class TestMultisetCounts:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_counts_equal_enumeration(self, n):
+        for pattern in multiplicity_patterns(n):
+            labels = "".join(x * k for x, k in zip("abcdefg", pattern))
+            counts = list(multiset_counts(labels))
+            assert len(counts) == n
+            for m, (trees, forests) in enumerate(counts, 1):
+                prefix = sorted(labels)[:m]
+                assert trees == len(enumerate_trees(prefix)), prefix
+                assert forests == len(enumerate_forests(prefix, require_edge=False)), prefix
+
+    def test_distinct_labels_give_the_closed_forms(self):
+        counts = list(multiset_counts("abcdefgh"))
+        assert [f for _, f in counts] == list(itertools.islice(forest_counts(), 1, 9))
+        assert [t for t, _ in counts] == [double_factorial(2 * m - 3) for m in range(1, 9)]
+
+    def test_nine_equal_leaves(self):
+        # 46 trees (Wedderburn-Etherington) and 152 forests, 151 with an edge
+        assert list(multiset_counts("a" * 9))[-1] == (46, 152)
+        assert leaf_count_over(["a"] * 9, 150) == "152"
+        assert leaf_count_over(["a"] * 9, 151, require_edge=True) is None
+        assert leaf_count_over(["a"] * 9, 150, require_edge=True) == "151"
+        assert leaf_count_over(["a"] * 9, 45, trees=True, require_edge=True) == "46"
+
+    def test_distinct_refusals_unchanged(self):
+        labels = list("abcdefghi")
+        assert leaf_count_over(labels, 30_000, require_edge=True) == "5329836"
+        assert leaf_count_over(labels, 150_000, trees=True) == str(double_factorial(15))
+        assert leaf_count_over(labels[:7], 30_000, require_edge=True) is None
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            ["a"] * 5_000,
+            [f"l{i // 2}" for i in range(5_000)],
+            [f"l{i % 50}" for i in range(5_000)],
+            [f"l{i}" for i in range(4_999)] + ["l0"],
+        ],
+        ids=["one-label", "pairs", "fifty-labels", "one-repeat"],
+    )
+    def test_repeated_labels_stop_at_the_bound(self, labels):
+        start = time.perf_counter()
+        for trees in (False, True):
+            over = leaf_count_over(labels, 150_000, trees=trees, require_edge=True)
+            assert over.startswith("at least ") and int(over.split()[-1]) > 150_000
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEnumeration:

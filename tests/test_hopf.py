@@ -1,6 +1,13 @@
+import copy
+import itertools
+import pickle
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 import pytest
+
+from mergespace import hopf
 
 from mergespace.forest import (
     Node,
@@ -188,6 +195,199 @@ class TestCocycle:
         report = verify_cocycle(3, grafter=perturbed_grafter("a"))
         assert not report["ok"]
         assert report["counterexample"] is not None
+
+    @pytest.mark.parametrize("max_vertices", [3, 4])
+    @pytest.mark.parametrize("label", ["a", "b"])
+    def test_perturbed_counterexample(self, max_vertices, label):
+        # the third case, F = a with root label a, and its least term
+        report = verify_cocycle(max_vertices, grafter=perturbed_grafter(label))
+        single = CKForest((v("a"),))
+        assert report == {
+            "ok": False,
+            "checked": 3,
+            "counterexample": {
+                "forest": single,
+                "label": "a",
+                "term": ((single, CKForest((v(label),))), -1),
+            },
+        }
+
+    def test_holds_up_to_five_vertices(self):
+        report = verify_cocycle(5)
+        assert report == {"ok": True, "checked": 1202, "counterexample": None}
+
+
+# The coproduct and cocycle route as frozen dataclasses, kept here as the
+# reference that the slotted records and per-tree cut lists must reproduce.
+
+
+@dataclass(frozen=True)
+class RefTree:
+    label: Optional[str]
+    children: tuple = ()
+    key: str = field(init=False, compare=False)
+    size: int = field(init=False, compare=False)
+
+    def __post_init__(self):
+        kids = tuple(sorted(self.children, key=lambda t: t.key))
+        object.__setattr__(self, "children", kids)
+        lab = self.label if self.label is not None else "•"
+        object.__setattr__(self, "key", lab + "[" + "|".join(k.key for k in kids) + "]")
+        object.__setattr__(self, "size", 1 + sum(k.size for k in kids))
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+@dataclass(frozen=True)
+class RefForest:
+    trees: tuple = ()
+    key: str = field(init=False, compare=False)
+
+    def __post_init__(self):
+        ts = tuple(sorted(self.trees, key=lambda t: t.key))
+        object.__setattr__(self, "trees", ts)
+        object.__setattr__(self, "key", "⊔".join(t.key for t in ts) or "1")
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+REF_UNIT = RefForest(())
+
+
+def ref_cuts(t):
+    child_options = []
+    for ch in t.children:
+        child_options.append([((ch,), None)] + list(ref_cuts(ch)))
+    for combo in itertools.product(*child_options):
+        pruned, kept = (), []
+        for pi, rho in combo:
+            pruned += pi
+            if rho is not None:
+                kept.append(rho)
+        yield pruned, RefTree(t.label, tuple(kept))
+
+
+def ref_tree_coproduct(t):
+    out = TensorComb()
+    for pruned, kept in ref_cuts(t):
+        out.add((RefForest(pruned), RefForest((kept,))), 1)
+    out.add((RefForest((t,)), REF_UNIT), 1)
+    return out
+
+
+def ref_coproduct(f):
+    out = TensorComb.pure(REF_UNIT, REF_UNIT)
+    for t in f.trees:
+        out = out.product(ref_tree_coproduct(t), lambda a, b: RefForest(a.trees + b.trees))
+    return out
+
+
+def ref_defect(f, root_label, grafter=None):
+    B = grafter or (lambda fr: RefTree(root_label, fr.trees))
+    grafted = RefForest((B(f),))
+    defect = ref_coproduct(grafted)
+    defect.add((grafted, REF_UNIT), -1)
+    for (x, y), c in ref_coproduct(f).terms.items():
+        defect.add((x, RefForest((B(y),))), -c)
+    return defect
+
+
+def ref_perturbed(root_label):
+    def B_bad(f):
+        inner = RefTree(root_label, f.trees)
+        return RefTree(root_label, (inner,)) if f.trees else RefTree(root_label)
+
+    return B_bad
+
+
+def to_ref(t):
+    return RefTree(t.label, tuple(map(to_ref, t.children)))
+
+
+def from_ref(t):
+    return CKTree(t.label, tuple(map(from_ref, t.children)))
+
+
+def from_ref_comb(comb):
+    out = TensorComb()
+    for (x, y), c in comb.terms.items():
+        out.add((CKForest(tuple(map(from_ref, x.trees))), CKForest(tuple(map(from_ref, y.trees)))), c)
+    return out
+
+
+class TestAgainstDataclassRoute:
+    @pytest.mark.parametrize("size", range(6))
+    def test_coproduct_and_defects_on_every_forest(self, size):
+        forests = [f for f in enumerate_ck_forests(5, "ab") if f.size == size]
+        assert len(forests) == [1, 2, 7, 26, 107, 458][size]
+        for f in forests:
+            ref = RefForest(tuple(map(to_ref, f.trees)))
+            assert ck_coproduct(f) == from_ref_comb(ref_coproduct(ref)), f
+            for lab in "ab":
+                assert cocycle_defect(f, lab) == from_ref_comb(ref_defect(ref, lab)) == TensorComb()
+                bad = cocycle_defect(f, lab, grafter=perturbed_grafter(lab))
+                assert bad == from_ref_comb(ref_defect(ref, lab, grafter=ref_perturbed(lab))), (f, lab)
+
+    def test_multiplicities_survive(self):
+        # two equal children: cutting either gives one term twice
+        t = v("a", v("b"), v("b"))
+        got = ck_coproduct(CKForest((t, t)))
+        ref = ref_coproduct(RefForest((to_ref(t), to_ref(t))))
+        assert got == from_ref_comb(ref)
+        assert max(got.terms.values()) == 4
+
+
+class TestSlottedRecords:
+    def test_frozen(self):
+        t, f = v("a", v("b")), CKForest((v("a"),))
+        for rec, name in ((t, "label"), (t, "children"), (f, "trees"), (f, "key")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(rec, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(rec, name)
+
+    def test_equality_is_structural_not_by_key(self):
+        # "•" as a label writes the same key as an unlabeled vertex
+        assert CKTree("•").key == CKTree(None).key
+        assert CKTree("•") != CKTree(None)
+        assert CKForest((CKTree("•"),)) != CKForest((CKTree(None),))
+        assert v("a", v("b"), v("a")) == v("a", v("a"), v("b"))
+        assert hash(v("a", v("b"))) == hash(v("a", v("b")))
+
+    def test_copy_and_pickle_with_and_without_cuts(self):
+        t = v("a", v("b"), v("a", v("b")))
+        for _ in range(2):  # before its cut list is filled, then after
+            for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+                assert twin == t and twin.key == t.key and twin.size == t.size == 4
+                assert ck_coproduct(CKForest((twin,))) == ck_coproduct(CKForest((t,)))
+        f = CKForest((t, v("b")))
+        assert pickle.loads(pickle.dumps(f)) == f == copy.deepcopy(f)
+
+
+class TestCutsOncePerTree:
+    def test_each_call_cuts_every_tree_once(self, monkeypatch):
+        # the trees up to 5 vertices: the grafted trees of all 286 cases
+        everything = {t.key for n in range(1, 6) for t in ck_trees(n, "ab")}
+        assert len(everything) == 286
+        real = hopf._tree_admissible_cuts
+        cut: list = []
+
+        def counted(t):
+            cut.append(t)
+            return real(t)
+
+        monkeypatch.setattr(hopf, "_tree_admissible_cuts", counted)
+        runs = []
+        for _ in range(2):
+            cut.clear()
+            assert verify_cocycle(4)["ok"]
+            # no tree object is cut twice, and every tree is cut
+            assert len({id(t) for t in cut}) == len(cut)
+            assert {t.key for t in cut} == everything
+            runs.append(len(cut))
+        assert runs[0] == runs[1]  # nothing carries over between calls
 
 
 class TestIntegerCoefficients:

@@ -629,6 +629,15 @@ class TestAsymptotics:
         # the structured closed-form slope is reported and differs from the series one
         assert abs(report["exact_exponent"] - float(EXACT_T0_EXPONENT[regime])) <= 0.05
 
+    @pytest.mark.parametrize("regime", ["ms", "cl", "total"])
+    def test_exact_exponent_matches_the_weighted_chain(self, regime):
+        # the slope of the smallest xi of the real 3-leaf weighted chain on a
+        # log-log scale, over t in [1e-6, 1e-5]: 0.3278, 2.0000 and 2.3333
+        lo, hi = 1e-6, 1e-5
+        y_lo, y_hi = (min(perron_frobenius(weighted_matrix("abc", regime, t)).xi) for t in (lo, hi))
+        slope = math.log(y_hi / y_lo) / math.log(hi / lo)
+        assert abs(slope - float(EXACT_T0_EXPONENT[regime])) <= 0.01
+
     def test_t1_uniform_within_tolerance(self):
         for regime in ("ms", "cl", "total"):
             a, b, c = REGIME_EXPONENTS[regime]
