@@ -212,7 +212,7 @@ def cmd_graph(args):
         blob = {
             "vertices": [w.key for w in g.vertices],
             "matrix": g.K.tolist(),
-            "scc": strong_connectivity(g, witness=False),
+            "scc": strong_connectivity(g),
         }
         _emit(_to_json(blob), args.out)
     return 0

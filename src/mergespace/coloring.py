@@ -152,10 +152,10 @@ class RuleSet:
             roots = roots | _lookup(self._bodies, *keys)
         return sorted(roots)
 
-    def extended(self, name: str, extra_generators, extra_colors=()) -> "RuleSet":
+    def extended(self, name: str, extra_generators) -> "RuleSet":
         return RuleSet(
             name=name,
-            colors=set(self.colors) | set(extra_colors),
+            colors=set(self.colors),
             generators=self.generators + tuple(extra_generators),
             composites=self.composites,
             global_checks=list(self.global_checks),

@@ -28,7 +28,7 @@ from mergespace.engine import (
     Derivation,
     MergeStep,
 )
-from mergespace.forest import DomainError
+from mergespace.forest import DomainError, Node
 
 # (db0, dalpha, dsigma) per tag and coproduct mode
 RR_TABLE = {
@@ -149,8 +149,7 @@ def classify_hierarchy(sm_step: MergeStep, em_step: MergeStep):
         raise CostError("EM input does not match SM1 output")
     t_v, t_prime = sm_step.pair
     merged = {t.key for t in em_step.pair}
-    built_key = "(" + "|".join(sorted([t_v.key, t_prime.key])) + ")"
-    (sub, host) = sm_step.extractions[0]
+    built_key = Node(t_v, t_prime).key
     if built_key not in merged:
         raise CostError("EM does not merge the SM1 output")
     quotient_keys = merged - {built_key}

@@ -342,10 +342,9 @@ def _why_illegal(ws: Workspace, a: tuple, b: tuple, cfg: MergeConfig) -> str:
 class QuotientGraph:
     """Tree vertices merged under FormCopy identifications; may have cycles."""
 
-    vertex_count: int
     leaf_count: int  # distinct non-trace leaf classes after identification
     initial_leaf_count: int
-    history: list  # vertex_count after each identification, starting value first
+    history: list  # vertex count after each identification, starting value first
 
 
 def load_form_copy(fc) -> tuple:
@@ -418,7 +417,6 @@ def form_copy_quotient(tree: SyntaxTree, pairs: list) -> QuotientGraph:
         history.append(count())
     leaf_positions = [p for p, t in vertices if isinstance(t, Leaf) and not t.trace]
     return QuotientGraph(
-        vertex_count=history[-1],
         leaf_count=len({find(p) for p in leaf_positions}),
         initial_leaf_count=len(leaf_positions),
         history=history,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, product
 from operator import attrgetter
-from typing import Callable, Iterator, Optional
+from typing import Optional
 
 from mergespace.forest import (
     ForestError,
@@ -26,11 +26,8 @@ from mergespace.forest import (
     _Frozen,
     _by_key,
     _set,
-    accessible_terms,
     leaf,
-    nested,
-    positions,
-    quotient,
+    trace_leaf,
     workspace,
 )
 
@@ -95,74 +92,60 @@ class TensorComb(LinComb):
     """Linear combination of ordered pairs (left, right)."""
 
     @classmethod
-    def pure(cls, left, right, coef=1):
+    def pure(cls, left, right):
         tc = cls()
-        tc.add((left, right), coef)
+        tc.add((left, right), 1)
         return tc
-
-    def product(self, other: "TensorComb", mul: Callable) -> "TensorComb":
-        """Componentwise product: (x1 (x) y1)(x2 (x) y2) = x1x2 (x) y1y2."""
-        out = TensorComb()
-        for (x1, y1), c1 in self.terms.items():
-            for (x2, y2), c2 in other.terms.items():
-                out.add((mul(x1, x2), mul(y1, y2)), c1 * c2)
-        return out
 
 
 def ws_union(a: Workspace, b: Workspace) -> Workspace:
     return Workspace(a.components + b.components)
 
 
-def _multiplicative(parts, unit, union: Callable) -> TensorComb:
-    """The product of per-tree coproducts: a coproduct multiplicative over
-    disjoint union, which is 1 (x) 1 on the empty forest."""
-    out = TensorComb.pure(unit, unit)
-    for part in parts:
-        out = out.product(part, union)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # coproduct on workspaces
 
-def _disjoint_collections(terms: list) -> Iterator[list]:
-    """All sets of pairwise non-nested accessible terms (incl. empty), from
-    the (source, subtree) pairs of accessible_terms."""
-
-    def conflicts(src, chosen):
-        return any(src[0] == c and nested(src[1], p) for (c, p), _ in chosen)
-
-    def rec(i, chosen):
-        if i == len(terms):
-            yield list(chosen)
-            return
-        yield from rec(i + 1, chosen)
-        if not conflicts(terms[i][0], chosen):
-            chosen.append(terms[i])
-            yield from rec(i + 1, chosen)
-            chosen.pop()
-
-    yield from rec(0, [])
-
-
-def _tree_coproduct(t: SyntaxTree, mode: str) -> TensorComb:
-    ws = workspace(t)
-    out = TensorComb()
-    for cut in _disjoint_collections(accessible_terms(ws)):
-        left = Workspace(tuple(sub for _, sub in cut))
-        right = quotient(ws, [src for src, _ in cut], mode)
-        out.add((left, right), 1)
-    out.add((ws, UNIT), 1)  # whole-component split
-    return out
+def _kept_cuts(t: SyntaxTree, mode: str) -> list:
+    """(extracted trees, quotient tree or None) for every set of pairwise
+    non-nested accessible terms of t, t's root kept.  Each child of a vertex
+    is kept, cut inside (its own list), or, when it holds a live leaf,
+    extracted whole: mode "c" leaves a trace leaf in its place, mode "d"
+    removes it and contracts the vertex left with one child, so a vertex
+    whose children both go goes too (None)."""
+    if isinstance(t, Leaf):
+        return [((), t)]
+    options = []
+    for child in (t.left, t.right):
+        cuts = _kept_cuts(child, mode)
+        if child.leaves:
+            cuts.append(((child,), trace_leaf(child.key) if mode == "c" else None))
+        options.append(cuts)
+    return [
+        (xl + xr, qr if ql is None else ql if qr is None else Node(ql, qr))
+        for (xl, ql), (xr, qr) in product(*options)
+    ]
 
 
 def coproduct(ws: Workspace, mode: str) -> TensorComb:
     """Extraction-of-accessible-terms coproduct, multiplicative over disjoint
     union.  Terms are pairs (extracted forest, quotient workspace); the empty
-    cut and the whole-component split are included."""
+    cut and the whole-component split are included.  Each term joins one
+    term of every component's list: its kept-root cuts, then the split that
+    extracts it whole."""
     if mode not in ("c", "d"):
         raise ForestError(f"unknown coproduct mode {mode!r}")
-    return _multiplicative((_tree_coproduct(t, mode) for t in ws.components), UNIT, ws_union)
+    per_tree = [_kept_cuts(t, mode) + [((t,), None)] for t in ws.components]
+    out = TensorComb()
+    out.terms = dict(
+        Counter(
+            (
+                Workspace(tuple(chain.from_iterable(x for x, _ in terms))),
+                Workspace(tuple(q for _, q in terms if q is not None)),
+            )
+            for terms in product(*per_tree)
+        )
+    )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +327,15 @@ def cocycle_defect(f: CKForest, root_label: Optional[str], grafter=None) -> Tens
     return TensorComb() if lhs == rhs else lhs - rhs
 
 
-def verify_cocycle(max_vertices: int, alphabet=("a", "b"), grafter=None) -> dict:
-    """Check the grafting cocycle identity for every forest up to the size
-    bound, for every root label; exact equality, no tolerance."""
+def verify_cocycle(max_vertices: int, grafter=None) -> dict:
+    """Check the grafting cocycle identity for every forest over the labels
+    a and b up to the size bound, for every root label; exact equality, no
+    tolerance."""
     if max_vertices < 0:
         raise ForestError("max_vertices must be >= 0")
     checked = 0
-    labels = tuple(dict.fromkeys(alphabet))
-    for f in enumerate_ck_forests(max_vertices, labels):
-        for lab in labels:
+    for f in enumerate_ck_forests(max_vertices, "ab"):
+        for lab in "ab":
             defect = cocycle_defect(f, lab, grafter=grafter)
             checked += 1
             if defect:
@@ -379,19 +362,17 @@ def perturbed_grafter(root_label: str):
 # ---------------------------------------------------------------------------
 # edge insertions (grow-at-an-edge, never reachable from the merge engine)
 
-def _insert_at_all_edges(t: SyntaxTree, alpha: str) -> list:
-    def rebuild(cur, path, target):
-        if path == target:
-            return Node(cur, leaf(alpha))
-        if isinstance(cur, Leaf):
-            return cur
-        return Node(
-            rebuild(cur.left, path + (0,), target),
-            rebuild(cur.right, path + (1,), target),
-        )
-
-    # one edge above every non-root vertex
-    return [rebuild(t, (), p) for p, _ in positions(t) if p]
+def _inserted(t: SyntaxTree, new: Leaf) -> list:
+    """t once for each edge, the edge split by a vertex that carries new:
+    each child either gets the new vertex above it or passes the insertion
+    down, and is joined to its sibling."""
+    if isinstance(t, Leaf):
+        return []
+    return [
+        Node(x, sibling)
+        for child, sibling in ((t.left, t.right), (t.right, t.left))
+        for x in [Node(child, new)] + _inserted(child, new)
+    ]
 
 
 def insertion_delta(target: SyntaxTree, alpha: str) -> LinComb:
@@ -407,10 +388,9 @@ def insertion_delta_ws(ws: Workspace, alpha: str) -> LinComb:
     """Insertion extended to workspaces; a derivation for the product: the
     edge lies in exactly one component."""
     out = LinComb()
+    new = leaf(alpha)
     for i, comp in enumerate(ws.components):
-        if isinstance(comp, Leaf):
-            continue
-        for t in _insert_at_all_edges(comp, alpha):
+        for t in _inserted(comp, new):
             comps = ws.components[:i] + (t,) + ws.components[i + 1 :]
             out.add(Workspace(comps), 1)
     return out

@@ -431,51 +431,36 @@ def _edges(K) -> tuple:
     return rows, cols, K.ravel()[flat], n
 
 
-def _bfs_tree(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    """Breadth-first search from state 0 over the edges src[e] -> dst[e]:
-    each reached state's parent is its lowest-numbered predecessor on the
-    previous level, state 0 is its own parent, and n marks a state never
-    reached.  Each sweep takes every edge out of the last frontier at once."""
-    parent = np.full(n, n)
-    parent[0] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[0] = True
+def _unreached(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """The states, in increasing order, that breadth-first search from state
+    0 over the edges src[e] -> dst[e] never reaches.  Each sweep takes every
+    edge out of the last frontier at once."""
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
     while True:
-        out = np.flatnonzero(frontier[src])
-        out = out[parent[dst[out]] == n]  # edges into states not yet reached
-        if not len(out):
-            return parent
-        reached = dst[out]
-        np.minimum.at(parent, reached, src[out])
+        reached = dst[frontier[src]]
+        reached = reached[~seen[reached]]
+        if not len(reached):
+            return np.flatnonzero(~seen)
+        seen[reached] = True
         frontier = np.zeros(n, dtype=bool)
         frontier[reached] = True
 
 
-def strong_connectivity(g, witness: bool = True) -> dict:
+def strong_connectivity(g) -> dict:
     """Whether g, a TransitionGraph or a dense square matrix (any other shape
-    is a MarkovError), is strongly connected, its component count, and with
-    witness shortest paths from the first state to the last and back.
+    is a MarkovError), is strongly connected, and its component count.
 
     One breadth-first search from state 0 along the edges and one against
     them decide: the chain is strongly connected when both reach every
-    state.  The witnesses are read off the two trees, 0 -> n-1 from the
-    first and n-1 -> 0 from the second.  Tarjan runs only to count the
-    components of a reducible chain."""
+    state.  Tarjan runs only to count the components of a reducible chain."""
     rows, cols, _, n = _edges(g)
-    trees = [_bfs_tree(rows, cols, n), _bfs_tree(cols, rows, n)] if n else []
-    connected = bool(trees) and all((parent < n).all() for parent in trees)
-    out = {"strongly_connected": connected, "scc_count": 1, "witness_paths": []}
-    if not connected:
-        out["scc_count"] = len(strong_components(rows, cols, n))
-    elif witness and n > 1:
-        paths = []
-        for parent in trees:  # from n-1 up to the root, state 0
-            path = [n - 1]
-            while path[-1]:
-                path.append(int(parent[path[-1]]))
-            paths.append(path)
-        out["witness_paths"] = [paths[0][::-1], paths[1]]
-    return out
+    connected = bool(n) and not len(_unreached(rows, cols, n)) and not len(_unreached(cols, rows, n))
+    return {
+        "strongly_connected": connected,
+        "scc_count": 1 if connected else len(strong_components(rows, cols, n)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +565,7 @@ def _check_strongly_connected(K, rows, cols, n: int) -> None:
     if not n:
         raise MarkovError("reducible support; Perron-Frobenius theory needs strong connectivity: no states")
     for src, dst, forward in ((rows, cols, True), (cols, rows, False)):
-        missed = np.flatnonzero(_bfs_tree(src, dst, n) == n)
+        missed = _unreached(src, dst, n)
         if len(missed):
             src, dst = (0, missed[0]) if forward else (missed[0], 0)
             raise MarkovError(
@@ -752,7 +737,9 @@ EXACT_T0_EXPONENT = {
 }
 
 
-def _fit_exponent(form, a, b, c, lo=1e-6, hi=1e-5) -> float:
+def _fit_exponent(form, a, b, c) -> float:
+    """The slope of log xi[3] against log t between t = 1e-6 and 1e-5."""
+    lo, hi = 1e-6, 1e-5
     y_lo = form(a, b, c, lo)["xi"][3]
     y_hi = form(a, b, c, hi)["xi"][3]
     return math.log(y_hi / y_lo) / math.log(hi / lo)

@@ -44,6 +44,7 @@ from mergespace.engine import (
 )
 from mergespace.forest import (
     DomainError,
+    Node,
     enumerate_forests,
     enumerate_trees,
     leaf,
@@ -69,7 +70,6 @@ from mergespace.markov import (
     strong_connectivity,
     structured_closed_form,
     three_leaf_pattern,
-    weighted_matrix,
 )
 from mergespace.rulesets import get_ruleset
 
@@ -176,7 +176,7 @@ def check_weighted_chains(c: Check):
     for regime in ("ms", "my", "cl", "total"):
         ok = True
         for t in (0.1, 0.5, 0.9):
-            g = weighted_matrix("abc", regime, t)  # raises if pattern deviates
+            g = build_graph("abc", regime=regime, t=t)
             ok = ok and np.allclose(g.K, three_leaf_pattern(regime, t), atol=1e-12)
             ok = ok and sector_exponents_match(g, regime)
         c.true(f"{regime} weighting matches the sector exponents symbolically", ok)
@@ -184,7 +184,7 @@ def check_weighted_chains(c: Check):
         a, b, cc = REGIME_EXPONENTS[regime]
         worst = 0.0
         for t in np.linspace(0.05, 1.0, 20):
-            pf = perron_frobenius(weighted_matrix("abc", regime, float(t)))
+            pf = perron_frobenius(build_graph("abc", regime=regime, t=float(t)))
             cf = structured_closed_form(a, b, cc, float(t))
             worst = max(worst, abs(pf.lam - cf["lam"]), float(np.abs(pf.xi - cf["xi"]).max()))
         c.true(
@@ -227,7 +227,7 @@ def check_rr_tables(c: Check):
                 for sm in all_merge_successors(ws, MergeConfig(mode=mode)):
                     if not sm.tag.startswith("SM"):
                         continue
-                    built_key = "(" + "|".join(sorted(t.key for t in sm.pair)) + ")"
+                    built_key = Node(*sm.pair).key
                     for em in _steps_tagged(sm.output_ws, EM, mode):
                         if built_key not in {t.key for t in em.pair}:
                             continue
@@ -393,11 +393,11 @@ def check_strong_connectivity(c: Check):
         for im in (False, True):
             for atomic in (False, True):
                 g = build_graph(labels, MergeConfig(mode="d", allow_im=im, atomic_sm_only=atomic))
-                rep = strong_connectivity(g, witness=False)
+                rep = strong_connectivity(g)
                 tag = f"{len(labels)} leaves, {'with' if im else 'no'} IM, {'atomic' if atomic else 'full'} SM"
                 c.equal(f"strongly connected ({tag})", rep["scc_count"], 1)
     g = build_graph("abc", MergeConfig(mode="d", allow_im=False, allow_sm=False))
-    rep = strong_connectivity(g, witness=False)
+    rep = strong_connectivity(g)
     c.true("external merge alone is not strongly connected", rep["scc_count"] > 1, f"{rep['scc_count']} components")
 
 

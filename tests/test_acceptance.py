@@ -71,3 +71,22 @@ def test_cocycle_row_needs_its_negative_control(monkeypatch):
     assert len(rows) == 3
     assert not rows[0]["ok"] and rows[0]["name"].startswith("grafting cocycle identity")
     assert all(r["ok"] for r in rows[1:])
+
+
+def test_weighted_rows_fail_as_rows(monkeypatch):
+    # a wrong ms sector exponent fails the ms rows that read it and leaves
+    # the report, and every other regime's rows, intact
+    from fractions import Fraction
+
+    from mergespace import markov
+
+    monkeypatch.setitem(markov.REGIME_EXPONENTS, "ms", (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+    rows = run_verify(only="weighted")["items"]
+    failed = {r["name"] for r in rows if not r["ok"]}
+    assert failed == {
+        "ms weighting matches the sector exponents symbolically",
+        "ms closed form matches power iteration on a 20-point grid",
+        "ms small-t disconnected exponent fits 5/6 (series form)",
+    }
+    others = [r for r in rows if r["name"].split()[0] in ("my", "cl", "total", "resource-weighted")]
+    assert len(others) == 13 and all(r["ok"] for r in others)

@@ -655,29 +655,6 @@ class TestAsymptotics:
         assert abs(xi0 - approx) <= t ** (5 / 3)
 
 
-def distance(A, src, dst):
-    """The smallest k with (A^k)[src, dst] > 0, by repeated dense products."""
-    reach = np.zeros(len(A), dtype=np.int64)
-    reach[src] = 1
-    for k in range(len(A)):
-        if reach[dst]:
-            return k
-        reach = (reach @ A.astype(np.int64) > 0).astype(np.int64)
-    return None
-
-
-def assert_shortest_witnesses(A, report):
-    """Both witness paths run between the first and last states, along edges
-    of A, and are as short as the distance from dense matrix powers."""
-    n = len(A)
-    paths = report["witness_paths"]
-    assert len(paths) == (2 if n > 1 else 0)
-    for path, (src, dst) in zip(paths, [(0, n - 1), (n - 1, 0)]):
-        assert path[0] == src and path[-1] == dst
-        assert all(A[a, b] for a, b in zip(path, path[1:])), path
-        assert len(path) - 1 == distance(A, src, dst)
-
-
 class TestStrongConnectivity:
     @pytest.mark.parametrize("labels", ["abc", "abcd", "abcde"])
     @pytest.mark.parametrize("im", [False, True])
@@ -685,8 +662,7 @@ class TestStrongConnectivity:
     def test_connected(self, labels, im, atomic):
         g = build_graph(labels, MergeConfig(mode="d", allow_im=im, atomic_sm_only=atomic))
         report = strong_connectivity(g)
-        assert report["strongly_connected"] and report["scc_count"] == 1
-        assert_shortest_witnesses(g.K > 0, report)
+        assert report == {"strongly_connected": True, "scc_count": 1}
 
     def test_em_only_disconnected(self):
         g = build_graph("abc", MergeConfig(mode="d", allow_im=False, allow_sm=False))
@@ -741,7 +717,7 @@ class TestReachability:
     def test_verdict_equals_tarjan_on_chains(self, labels, flags):
         g = build_graph(labels, MergeConfig(mode="d", **flags))
         want = tarjan_verdict(g.rows, g.cols, g.n)
-        assert strong_connectivity(g, witness=False)["strongly_connected"] == want
+        assert strong_connectivity(g)["strongly_connected"] == want
         assert want == (flags.get("allow_sm", True))  # only the EM-only chains are reducible
 
     def test_verdict_equals_tarjan_on_random_digraphs(self):
@@ -757,17 +733,6 @@ class TestReachability:
             assert report["scc_count"] == len(components)
             verdicts.append(want)
         assert 50 < sum(verdicts) < 350
-
-    def test_witnesses_are_shortest_paths_on_random_digraphs(self):
-        connected = 0
-        for A in random_digraphs():
-            report = strong_connectivity(A)
-            if report["strongly_connected"]:
-                assert_shortest_witnesses(A, report)
-                connected += 1
-            else:
-                assert report["witness_paths"] == []
-        assert connected > 50
 
     def test_dense_edges_are_row_major_nonzeros(self):
         K = K_X.copy()
@@ -807,7 +772,7 @@ class TestDegenerateChains:
     def test_two_leaf_chain_has_no_dominant_eigenvalue(self):
         g = build_graph("ab")
         assert g.n == 1 and len(g.rows) == 0
-        assert strong_connectivity(g) == {"strongly_connected": True, "scc_count": 1, "witness_paths": []}
+        assert strong_connectivity(g) == {"strongly_connected": True, "scc_count": 1}
         with pytest.raises(MarkovError, match="no positive dominant eigenvalue"):
             perron_frobenius(g)
 
@@ -933,12 +898,7 @@ class TestSevenLeaves:
 
     def test_strongly_connected(self, seven_leaves):
         g, _ = seven_leaves
-        report = strong_connectivity(g)
-        assert report["strongly_connected"]
-        edges = g.rows * g.n + g.cols
-        for path, (src, dst) in zip(report["witness_paths"], [(0, g.n - 1), (g.n - 1, 0)]):
-            assert path[0] == src and path[-1] == dst
-            assert np.isin(np.array(path[:-1]) * g.n + path[1:], edges).all()
+        assert strong_connectivity(g) == {"strongly_connected": True, "scc_count": 1}
 
     def test_perron_frobenius(self, seven_leaves):
         g, pf = seven_leaves
