@@ -158,12 +158,17 @@ def merge_pairs(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> Iterator[tup
 def apply(ws: Workspace, a: tuple, b: tuple, mode: str = "d") -> MergeStep:
     """M_{S,S'} for a source pair from merge_pairs: cut each host once,
     graft Node(S, S') at a new root and reassemble the workspace."""
+    return _apply(ws, a, b, mode, None)
+
+
+def _apply(ws: Workspace, a: tuple, b: tuple, mode: str, memo) -> MergeStep:
+    """apply, its single cuts shared through a tree_quotient memo."""
     comps = ws.components
     (ca, pa), (cb, pb) = a, b
     if ca == cb and pa and pb:  # two cuts in one host: SM3, ID
-        quots = {ca: tree_quotient(comps[ca], [pa, pb], mode)}
+        quots = {ca: tree_quotient(comps[ca], [pa, pb], mode, memo)}
     else:
-        quots = {c: tree_quotient(comps[c], [p], mode) for c, p in (a, b) if p}
+        quots = {c: tree_quotient(comps[c], [p], mode, memo) for c, p in (a, b) if p}
     # a source is the subtree at its path, or its whole component after the cut
     s = subtree_at(comps[ca], pa) if pa else quots.pop(ca, comps[ca])
     t = subtree_at(comps[cb], pb) if pb else quots.pop(cb, comps[cb])
@@ -178,8 +183,14 @@ def apply(ws: Workspace, a: tuple, b: tuple, mode: str = "d") -> MergeStep:
 
 
 def all_merge_successors(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> list:
-    """Every one-step Merge application under the flags, in merge_pairs order."""
-    return [apply(ws, a, b, cfg.mode) for a, b in merge_pairs(ws, cfg)]
+    """Every one-step Merge application under the flags, in merge_pairs
+    order.  The quotient W/S depends on S alone, so the steps share one
+    memo of single cuts: a term is cut once for all its partners, and an
+    SM3 pair reuses the cuts below where its two paths part and rebuilds
+    only the spine above.  The memo dies with the call, while ws still
+    holds every tree it keys."""
+    memo: dict = {}
+    return [_apply(ws, a, b, cfg.mode, memo) for a, b in merge_pairs(ws, cfg)]
 
 
 # ---------------------------------------------------------------------------

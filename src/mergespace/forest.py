@@ -262,7 +262,10 @@ def nested(p: tuple, q: tuple) -> bool:
     return p[:n] == q[:n]
 
 
-def tree_quotient(t: SyntaxTree, paths, mode: str):
+_MISS = object()  # a memo's "not computed yet"; None is a quotient
+
+
+def tree_quotient(t: SyntaxTree, paths, mode: str, memo: Optional[dict] = None):
     """Quotient of one tree by disjoint cuts at the given paths, each a
     non-empty sequence of 0s and 1s, as `quotient` checks them.
 
@@ -272,7 +275,18 @@ def tree_quotient(t: SyntaxTree, paths, mode: str):
     walk goes down the spine, the paths' common prefix, cuts where it ends
     or, where several cuts part, takes each child's share of them down that
     child, and rebuilds the spine bottom-up.
+
+    memo, when given, keeps every single-path cut, of t itself or of a
+    child where cuts part, under (id(subtree), path), and returns the kept
+    result for a cut asked again.  Keys are identities, so one memo serves
+    one mode and only while every tree it was used with lives.
     """
+    if memo is not None and len(paths) == 1:
+        k = (id(t), paths[0])
+        out = memo.get(k, _MISS)
+        if out is _MISS:
+            out = memo[k] = tree_quotient(t, paths, mode)
+        return out
     prefix = paths[0] if len(paths) == 1 else _common_prefix(paths)
     spine = []
     for step in prefix:
@@ -286,8 +300,8 @@ def tree_quotient(t: SyntaxTree, paths, mode: str):
         raise ForestError("path runs past a leaf")
     else:
         k = len(prefix)
-        l = tree_quotient(t.left, [p[k + 1 :] for p in paths if p[k] == 0], mode)
-        r = tree_quotient(t.right, [p[k + 1 :] for p in paths if p[k] == 1], mode)
+        l = tree_quotient(t.left, [p[k + 1 :] for p in paths if p[k] == 0], mode, memo)
+        r = tree_quotient(t.right, [p[k + 1 :] for p in paths if p[k] == 1], mode, memo)
         out = r if l is None else l if r is None else Node(l, r)
     for v, step in zip(reversed(spine), reversed(prefix)):
         if step:

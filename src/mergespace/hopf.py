@@ -13,6 +13,7 @@ terms, and nothing in this module touches floats.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from itertools import chain, product
 from operator import attrgetter
 from typing import Optional
@@ -333,10 +334,20 @@ def verify_cocycle(max_vertices: int, grafter=None) -> dict:
     tolerance."""
     if max_vertices < 0:
         raise ForestError("max_vertices must be >= 0")
+    forests = enumerate_ck_forests(max_vertices, "ab")
+    # a grafted tree the enumerator already built is that tree, so each
+    # distinct tree is cut once
+    built = {t.key: t for f in forests for t in f.trees}
+
+    def interned(t: CKTree) -> CKTree:
+        old = built.get(t.key)
+        return old if old is not None and old == t else t
+
     checked = 0
-    for f in enumerate_ck_forests(max_vertices, "ab"):
+    for f in forests:
         for lab in "ab":
-            defect = cocycle_defect(f, lab, grafter=grafter)
+            B = grafter or partial(graft_B, root_label=lab)
+            defect = cocycle_defect(f, lab, grafter=lambda fr: interned(B(fr)))
             checked += 1
             if defect:
                 witness = next(iter(defect))

@@ -422,11 +422,13 @@ def check_coloring_scenarios(c: Check):
         rows = coloring.scenario_verdicts(blob)
         detail = " ".join(f"{r['ruleset']}:{r['verdict']}({r['colorings']})" for r in rows)
         c.true(f"scenario {blob['name']}", all(r["ok"] for r in rows), detail)
+    # the shipped scripts' counts, not a minimum: with IM on, clusters 3
+    # and 4 also have derivations with one sideward step
     counts = []
     for size in (2, 3, 4):
         deriv = _run_script(f"clitic_cluster_{size}")
         counts.append(sum(1 for s in deriv.steps if s.tag.startswith("SM")))
-    c.true("clitic clusters 2-4 need strictly more sideward steps", counts == [1, 2, 3], counts)
+    c.equal("clitic-cluster scripts 2-4 use 1, 2 and 3 sideward steps", counts, [1, 2, 3])
     ws, steps, _ = load_script(_data("scripts", "korean_pac"))
     try:
         replay(ws, steps, MergeConfig(mode="d"))

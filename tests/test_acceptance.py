@@ -45,6 +45,15 @@ def test_everything_passed(report):
     assert report["ok"], f"{report['total'] - report['passed']} checks failed"
 
 
+def test_clitic_cluster_row_counts_the_scripts(report):
+    # the row counts the shipped scripts' sideward steps and claims no
+    # minimum: with IM on, clusters 3 and 4 have 1-SM derivations too
+    rows = [r for r in _rows(report, "coloring") if r["name"].startswith("clitic")]
+    assert [(r["name"], r["observed"], r["ok"]) for r in rows] == [
+        ("clitic-cluster scripts 2-4 use 1, 2 and 3 sideward steps", "[1, 2, 3]", True)
+    ]
+
+
 def test_runtime_budget(timed_report):
     # the full suite must stay desk-scale; timed on the fixture's own cold run
     assert timed_report[1] < 120

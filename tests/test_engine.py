@@ -3,7 +3,9 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mergespace import engine, forest
 from mergespace.engine import (
     ECViolation,
     MergeConfig,
@@ -12,6 +14,7 @@ from mergespace.engine import (
     all_merge_successors,
     apply,
     form_copy_quotient,
+    merge_pairs,
     replay,
 )
 from mergespace.forest import (
@@ -157,6 +160,84 @@ class TestAgainstCoproduct:
                     # with repeated labels a deeper cut can also give back ws
                     want[workspace(host.left, host.right).key, ws.key] -= 2
             assert got == want, ws.key
+
+
+MEMO_FLAGS = [
+    {},
+    {"allow_im": False},
+    {"allow_identity_sm": True, "allow_sibling_cut": True},
+    {"atomic_sm_only": True},
+]
+
+
+@st.composite
+def random_workspace(draw, mode="d"):
+    """One to three trees over a, b, c, of one to three leaves each; in
+    mode "c" sometimes one step on, so that trace leaves appear."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    comps = []
+    for n in sizes:
+        trees = [leaf(x) for x in draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))]
+        while len(trees) > 1:
+            t1 = trees.pop(draw(st.integers(0, len(trees) - 1)))
+            t2 = trees.pop(draw(st.integers(0, len(trees) - 1)))
+            trees.append(node(t1, t2))
+        comps.append(trees[0])
+    ws = Workspace(tuple(comps))
+    if mode == "c" and draw(st.booleans()):
+        steps = all_merge_successors(ws, CFG_C)
+        if steps:
+            ws = steps[draw(st.integers(0, len(steps) - 1))].output_ws
+    return ws
+
+
+class TestSuccessorMemo:
+    """all_merge_successors shares one memo of single cuts across its steps;
+    each step must still be the one apply builds alone."""
+
+    @pytest.mark.parametrize("mode", ["c", "d"])
+    @pytest.mark.parametrize("flags", MEMO_FLAGS, ids=lambda f: "+".join(f) or "default")
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_equals_apply_step_by_step(self, mode, flags, data):
+        ws = data.draw(random_workspace(mode))
+        cfg = MergeConfig(mode=mode, **flags)
+        got = all_merge_successors(ws, cfg)
+        want = [apply(ws, x, y, mode) for x, y in merge_pairs(ws, cfg)]
+        assert len(got) == len(want)
+        for s, w in zip(got, want):
+            assert (s.tag, s.sources, s.pair, s.extractions) == (w.tag, w.sources, w.pair, w.extractions)
+            assert s.output_ws == w.output_ws and s.output_ws.key == w.output_ws.key
+
+    @pytest.mark.parametrize("mode", ["c", "d"])
+    def test_each_single_cut_once_per_call(self, monkeypatch, mode):
+        # every single-path cut tree_quotient computes, as (id of the tree,
+        # path); a memo hit computes nothing
+        real = forest.tree_quotient
+        computed: list = []
+
+        def counted(t, paths, mode, memo=None):
+            if memo is None and len(paths) == 1:
+                computed.append((id(t), paths[0]))
+            return real(t, paths, mode, memo)
+
+        monkeypatch.setattr(forest, "tree_quotient", counted)
+        monkeypatch.setattr(engine, "tree_quotient", counted)
+        ws = workspace(node(node(a, b), node(c, node(a, b))), node(c, node(b, a)), a)
+        cfg = MergeConfig(mode=mode, allow_identity_sm=True, allow_sibling_cut=True)
+        for x, y in merge_pairs(ws, cfg):
+            apply(ws, x, y, mode)
+        alone = list(computed)
+        runs = []
+        for _ in range(2):
+            computed.clear()
+            all_merge_successors(ws, cfg)
+            runs.append(list(computed))
+        # the same cuts as the steps built one by one, each computed once,
+        # and computed again by the next call: nothing outlives a call
+        assert len(set(runs[0])) == len(runs[0])
+        assert set(runs[0]) == set(alone) and len(runs[0]) < len(alone)
+        assert runs[1] == runs[0]
 
 
 FLAG_NAMES = ("allow_im", "allow_sm", "allow_identity_sm", "allow_sibling_cut", "atomic_sm_only")

@@ -432,6 +432,24 @@ class TestTreeQuotient:
                     want = recursive_tree_quotient(t, cut, mode)
                     assert got == want and (got is None or got.key == want.key), (t.key, cut, mode)
 
+    @pytest.mark.parametrize("mode", ["c", "d"])
+    def test_shared_memo_changes_no_quotient(self, mode):
+        # one memo over every cut at one vertex and at two non-nested
+        # vertices of every 5-leaf tree over a, a, b, c, d: the single cuts
+        # it keeps, of a tree and of the children where two cuts part,
+        # give the quotients computed without it
+        memo: dict = {}
+        for t in enumerate_trees("aabcd"):
+            paths = [p for p, _ in positions(t)][1:]
+            cuts = [[p] for p in paths] + [
+                [p, q] for p, q in itertools.combinations(paths, 2) if not forest.nested(p, q)
+            ]
+            for cut in cuts:
+                got = forest.tree_quotient(t, cut, mode, memo)
+                want = forest.tree_quotient(t, cut, mode)
+                assert got == want and (got is None or got.key == want.key), (t.key, cut)
+        assert memo
+
     def test_keeps_the_order_of_equal_keys(self):
         # cutting z leaves the root two different children with one key,
         # (~p~|~q~|~r~); the rebuilt root keeps each on the side it came from

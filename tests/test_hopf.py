@@ -389,9 +389,11 @@ class TestCutsOncePerTree:
         for _ in range(2):
             cut.clear()
             assert verify_cocycle(4)["ok"]
-            # no tree object is cut twice, and every tree is cut
+            # every distinct tree is cut, each through one object: a
+            # grafted tree the enumerator already built is not cut again
             assert len({id(t) for t in cut}) == len(cut)
             assert {t.key for t in cut} == everything
+            assert len(cut) == 286
             runs.append(len(cut))
         assert runs[0] == runs[1]  # nothing carries over between calls
 
