@@ -21,7 +21,7 @@ from itertools import islice
 
 from mergespace import coloring as coloring_mod
 from mergespace.coloring import color_search, ruleset_to_json
-from mergespace.costs import derivation_cost, fc_cost_report
+from mergespace.costs import REGIMES, derivation_cost, fc_cost_report
 from mergespace.engine import (
     MergeConfig,
     MergeError,
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("markov", help="transition matrix and its eigendata")
     p.add_argument("--leaves", required=True)
     _add_common(p)
-    p.add_argument("--regime", choices=("ms", "my", "cl", "total"))
+    p.add_argument("--regime", choices=REGIMES)
     p.add_argument("-t", type=float, help="weight parameter of --regime (default 1.0)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")

@@ -1,4 +1,4 @@
-"""Formal linear combinations and coproducts.
+"""Coproducts on workspaces and on labeled forests.
 
 Two coproducts act on workspaces of binary trees: extraction of disjoint
 accessible terms paired with either the contraction quotient (mode "c",
@@ -6,8 +6,9 @@ traces kept) or the deletion quotient (mode "d", copies removed).  On the
 side of arbitrary-arity trees with labeled internal vertices lives the
 admissible-cut coproduct, its grafting operators, and the cocycle checks.
 
-Coefficients are plain ints: every coproduct, cut and product here counts
-terms, and nothing in this module touches floats.
+A linear combination is a plain dict from term to nonzero int coefficient:
+every coproduct, cut and product here counts terms, and nothing in this
+module touches floats.
 """
 
 from __future__ import annotations
@@ -33,70 +34,6 @@ from mergespace.forest import (
 )
 
 UNIT = Workspace(())
-
-
-class LinComb:
-    """Sparse linear combination.
-
-    Terms can be anything hashable (workspaces, CK forests, trees).  Each
-    coefficient is kept as the caller gives it (an int, or a Fraction that
-    stays exact).  Zero coefficients are never stored; equality is
-    term-by-term.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict = {}
-        if terms:
-            for t, coef in terms.items() if isinstance(terms, dict) else terms:
-                self.add(t, coef)
-
-    def add(self, term, coef=1) -> None:
-        new = self.terms.get(term, 0) + coef
-        if new:
-            self.terms[term] = new
-        else:
-            self.terms.pop(term, None)
-
-    def __add__(self, other: "LinComb") -> "LinComb":
-        out = type(self)(self.terms)
-        for t, c in other.terms.items():
-            out.add(t, c)
-        return out
-
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        out = type(self)(self.terms)
-        for t, c in other.terms.items():
-            out.add(t, -c)
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinComb) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __iter__(self):
-        return iter(sorted(self.terms.items(), key=lambda kv: repr(kv[0])))
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*{t!r}" for t, c in self)
-
-
-class TensorComb(LinComb):
-    """Linear combination of ordered pairs (left, right)."""
-
-    @classmethod
-    def pure(cls, left, right):
-        tc = cls()
-        tc.add((left, right), 1)
-        return tc
 
 
 def ws_union(a: Workspace, b: Workspace) -> Workspace:
@@ -127,7 +64,7 @@ def _kept_cuts(t: SyntaxTree, mode: str) -> list:
     ]
 
 
-def coproduct(ws: Workspace, mode: str) -> TensorComb:
+def coproduct(ws: Workspace, mode: str) -> dict:
     """Extraction-of-accessible-terms coproduct, multiplicative over disjoint
     union.  Terms are pairs (extracted forest, quotient workspace); the empty
     cut and the whole-component split are included.  Each term joins one
@@ -136,8 +73,7 @@ def coproduct(ws: Workspace, mode: str) -> TensorComb:
     if mode not in ("c", "d"):
         raise ForestError(f"unknown coproduct mode {mode!r}")
     per_tree = [_kept_cuts(t, mode) + [((t,), None)] for t in ws.components]
-    out = TensorComb()
-    out.terms = dict(
+    return dict(
         Counter(
             (
                 Workspace(tuple(chain.from_iterable(x for x, _ in terms))),
@@ -146,7 +82,6 @@ def coproduct(ws: Workspace, mode: str) -> TensorComb:
             for terms in product(*per_tree)
         )
     )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +215,7 @@ def _union(forests: list) -> CKForest:
     return CKForest(tuple(chain.from_iterable(map(_by_trees, forests))))
 
 
-def ck_coproduct(f: CKForest) -> TensorComb:
+def ck_coproduct(f: CKForest) -> dict:
     """Admissible-cut coproduct on labeled arbitrary-arity forests, including
     the empty cut (1 (x) F) and the full cut (F (x) 1); multiplicative over
     disjoint union: each term joins one term of every tree's cut list."""
@@ -289,9 +224,7 @@ def ck_coproduct(f: CKForest) -> TensorComb:
     else:
         combos = map(_parts, product(*map(_cut_list, f.trees)))
         terms = [(_union(pruned), _union(kept)) for pruned, kept in combos]
-    out = TensorComb()
-    out.terms = dict(Counter(terms))
-    return out
+    return dict(Counter(terms))
 
 
 def enumerate_ck_forests(max_vertices: int, alphabet) -> list:
@@ -316,16 +249,22 @@ def enumerate_ck_forests(max_vertices: int, alphabet) -> list:
     return [f for level in forests for f in level]
 
 
-def cocycle_defect(f: CKForest, root_label: Optional[str], grafter=None) -> TensorComb:
-    """Delta(B(F)) - B(F) (x) 1 - (id (x) B)(Delta(F)); zero iff the cocycle
-    identity holds for this forest."""
-    B = grafter or (lambda fr: graft_B(fr, root_label))
+def _difference(p: dict, q: dict) -> dict:
+    """p - q, zero coefficients dropped."""
+    out = Counter(p)
+    out.subtract(q)
+    return {t: c for t, c in out.items() if c}
+
+
+def cocycle_defect(f: CKForest, B) -> dict:
+    """Delta(B(F)) - B(F) (x) 1 - (id (x) B)(Delta(F)) for the grafting B;
+    empty iff the cocycle identity holds for this forest."""
     grafted = CKForest((B(f),))
-    lhs = ck_coproduct(grafted)
-    rhs = TensorComb.pure(grafted, CK_UNIT)
-    for (x, y), c in ck_coproduct(f).terms.items():
-        rhs.add((x, CKForest((B(y),))), c)
-    return TensorComb() if lhs == rhs else lhs - rhs
+    rhs = Counter({(grafted, CK_UNIT): 1})
+    for (x, y), c in ck_coproduct(f).items():
+        rhs[x, CKForest((B(y),))] += c
+    lhs, rhs = ck_coproduct(grafted), dict(rhs)
+    return {} if lhs == rhs else _difference(lhs, rhs)
 
 
 def verify_cocycle(max_vertices: int, grafter=None) -> dict:
@@ -347,10 +286,10 @@ def verify_cocycle(max_vertices: int, grafter=None) -> dict:
     for f in forests:
         for lab in "ab":
             B = grafter or partial(graft_B, root_label=lab)
-            defect = cocycle_defect(f, lab, grafter=lambda fr: interned(B(fr)))
+            defect = cocycle_defect(f, lambda fr: interned(B(fr)))
             checked += 1
             if defect:
-                witness = next(iter(defect))
+                witness = min(defect.items(), key=lambda kv: repr(kv[0]))
                 return {
                     "ok": False,
                     "checked": checked,
@@ -386,7 +325,7 @@ def _inserted(t: SyntaxTree, new: Leaf) -> list:
     ]
 
 
-def insertion_delta(target: SyntaxTree, alpha: str) -> LinComb:
+def insertion_delta(target: SyntaxTree, alpha: str) -> dict:
     """Sum over edges of the tree obtained by splitting the edge with a new
     vertex carrying a new leaf.  This is the dual pre-Lie insertion; it is
     EC-violating and lives only here, never in the merge engine."""
@@ -395,31 +334,29 @@ def insertion_delta(target: SyntaxTree, alpha: str) -> LinComb:
     return insertion_delta_ws(workspace(target), alpha)
 
 
-def insertion_delta_ws(ws: Workspace, alpha: str) -> LinComb:
+def insertion_delta_ws(ws: Workspace, alpha: str) -> dict:
     """Insertion extended to workspaces; a derivation for the product: the
     edge lies in exactly one component."""
-    out = LinComb()
     new = leaf(alpha)
-    for i, comp in enumerate(ws.components):
-        for t in _inserted(comp, new):
-            comps = ws.components[:i] + (t,) + ws.components[i + 1 :]
-            out.add(Workspace(comps), 1)
-    return out
+    comps = ws.components
+    return dict(
+        Counter(
+            Workspace(comps[:i] + (t,) + comps[i + 1 :])
+            for i, comp in enumerate(comps)
+            for t in _inserted(comp, new)
+        )
+    )
 
 
-def insertion_cocycle_defect(t: SyntaxTree, alpha: str) -> TensorComb:
+def insertion_cocycle_defect(t: SyntaxTree, alpha: str) -> dict:
     """Delta^c(delta(T)) - delta(T) (x) 1 - (id (x) delta)(Delta^c(T));
     nonzero in general, witnessing that insertions are not cocycles."""
-    delta_t = insertion_delta(t, alpha)
-    lhs = TensorComb()
-    for w, c in delta_t.terms.items():
-        for pair, d in coproduct(w, "c").terms.items():
-            lhs.add(pair, c * d)
-    rhs = TensorComb()
-    for w, c in delta_t.terms.items():
-        rhs.add((w, UNIT), c)
-    for (x, y), c in coproduct(workspace(t), "c").terms.items():
-        img = insertion_delta_ws(y, alpha)
-        for w, d in img.terms.items():
-            rhs.add((x, w), c * d)
-    return lhs - rhs
+    lhs, rhs = Counter(), Counter()
+    for w, c in insertion_delta(t, alpha).items():
+        rhs[w, UNIT] += c
+        for pair, d in coproduct(w, "c").items():
+            lhs[pair] += c * d
+    for (x, y), c in coproduct(workspace(t), "c").items():
+        for w, d in insertion_delta_ws(y, alpha).items():
+            rhs[x, w] += c * d
+    return _difference(lhs, rhs)

@@ -448,6 +448,18 @@ def _unreached(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
         frontier[reached] = True
 
 
+def _unreachable_pair(rows: np.ndarray, cols: np.ndarray, n: int) -> Optional[tuple]:
+    """None when breadth-first search from state 0 of n > 0 reaches every
+    state along the edges and against them; else (i, j), state i unable to
+    reach state j: (0, j) for the least j missed along the edges, then
+    (i, 0) for the least i missed against them."""
+    for src, dst, forward in ((rows, cols, True), (cols, rows, False)):
+        missed = _unreached(src, dst, n)
+        if len(missed):
+            return (0, int(missed[0])) if forward else (int(missed[0]), 0)
+    return None
+
+
 def strong_connectivity(g) -> dict:
     """Whether g, a TransitionGraph or a dense square matrix (any other shape
     is a MarkovError), is strongly connected, and its component count.
@@ -456,7 +468,7 @@ def strong_connectivity(g) -> dict:
     them decide: the chain is strongly connected when both reach every
     state.  Tarjan runs only to count the components of a reducible chain."""
     rows, cols, _, n = _edges(g)
-    connected = bool(n) and not len(_unreached(rows, cols, n)) and not len(_unreached(cols, rows, n))
+    connected = bool(n) and _unreachable_pair(rows, cols, n) is None
     return {
         "strongly_connected": connected,
         "scc_count": 1 if connected else len(strong_components(rows, cols, n)),
@@ -560,18 +572,16 @@ def perron_frobenius(K) -> PFData:
 
 
 def _check_strongly_connected(K, rows, cols, n: int) -> None:
-    """Raises MarkovError naming a state that breadth-first search from state
-    0 does not reach, along the edges or against them."""
+    """Raises MarkovError naming a state that another cannot reach."""
     if not n:
         raise MarkovError("reducible support; Perron-Frobenius theory needs strong connectivity: no states")
-    for src, dst, forward in ((rows, cols, True), (cols, rows, False)):
-        missed = _unreached(src, dst, n)
-        if len(missed):
-            src, dst = (0, missed[0]) if forward else (missed[0], 0)
-            raise MarkovError(
-                "reducible support; Perron-Frobenius theory needs strong connectivity: "
-                f"{_state_name(K, src)} cannot reach {_state_name(K, dst)}"
-            )
+    pair = _unreachable_pair(rows, cols, n)
+    if pair is not None:
+        i, j = pair
+        raise MarkovError(
+            "reducible support; Perron-Frobenius theory needs strong connectivity: "
+            f"{_state_name(K, i)} cannot reach {_state_name(K, j)}"
+        )
 
 
 def _state_name(K, i: int) -> str:

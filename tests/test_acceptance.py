@@ -54,6 +54,34 @@ def test_clitic_cluster_row_counts_the_scripts(report):
     ]
 
 
+def test_hierarchy_row_reports_what_it_compared(report):
+    rows = [r for r in _rows(report, "hierarchy") if r["name"].startswith("head-to-head")]
+    assert [(r["observed"], r["ok"]) for r in rows] == [("343 profile pairs on 15 of 60 hosts", True)]
+
+
+def test_hierarchy_row_cannot_pass_vacuously(monkeypatch):
+    # the four fixed cases classify; every random host's step raises, so
+    # the pointwise row compares nothing and must fail, or the error escapes
+    import mergespace.verify as V
+    from mergespace.costs import CostError
+
+    real = V.classify_hierarchy
+    calls = []
+
+    def failing_after_four(sm, em):
+        calls.append(sm)
+        if len(calls) > 4:
+            raise CostError("EM must merge the SM1 output with the host quotient")
+        return real(sm, em)
+
+    monkeypatch.setattr(V, "classify_hierarchy", failing_after_four)
+    try:
+        rows = run_verify(only="hierarchy")["items"]
+    except CostError:
+        return
+    assert not any(r["ok"] for r in rows if r["name"].startswith("head-to-head"))
+
+
 def test_runtime_budget(timed_report):
     # the full suite must stay desk-scale; timed on the fixture's own cold run
     assert timed_report[1] < 120

@@ -141,7 +141,7 @@ class TestAgainstCoproduct:
             steps = all_merge_successors(ws, cfg)
             got = Counter((Workspace(s.pair).key, s.output_ws.key) for s in steps if s.tag != "IM")
             want = Counter()
-            for (left, right), coef in coproduct(ws, mode).terms.items():
+            for (left, right), coef in coproduct(ws, mode).items():
                 if left.b0 == 2:
                     out = ws_union(right, workspace(Node(*left.components)))
                     want[left.key, out.key] += int(coef)
@@ -151,7 +151,7 @@ class TestAgainstCoproduct:
             want = Counter()
             for ci, host in enumerate(ws.components):
                 rest = Workspace(ws.components[:ci] + ws.components[ci + 1 :])
-                for (left, right), coef in coproduct(workspace(host), mode).terms.items():
+                for (left, right), coef in coproduct(workspace(host), mode).items():
                     if left.b0 != 1 or right.b0 == 0:
                         continue  # not a one-term cut
                     out = ws_union(rest, workspace(Node(*left.components, *right.components)))
@@ -289,7 +289,7 @@ class TestCoproductAgainstCollections:
         forests = enumerate_forests(labels, require_edge=False)
         assert sum(ws.b0 > 1 for ws in forests) > len(forests) // 2
         for ws in forests:
-            assert coproduct(ws, mode).terms == reference_coproduct(ws, mode), ws.key
+            assert coproduct(ws, mode) == reference_coproduct(ws, mode), ws.key
 
     def test_trace_bearing_successors(self):
         seen = {}
@@ -300,7 +300,7 @@ class TestCoproductAgainstCollections:
         assert len(traced) > 100
         for ws in traced:
             for mode in ("c", "d"):
-                assert coproduct(ws, mode).terms == reference_coproduct(ws, mode), (ws.key, mode)
+                assert coproduct(ws, mode) == reference_coproduct(ws, mode), (ws.key, mode)
 
 
 def host_cuts(host, mode):
@@ -313,7 +313,7 @@ def host_cuts(host, mode):
     for cut in _disjoint_collections(accessible_terms(ws)):
         sources = [src for src, _ in cut]
         cuts.append((tuple(sub for _, sub in cut), tuple(p for _, p in sources), quotient(ws, sources, mode)))
-    assert Counter((Workspace(trees), right) for trees, _, right in cuts) == coproduct(ws, mode).terms
+    assert Counter((Workspace(trees), right) for trees, _, right in cuts) == coproduct(ws, mode)
     return cuts
 
 
