@@ -9,7 +9,7 @@ nothing in this module can insert material at an interior edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Iterator
 
@@ -272,7 +272,8 @@ def _resolve(ws: Workspace, op, args) -> tuple:
 
 def replay(initial: Workspace, script: list, cfg: MergeConfig = MergeConfig()) -> Derivation:
     """Execute a derivation script, verifying each step is a legal Merge
-    application under cfg.  Steps name extraction targets by canonical key
+    application in cfg's mode under the widest flags, sibling cuts only
+    with cfg.allow_sibling_cut.  Steps name extraction targets by canonical key
     plus occurrence index; any step requesting interior-edge growth raises
     ECViolation.  Errors read ``step {k}: {op}: {reason}``."""
     if not isinstance(script, list):
@@ -300,8 +301,8 @@ def replay(initial: Workspace, script: list, cfg: MergeConfig = MergeConfig()) -
     return deriv
 
 
-# the MergeConfig fields a derivation script may set under "flags"
-SCRIPT_FLAGS = tuple(f.name for f in fields(MergeConfig) if f.name != "mode")
+# the one MergeConfig flag a script may set: replay overrides the others
+SCRIPT_FLAGS = ("allow_sibling_cut",)
 
 
 def load_script(blob) -> tuple:

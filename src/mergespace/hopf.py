@@ -118,11 +118,6 @@ class CKTree(_Frozen):
     def __repr__(self):
         return self.key
 
-    @property
-    def size(self) -> int:
-        """Vertex count."""
-        return 1 + sum(k.size for k in self.children)
-
 
 class CKForest(_Frozen):
     """Multiset of CKTrees, stored sorted by key; the empty forest is the
@@ -151,10 +146,6 @@ class CKForest(_Frozen):
 
     def __repr__(self):
         return self.key
-
-    @property
-    def size(self) -> int:
-        return sum(t.size for t in self.trees)
 
 
 CK_UNIT = CKForest(())

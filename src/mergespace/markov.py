@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import permutations
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -301,54 +302,36 @@ def _transport(targets: np.ndarray, src: _Form, dsts: list, states: _StateKeys) 
 
 def weighted_matrix(leaves, regime: str, t: float, cfg: MergeConfig = MergeConfig()) -> TransitionGraph:
     """Cost-weighted transition matrix; exponents come from the cost model on
-    the actual steps, and on the 3-leaf space are checked against the known
-    sector pattern."""
+    the actual steps, and on the 3-leaf space sector_deviation checks them."""
     g = build_graph(leaves, cfg, regime=regime, t=t)
-    plain = (
-        cfg.allow_sm
-        and not cfg.allow_identity_sm
-        and not cfg.allow_sibling_cut
-        and not cfg.atomic_sm_only
-    )
+    plain = cfg.allow_sm and not (cfg.allow_identity_sm or cfg.allow_sibling_cut or cfg.atomic_sm_only)
     if len(tuple(leaves)) == 3 and len(set(leaves)) == 3 and plain:
-        _assert_three_leaf_pattern(g, regime, t)
+        edge = sector_deviation(g, regime, t)
+        if edge is not None:
+            raise MarkovError(f"3-leaf {regime} chain deviates from the sector pattern at edge {edge}")
     return g
 
 
-def three_leaf_pattern(regime: str, t: float, with_im: bool = True) -> np.ndarray:
-    """The expected 6x6 weighted matrix: IM block unweighted, SM3 block t^a,
-    EM block t^c, SM1 block t^b, zero diagonals in each block."""
-    a, b, c = (float(x) for x in REGIME_EXPONENTS[regime])
-    K = np.zeros((6, 6))
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                if with_im:
-                    K[i, j] = 1.0  # IM sector
-                K[i, 3 + j] = t ** a  # SM3 sector
-                K[3 + i, 3 + j] = t ** b  # SM1 sector
-        K[3 + i, i] = t ** c  # EM sector
-    return K
-
-
-def sector_exponents_match(g: TransitionGraph, regime: str) -> bool:
-    """Exact check of a weighted 3-leaf graph: in every edge kind the graph
-    uses, each step's Fraction exponent equals its sector's entry of
-    REGIME_EXPONENTS (IM steps carry exponent 0), and all four sectors
-    occur."""
+def sector_deviation(g: TransitionGraph, regime: str, t: float) -> Optional[tuple]:
+    """None if the weighted 3-leaf graph g (trees 0-2, forests 3-5) is exactly
+    the sector pattern of REGIME_EXPONENTS, else the first edge (i, j) off it.
+    Each edge is one step: its kind must be ((tag,), (exponent,)) and its
+    value t^exponent, both compared exactly."""
     a, b, c = REGIME_EXPONENTS[regime]
-    sector = {"IM": Fraction(0), "SM3": a, "SM1": b, "EM": c}
-    kinds = [g.kinds[k] for k in set(g.edge_kind.tolist())]
-    tags = {tag for step_tags, _ in kinds for tag in step_tags}
-    if g.regime is None or tags != set(sector):
-        return False
-    return all(sorted(expos) == sorted(sector[tag] for tag in step_tags) for step_tags, expos in kinds)
-
-
-def _assert_three_leaf_pattern(g: TransitionGraph, regime: str, t: float) -> None:
-    want = three_leaf_pattern(regime, t, with_im=g.cfg.allow_im)
-    if not np.allclose(g.K, want, rtol=0, atol=1e-12):
-        raise MarkovError(f"3-leaf {regime} matrix deviates from the sector pattern")
+    want = {(3 + i, i): ("EM", c) for i in range(3)}
+    for i, j in permutations(range(3), 2):
+        if g.cfg.allow_im:
+            want[i, j] = ("IM", Fraction(0))
+        want[i, 3 + j] = ("SM3", a)
+        want[3 + i, 3 + j] = ("SM1", b)
+    have = {edge: e for e, edge in enumerate(zip(g.rows.tolist(), g.cols.tolist()))}
+    for edge in sorted(want.keys() | have.keys()):
+        if edge not in want or edge not in have:
+            return edge
+        (tag, x), e = want[edge], have[edge]
+        if g.kinds[g.edge_kind[e]] != ((tag,), (x,)) or g.values[e] != t ** float(x):
+            return edge
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ projection spine, and movement landings; the split variants add the
 edge-splitting generators that let sideward-formed clusters (multiple wh,
 clitics, double accusatives) occupy a single edge position.
 
-Head classes are configurable; the default spine runs TOP > C > INFL > v > V
-with D > N on the nominal side.
+HEAD_CLASSES and SPINE are fixed module constants, not settings; the spine
+runs TOP > C > INFL > v > V with D > N on the nominal side.
 """
 
 from __future__ import annotations

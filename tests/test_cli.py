@@ -305,7 +305,7 @@ class TestDerive:
         "blob, field",
         [
             ({"mode": "d", "initial": ["a", "b"], "steps": [], "flags": {"nope": 1}}, "'nope'"),
-            ({"mode": "d", "initial": ["a", "b"], "steps": [], "flags": {"allow_im": 1}}, "allow_im"),
+            ({"mode": "d", "initial": ["a", "b"], "steps": [], "flags": {"allow_sibling_cut": 1}}, "allow_sibling_cut"),
             ({"mode": "d", "initial": ["a", "b"], "steps": [], "flags": []}, "'flags'"),
             ({"mode": "d", "steps": []}, "script has no 'initial' field"),
             ({"mode": "d", "initial": ["a", "b"]}, "script has no 'steps' field"),
@@ -319,6 +319,24 @@ class TestDerive:
         code, out, err = run(capsys, "derive", "--script", str(p))
         assert code == 1 and not out
         assert err.startswith("error: ") and field in err
+
+    def test_flag_that_replay_overrides_is_refused(self, capsys, tmp_path):
+        # replay checks every step under the widest flags of its mode, so a
+        # script that turned internal Merge off would still replay this IM
+        p = tmp_path / "no_im.json"
+        p.write_text(
+            json.dumps(
+                {
+                    "mode": "d",
+                    "initial": [["M", ["M", "a", "b"], "c"]],
+                    "flags": {"allow_im": False},
+                    "steps": [{"op": "IM", "args": [{"key": "a"}]}],
+                }
+            )
+        )
+        code, out, err = run(capsys, "derive", "--script", str(p))
+        assert code == 1 and not out
+        assert err.startswith("error: flags: unknown flag 'allow_im'; known: allow_sibling_cut")
 
     def test_script_not_json(self, capsys, tmp_path):
         p = tmp_path / "bad.json"

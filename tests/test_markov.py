@@ -23,11 +23,10 @@ from mergespace.markov import (
     matrix_csv,
     perron_frobenius,
     pf_to_json,
-    sector_exponents_match,
+    sector_deviation,
     series_closed_form,
     strong_connectivity,
     structured_closed_form,
-    three_leaf_pattern,
     weighted_matrix,
 )
 
@@ -535,19 +534,33 @@ class TestOrbitTransport:
 class TestWeightedMatrices:
     @pytest.mark.parametrize("regime", ["ms", "my", "cl", "total"])
     def test_pattern_matches_cost_model(self, regime):
-        # weighted_matrix asserts internally that exponents from the cost
+        # weighted_matrix checks internally that exponents from the cost
         # model reproduce the sector pattern
         for t in (0.1, 0.5, 0.9):
             g = weighted_matrix("abc", regime, t)
-            assert np.allclose(g.K, three_leaf_pattern(regime, t), atol=1e-12)
-            assert sector_exponents_match(g, regime)
+            assert sector_deviation(g, regime, t) is None
 
     def test_sector_check_is_exact(self):
         g = weighted_matrix("abc", "ms", 0.5)
-        assert not sector_exponents_match(g, "cl")
+        assert sector_deviation(g, "cl", 0.5) == (0, 4)  # the first SM3 edge
         k = next(k for k in g.edge_kind.tolist() if g.kinds[k][0] == ("SM3",))
         g.kinds[k] = (("SM3",), (float(REGIME_EXPONENTS["ms"][0]),))  # 1/3 rounded
-        assert not sector_exponents_match(g, "ms")
+        assert sector_deviation(g, "ms", 0.5) == (0, 4)
+
+    def test_rounded_exponent_is_refused(self, monkeypatch):
+        # an SM3 search cost of 333333333333333/10^15 moves t^cost by less
+        # than 1e-12 at t = 0.5, but it is not the published 1/3
+        ms = REGIMES.index("ms")
+
+        def rounded(step):
+            ratios = list(cost_ratios(step))
+            if step.tag == "SM3":
+                ratios[ms] = (333333333333333, 10**15)
+            return tuple(ratios)
+
+        monkeypatch.setattr(markov, "cost_ratios", rounded)
+        with pytest.raises(MarkovError, match=r"ms chain deviates from the sector pattern at edge \(0, 4\)"):
+            weighted_matrix("abc", "ms", 0.5)
 
     def test_t_equals_one_recovers_unweighted(self):
         for regime in ("ms", "my", "cl", "total"):
