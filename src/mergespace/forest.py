@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
@@ -129,9 +130,10 @@ class Leaf(_Frozen):
 class Node(_Frozen):
     """Internal binary vertex; children are stored sorted by canonical key.
 
-    Equal when the children are equal.  Keys alone are not enough: trace
-    names may hold the key's separators, so two different trees can share a
-    key."""
+    Equal when the children are equal, in either order.  Keys alone are not
+    enough: trace names may hold the key's separators, so two different
+    trees can share a key, and two children with one key keep the order
+    they were given in."""
 
     __slots__ = ("left", "right", "key", "leaves", "alpha")
 
@@ -150,7 +152,10 @@ class Node(_Frozen):
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.key == other.key and self.left == other.left and self.right == other.right
+        return self.key == other.key and (
+            (self.left == other.left and self.right == other.right)
+            or (self.left == other.right and self.right == other.left)
+        )
 
     def __hash__(self):
         return hash(self.key)
@@ -177,8 +182,10 @@ def node(left: SyntaxTree, right: SyntaxTree) -> Node:
 
 class Workspace(_Frozen):
     """Multiset of syntactic objects; the empty workspace is the unit.  Equal
-    when the components, sorted by key, are.  alpha is the number of
-    accessible terms."""
+    when the components are equal as multisets.  They are stored sorted by
+    key, and components with one key keep the order they were given in, so
+    the tuples are compared first and the multisets only when those
+    differ.  alpha is the number of accessible terms."""
 
     __slots__ = ("components", "key", "alpha")
 
@@ -193,7 +200,9 @@ class Workspace(_Frozen):
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.key == other.key and self.components == other.components
+        return self.key == other.key and (
+            self.components == other.components or Counter(self.components) == Counter(other.components)
+        )
 
     def __hash__(self):
         return hash(self.key)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import permutations
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -59,10 +59,10 @@ class TransitionGraph:
     Edge e runs from state rows[e] to state cols[e] with value values[e]:
     the number of distinct Merge steps, their summed t^cost under a regime,
     or 1 with collapse_01.  Edges are sorted by (row, col) and unique.
-    kinds[edge_kind[e]] is the edge's (sorted step tags, Fraction exponents
-    in step order or None), one table entry shared by every edge with the
-    same steps.  K and weights are views of the arrays, built on first read
-    and cached.
+    kinds[edge_kind[e]] is the edge's (step tags, Fraction exponents or
+    None), its steps' (tag, exponent) pairs in sorted order, one table entry
+    shared by every edge with the same steps.  K and weights are views of
+    the arrays, built on first read and cached.
     """
 
     vertices: list
@@ -131,12 +131,12 @@ def build_graph(
 
     Merge and every cost regime commute with relabeling the leaves, so the
     engine and the cost model run on one representative per orbit of states
-    under label permutations.  Every other state's row is the
-    representative's row carried through the permutation that maps the
-    representative onto that state.  The first other member of each orbit
-    is also built directly, and MarkovError is raised if its (target, tag,
-    exponent) steps differ from the carried ones.  With repeated labels
-    every state is its own orbit, and no state form is computed.
+    under label permutations (_StateKeys.orbits).  Every other state's row
+    is the representative's row carried through the permutation that maps
+    the representative onto that state.  The first other member of each
+    orbit is also built directly, and MarkovError is raised if its (target,
+    tag, exponent) steps differ from the carried ones.  With repeated labels
+    every state is its own orbit, and no state is keyed.
     """
     labels = tuple(sorted(leaves))
     if len(labels) < 2:
@@ -153,16 +153,10 @@ def build_graph(
     vertices = enumerate_forests(labels, require_edge=True)
     index = {w.key: i for i, w in enumerate(vertices)}
     if len(set(labels)) < len(labels):
-        orbits = [[i] for i in range(len(vertices))]
+        orbits = [(i, (), None) for i in range(len(vertices))]
     else:
-        bit = {label: 1 << i for i, label in enumerate(labels)}
-        tree_forms: dict = {}  # tree key -> _tree_form, shared by every state
-        forms = [_state_form(w, bit, tree_forms) for w in vertices]
-        states = _StateKeys(forms, len(labels))
-        by_shape: dict = {}
-        for i, form in enumerate(forms):
-            by_shape.setdefault(form.shape, []).append(i)
-        orbits = list(by_shape.values())
+        states = _StateKeys(vertices, labels)
+        orbits = states.orbits()
 
     pick = None if regime is None else REGIMES.index(regime)
 
@@ -173,38 +167,42 @@ def build_graph(
             for step in all_merge_successors(vertices[i], cfg)
         ]
 
-    kinds: dict = {}  # (sorted tags, exponent pairs or None) -> index
-    parts = []  # (rows, cols, kind indices) per orbit
-    for rep, *others in orbits:
+    kinds: dict = {}  # sorted (tag, exponent pair or None) pairs -> index
+    blocks = []  # (states, their targets sorted per row, kind indices) per orbit
+    degree = np.zeros(len(vertices), dtype=np.intp)
+    for rep, others, perms in orbits:
         row = direct_row(rep)
-        edges: dict = {}  # target -> (tags, exponents) in step order
+        edges: dict = {}  # target -> (tag, exponent) pairs
         for j, tag, expo in row:
-            tags, expos = edges.setdefault(j, ([], []))
-            tags.append(tag)
-            expos.append(expo)
-        targets = np.fromiter(edges, dtype=np.intp, count=len(edges))
-        kind = np.array(
-            [
-                kinds.setdefault((tuple(sorted(tags)), None if regime is None else tuple(expos)), len(kinds))
-                for tags, expos in edges.values()
-            ],
-            dtype=np.int32,
-        )
-        parts.append((np.full(len(targets), rep), targets, kind))
-        if not others:
-            continue
-        moved = _transport(targets, forms[rep], [forms[i] for i in others], states)
-        carried = dict(zip(targets.tolist(), moved[0].tolist()))
-        if Counter((carried[j], tag, x) for j, tag, x in row) != Counter(direct_row(others[0])):
-            raise MarkovError(
-                f"steps of {vertices[others[0]].key} differ from those carried over from "
-                f"{vertices[rep].key}; Merge or the cost model is not label-invariant"
-            )
-        parts.append((np.repeat(others, len(targets)), moved.ravel(), np.tile(kind, len(others))))
-    rows, cols, kind = (np.concatenate(a) for a in zip(*parts))
-    order = np.argsort(rows * len(vertices) + cols)
-    rows, cols, kind = rows[order], cols[order], kind[order]
-    table = [(tags, None if expos is None else tuple(Fraction(*x) for x in expos)) for tags, expos in kinds]
+            edges.setdefault(j, []).append((tag, expo))
+        targets = sorted(edges)
+        kind = np.array([kinds.setdefault(tuple(sorted(edges[j])), len(kinds)) for j in targets], np.int32)
+        targets = np.array(targets, dtype=np.intp)
+        members = [rep]
+        if len(others):
+            moved = _transport(targets, perms, states)
+            carried = dict(zip(targets.tolist(), moved[0].tolist()))
+            if Counter((carried[j], tag, x) for j, tag, x in row) != Counter(direct_row(others[0])):
+                raise MarkovError(
+                    f"steps of {vertices[others[0]].key} differ from those carried over from "
+                    f"{vertices[rep].key}; Merge or the cost model is not label-invariant"
+                )
+            order = np.argsort(moved, axis=1)
+            members += others.tolist()
+            targets = np.vstack([targets, np.take_along_axis(moved, order, axis=1)])
+            kind = np.vstack([kind, kind[order]])
+        degree[members] = len(edges)
+        blocks.append((members, targets, kind))
+    # each state's edges in one run, in state order
+    first = np.cumsum(degree) - degree
+    rows = np.repeat(np.arange(len(vertices)), degree)
+    cols = np.empty(len(rows), dtype=np.intp)
+    kind = np.empty(len(rows), dtype=np.int32)
+    for members, targets, block_kind in blocks:
+        at = first[members, None] + np.arange(targets.shape[-1])
+        cols[at] = targets
+        kind[at] = block_kind
+    table = [_kind(pairs, regime is not None) for pairs in kinds]
     per_kind = [float(len(tags)) if expos is None else _weight(t, expos) for tags, expos in table]
     values = np.array(per_kind)[kind]
     if collapse_01:
@@ -212,92 +210,150 @@ def build_graph(
     return TransitionGraph(vertices, rows, cols, values, kind, table, cfg, regime)
 
 
+def _kind(pairs: tuple, weighted: bool) -> tuple:
+    """An edge's kinds entry from its steps' (tag, exponent pair) pairs: the
+    tags and the Fraction exponents (None if unweighted), pairs sorted."""
+    if not weighted:
+        return tuple(tag for tag, _ in pairs), None
+    pairs = sorted((tag, Fraction(*x)) for tag, x in pairs)
+    return tuple(tag for tag, _ in pairs), tuple(x for _, x in pairs)
+
+
 def _weight(t: float, expos: tuple) -> float:
-    """The summed t^cost of one edge's steps, in step order."""
+    """The summed t^cost of one edge's steps, in kind order."""
     try:
         return sum(t ** float(x) for x in expos)
     except OverflowError:
         raise MarkovError(f"t = {t} overflows t^cost for cost {max(expos)}") from None
 
 
-class _Form(NamedTuple):
-    """A state over distinct labels up to leaf relabeling.
-
-    shape is the label-free form of each component (children ordered by
-    shape), equal for exactly the states of one orbit; bits gives each leaf,
-    in that order, its label's bit; clusters is the sorted tuple of leaf
-    masks of the internal vertices, which determines the state.
-    """
-
-    shape: tuple
-    bits: tuple
-    clusters: tuple
-
-
-def _tree_form(t, bit: dict, memo: dict) -> _Form:
-    """The _Form of one tree over distinct labels, as the one-tree state,
-    bit[label] being each label's bit.  memo maps the key of each tree
-    already formed to its form."""
-    form = memo.get(t.key)
-    if form is None:
-        if isinstance(t, Leaf):
-            form = _Form(("",), (bit[t.name],), ())
-        else:
-            a, b = sorted((_tree_form(t.left, bit, memo), _tree_form(t.right, bit, memo)))
-            bits = a.bits + b.bits
-            # the root's mask holds every other cluster's, so it sorts last
-            clusters = tuple(sorted(a.clusters + b.clusters)) + (sum(bits),)
-            form = _Form(("(" + a.shape[0] + "|" + b.shape[0] + ")",), bits, clusters)
-        memo[t.key] = form
-    return form
-
-
-def _state_form(ws, bit: dict, memo: dict) -> _Form:
-    if len(ws.components) == 1:
-        return _tree_form(ws.components[0], bit, memo)
-    shapes, bits, clusters = zip(*sorted(_tree_form(c, bit, memo) for c in ws.components))
-    return _Form(sum(shapes, ()), sum(bits, ()), tuple(sorted(sum(clusters, ()))))
+# Odd 64-bit multipliers of the state-key hash.  Its operands are always
+# arrays: numpy wraps uint64 array products silently, where a product of
+# two scalars raises a RuntimeWarning.
+_HASH = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9], dtype=np.uint64)
 
 
 class _StateKeys:
-    """Every state's clusters as one row of masks, zero-padded in front to
-    the n - 1 internal vertices of a tree, and as one int64 key: the masks
-    (n bits each) packed in order, n (n - 1) <= 42 bits under MAX_STATES."""
+    """The states over n distinct labels, keyed exactly, and the action of
+    the n! permutations of the labels on them.
 
-    def __init__(self, forms: list, n_leaves: int):
-        self.n_leaves = n_leaves
-        width = n_leaves - 1
-        self.masks = np.array([(0,) * (width - len(f.clusters)) + f.clusters for f in forms])
-        keys = self._pack(self.masks)
-        self.order = np.argsort(keys)
-        self.keys = keys[self.order]
-
-    def _pack(self, masks: np.ndarray) -> np.ndarray:
-        return (masks << (self.n_leaves * np.arange(masks.shape[-1]))).sum(axis=-1)
-
-    def find(self, masks: np.ndarray) -> np.ndarray:
-        """The states whose rows of masks (sorted ascending) are given."""
-        keys = self._pack(masks)
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        if (self.keys[pos] != keys).any():
-            raise MarkovError("a carried target is not a state of the chain")
-        return self.order[pos]
-
-
-def _transport(targets: np.ndarray, src: _Form, dsts: list, states: _StateKeys) -> np.ndarray:
-    """The states that src's targets become under the label permutations
-    mapping src onto each of dsts (states of src's shape): row r holds the
-    images under the permutation onto dsts[r], in the order of targets.
-
-    A permutation acts on all 2^n leaf masks through one table, so the
-    images of every mask of every target are one gather; sorted and packed,
-    each image is looked up among the states' keys.
+    A label's leaf mask is its bit in sorted label order.  masks[i] holds
+    the leaf masks of state i's internal vertices, zero-padded to the n - 1
+    of a tree; their set determines the state.  A key is that set as a
+    bitset over the 2^n masks in two uint64 words, lo for masks below 64 and
+    hi for the rest.  The permutations of the leaf bits are numbered in
+    itertools order, so permutation 0 is the identity; word_lo[m, p] and
+    word_hi[m, p] are the key bits of leaf mask m's image under permutation
+    p, 0 for m = 0.  The keys sit in an open-addressing table with linear
+    probing: the hash picks the first slot, and a state is found only when
+    both of its words equal the query's.
     """
-    n = len(src.bits)
-    image = np.zeros((len(dsts), n), dtype=np.int64)  # bit position -> image bit
-    image[:, [b.bit_length() - 1 for b in src.bits]] = [d.bits for d in dsts]
-    table = image @ ((np.arange(1 << n)[None, :] >> np.arange(n)[:, None]) & 1)
-    return states.find(np.sort(table[:, states.masks[targets]], axis=-1))
+
+    def __init__(self, vertices: list, labels: tuple):
+        n = len(labels)
+        bit = {label: 1 << i for i, label in enumerate(labels)}
+        trees: dict = {}  # tree key -> (leaf mask, internal masks)
+        pad = [(0,) * k for k in range(n)]
+        flat: list = []
+        for ws in vertices:
+            flat += pad[len(ws.components) - 1]
+            for c in ws.components:
+                flat += _tree_masks(c, bit, trees)[1]
+        self.masks = np.array(flat, dtype=np.intp).reshape(len(vertices), n - 1)
+        # images[m, p], mask m under permutation p: the masks from 2^i to
+        # 2^(i + 1) are those below 2^i with bit i, which p sends to bit perms[p, i]
+        perms = np.array(list(permutations(range(n))), dtype=np.intp)
+        images = np.zeros((1 << n, len(perms)), dtype=np.intp)
+        for i, image in enumerate(1 << perms.T):
+            images[1 << i : 2 << i] = images[: 1 << i] | image
+        mask = np.arange(1 << n)
+        bits = np.left_shift(np.uint64(1), (mask % 64).astype(np.uint64))
+        bits[0] = 0
+        self.word_lo = np.where(mask < 64, bits, np.uint64(0))[images]
+        self.word_hi = np.where(mask >= 64, bits, np.uint64(0))[images]
+        self.lo, self.hi = (w.ravel() for w in self.words(slice(None), [0]))
+        # a hash of b bits, so at most a quarter of the 2^b slots are homes;
+        # in the order of their home slots, each state takes the first free
+        # slot from its home on, in a table of 2^(b + 1) slots that has room
+        # for every state past the last home
+        b = (4 * len(vertices)).bit_length()
+        self._shift = np.uint64(64 - b)
+        home = self._slot(self.lo, self.hi)
+        order = np.argsort(home, kind="stable")
+        rank = np.arange(len(order))
+        self.table = np.full(2 << b, -1, dtype=np.intp)
+        self.table[np.maximum.accumulate(home[order] - rank) + rank] = order
+
+    def _slot(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        return (((lo ^ (hi * _HASH[0])) * _HASH[1]) >> self._shift).astype(np.intp)
+
+    def words(self, states, perms) -> tuple:
+        """(lo, hi), each of shape (states, permutations): the key words of
+        the given states under the given permutations."""
+        wl, wh = self.word_lo[:, perms], self.word_hi[:, perms]
+        lo = hi = np.uint64(0)
+        for column in self.masks[states].T:
+            lo = lo + wl[column]
+            hi = hi + wh[column]
+        return lo, hi
+
+    def find(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The states with the given key words (1-d arrays).  Each key is
+        probed from its hashed slot on until a slot holds the state with
+        both of its words; reaching an empty slot first means no state has
+        that key.  An empty slot holds -1, whose words (the last state's)
+        differ from the key's: the key's state would lie before that slot."""
+        slot = self._slot(lo, hi)
+        found = self.table[slot]
+        todo = np.flatnonzero((self.lo[found] != lo) | (self.hi[found] != hi))
+        while len(todo):
+            if found[todo].min() < 0:
+                raise MarkovError("a carried target is not a state of the chain")
+            slot[todo] += 1
+            state = found[todo] = self.table[slot[todo]]
+            todo = todo[(self.lo[state] != lo[todo]) | (self.hi[state] != hi[todo])]
+        return found
+
+    def orbits(self) -> list:
+        """(representative, other members, their permutations) per orbit,
+        walking the states in index order: the least state not yet in an
+        orbit is the next representative, its images under every
+        permutation are its orbit, and each member's permutation is the
+        first that maps the representative onto it."""
+        covered = np.zeros(len(self.lo), dtype=bool)
+        orbits = []
+        rep = 0
+        while not covered[rep]:
+            lo, hi = self.words(rep, slice(None))
+            members, perms = np.unique(self.find(lo, hi), return_index=True)
+            covered[members] = True
+            orbits.append((rep, members[1:], perms[1:]))
+            rep = int(np.argmin(covered))
+        return orbits
+
+
+def _tree_masks(t, bit: dict, memo: dict) -> tuple:
+    """(leaf mask, internal vertices' leaf masks, root last) of one tree over
+    distinct labels, bit[label] being each label's mask; memo maps each tree
+    key already seen to its result."""
+    out = memo.get(t.key)
+    if out is None:
+        if isinstance(t, Leaf):
+            out = bit[t.name], ()
+        else:
+            (a, inner_a), (b, inner_b) = _tree_masks(t.left, bit, memo), _tree_masks(t.right, bit, memo)
+            out = a | b, inner_a + inner_b + (a | b,)
+        memo[t.key] = out
+    return out
+
+
+def _transport(targets: np.ndarray, perms: np.ndarray, states: _StateKeys) -> np.ndarray:
+    """The states that targets become under each of the permutations perms:
+    row r holds the images under perms[r], in the order of targets.  Each
+    image's key is summed from the permutations' key-bit tables, and all
+    are looked up at once."""
+    lo, hi = states.words(targets, perms)
+    return states.find(lo.ravel(), hi.ravel()).reshape(lo.shape).T
 
 
 def weighted_matrix(leaves, regime: str, t: float, cfg: MergeConfig = MergeConfig()) -> TransitionGraph:

@@ -512,6 +512,18 @@ class TestRecords:
         for record in every_record()[:3]:
             assert hash(record) == hash(record.key)
 
+    def test_equal_keys_in_either_order_are_equal(self):
+        # trace names may hold the key's separators: two different trees
+        # share the key (~p~|~q~|~r~), and the constructors keep the order
+        # in which such trees are given
+        one = Node(trace_leaf("p~|~q"), trace_leaf("r"))
+        two = Node(trace_leaf("p"), trace_leaf("q~|~r"))
+        assert one.key == two.key and one != two
+        for make in (workspace, Node):
+            assert make(one, two) == make(two, one) and hash(make(one, two)) == hash(make(two, one))
+            assert make(one, one) != make(one, two) != make(two, two)
+        assert workspace(one, two, one) == workspace(one, one, two) != workspace(one, two, two)
+
     def test_equal_keys_of_different_workspaces(self):
         # "~x~⊔~y~" is the key of both, but one holds one trace and the other two
         one = workspace_from_json([{"trace": "x~⊔~y"}])

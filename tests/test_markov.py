@@ -3,6 +3,7 @@ import re
 import time
 import warnings
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from mergespace import markov
 from mergespace.costs import cost_ratios
 from mergespace.engine import MergeConfig, all_merge_successors
-from mergespace.forest import Leaf, enumerate_forests
+from mergespace.forest import Leaf, Node, Workspace, enumerate_forests
 from mergespace.markov import (
     EXACT_T0_EXPONENT,
     MarkovError,
@@ -257,13 +258,22 @@ def assert_matches_ones_start(pf, K):
     assert pf.residual <= 1e-12
 
 
-def orbits(g, labels):
-    """The states of a chain over the distinct labels, grouped by orbit
-    under leaf relabeling."""
-    bit = {label: 1 << i for i, label in enumerate(labels)}
+def erased(t, memo):
+    """t with every leaf relabeled to one label; memo maps the key of each
+    tree already erased to its image."""
+    if t.key not in memo:
+        memo[t.key] = Leaf("x") if isinstance(t, Leaf) else Node(erased(t.left, memo), erased(t.right, memo))
+    return memo[t.key]
+
+
+def orbits(vertices):
+    """The states of a chain over distinct labels, grouped by orbit
+    under leaf relabeling: by the key of the workspace with every leaf
+    relabeled to one label.  Orbits come in the order of their least
+    state, each in increasing order."""
     memo, by_shape = {}, {}
-    for i, ws in enumerate(g.vertices):
-        by_shape.setdefault(markov._state_form(ws, bit, memo).shape, []).append(i)
+    for i, ws in enumerate(vertices):
+        by_shape.setdefault(Workspace(tuple(erased(c, memo) for c in ws.components)).key, []).append(i)
     return list(by_shape.values())
 
 
@@ -334,8 +344,8 @@ class TestLumpedStart:
     def test_orbits_lie_in_cells(self, labels, flags, regime):
         g = build_graph(labels, MergeConfig(mode="d", **flags), regime=regime, t=0.5)
         cell, k = markov._equitable_cells(g.rows, g.cols, g.values, g.n)
-        assert k == CELL_COUNTS[labels] == len(orbits(g, labels))
-        for orbit in orbits(g, labels):
+        assert k == CELL_COUNTS[labels] == len(orbits(g.vertices))
+        for orbit in orbits(g.vertices):
             assert len(set(cell[orbit].tolist())) == 1
         assert perron_frobenius(g).cells == k
 
@@ -414,7 +424,8 @@ ORBIT_FLAGS = [
 
 def _reference_graph(vertices, steps, regime, t, collapse_01):
     """(vertex keys, K, edge tags, weights) from every state's own steps,
-    without any use of the leaf-relabeling symmetry."""
+    without any use of the leaf-relabeling symmetry; weights maps each edge
+    to its steps' (tag, exponent) pairs."""
     index = {w.key: i for i, w in enumerate(vertices)}
     K = np.zeros((len(vertices), len(vertices)))
     tags, weights = {}, {}
@@ -426,7 +437,7 @@ def _reference_graph(vertices, steps, regime, t, collapse_01):
                 K[i, j] += 1.0
             else:
                 expo = Fraction(*cost_ratios(step)[REGIMES.index(regime)])
-                weights.setdefault((i, j), []).append(expo)
+                weights.setdefault((i, j), []).append((step.tag, expo))
                 K[i, j] += t ** float(expo)
     if collapse_01:
         K = (K > 0).astype(float)
@@ -440,59 +451,72 @@ def edge_tags(g):
     }
 
 
+def assert_equals_per_state_reference(labels, cfg, variants):
+    """build_graph equals the per-state reference graph for each (regime,
+    collapse_01) of variants, at t = 0.5."""
+    vertices = enumerate_forests(labels, require_edge=True)
+    steps = [all_merge_successors(ws, cfg) for ws in vertices]
+    for regime, collapse in variants:
+        g = build_graph(labels, cfg, regime=regime, t=0.5, collapse_01=collapse)
+        keys, K, tags, weights = _reference_graph(vertices, steps, regime, 0.5, collapse)
+        assert [w.key for w in g.vertices] == keys
+        assert list(zip(g.rows.tolist(), g.cols.tolist())) == sorted(tags)
+        assert [list(g.kinds[k][0]) for k in g.edge_kind.tolist()] == [tags[e] for e in sorted(tags)]
+        if regime is None:
+            assert np.array_equal(g.values, K[g.rows, g.cols])
+            assert np.array_equal(g.K, K)
+            assert g.weights is None
+        else:
+            np.testing.assert_allclose(g.values, K[g.rows, g.cols], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(g.K, K, rtol=1e-14, atol=0)
+            assert {e: sorted(v) for e, v in g.weights.items()} == {
+                e: sorted(x for _, x in v) for e, v in weights.items()
+            }
+            # each kind pairs its tags and exponents, sorted
+            assert [list(zip(*g.kinds[k])) for k in g.edge_kind.tolist()] == [sorted(weights[e]) for e in sorted(tags)]
+        assert edge_tags(g) == tags
+
+
 class TestOrbitTransport:
     @pytest.mark.parametrize("labels", ["abc", "abcd", "aabc", "abcde"])
     @pytest.mark.parametrize("flags", ORBIT_FLAGS)
     def test_equals_per_state_reference(self, labels, flags):
-        cfg = MergeConfig(mode="d", **flags)
+        variants = [(None, False), (None, True), *((r, False) for r in REGIMES)]
+        assert_equals_per_state_reference(labels, MergeConfig(mode="d", **flags), variants)
+
+    def test_six_leaves_equal_per_state_reference(self):
+        # every carried row of the 6-leaf chain, unweighted and under total
+        assert_equals_per_state_reference("abcdef", MergeConfig(), [(None, False), ("total", False)])
+
+    @pytest.mark.parametrize("labels", ["abc", "abcd", "abcde", "abcdef", "abcdefg"])
+    def test_orbits_are_the_label_erased_classes(self, labels):
+        # the walk over the permutation action finds the classes of the
+        # label erasure, and each member's permutation maps the leaf sets of
+        # its representative's internal vertices onto the member's own
+        def clusters(t, out):
+            if isinstance(t, Leaf):
+                return frozenset(t.name)
+            below = clusters(t.left, out) | clusters(t.right, out)
+            out.add(below)
+            return below
+
+        def state_clusters(ws):
+            out = set()
+            for c in ws.components:
+                clusters(c, out)
+            return out
+
         vertices = enumerate_forests(labels, require_edge=True)
-        steps = [all_merge_successors(ws, cfg) for ws in vertices]
-        for regime, collapse in [(None, False), (None, True), *((r, False) for r in REGIMES)]:
-            g = build_graph(labels, cfg, regime=regime, t=0.5, collapse_01=collapse)
-            keys, K, tags, weights = _reference_graph(vertices, steps, regime, 0.5, collapse)
-            assert [w.key for w in g.vertices] == keys
-            assert list(zip(g.rows.tolist(), g.cols.tolist())) == sorted(tags)
-            assert [list(g.kinds[k][0]) for k in g.edge_kind.tolist()] == [tags[e] for e in sorted(tags)]
-            if regime is None:
-                assert np.array_equal(g.values, K[g.rows, g.cols])
-                assert np.array_equal(g.K, K)
-                assert g.weights is None
-            else:
-                np.testing.assert_allclose(g.values, K[g.rows, g.cols], rtol=1e-14, atol=0)
-                np.testing.assert_allclose(g.K, K, rtol=1e-14, atol=0)
-                assert {e: sorted(v) for e, v in g.weights.items()} == {
-                    e: sorted(v) for e, v in weights.items()
-                }
-            assert edge_tags(g) == tags
-
-    @pytest.mark.parametrize("labels", ["abc", "abcd", "abcde", "abcdef"])
-    def test_state_forms_equal_unsorted_memo_reference(self, labels):
-        # the routine before tree forms kept their cluster masks sorted:
-        # every state, one tree or many, sorts and concatenates its forms
-        def tree_form(t, bit, memo):
-            form = memo.get(t.key)
-            if form is None:
-                if isinstance(t, Leaf):
-                    form = "", (bit[t.name],), ()
-                else:
-                    a, b = sorted((tree_form(t.left, bit, memo), tree_form(t.right, bit, memo)))
-                    bits = a[1] + b[1]
-                    form = "(" + a[0] + "|" + b[0] + ")", bits, a[2] + b[2] + (sum(bits),)
-                memo[t.key] = form
-            return form
-
-        def state_form(ws, bit, memo):
-            forms = sorted(tree_form(c, bit, memo) for c in ws.components)
-            return (
-                tuple(f[0] for f in forms),
-                tuple(b for f in forms for b in f[1]),
-                tuple(sorted(m for f in forms for m in f[2])),
-            )
-
-        bit = {label: 1 << i for i, label in enumerate(labels)}
-        memo, ref_memo = {}, {}
-        for ws in enumerate_forests(labels, require_edge=True):
-            assert tuple(markov._state_form(ws, bit, memo)) == state_form(ws, bit, ref_memo), ws.key
+        walked = markov._StateKeys(vertices, labels).orbits()
+        assert [[rep, *others.tolist()] for rep, others, _ in walked] == orbits(vertices)
+        perms = list(permutations(range(len(labels))))
+        for rep, others, member_perms in walked:
+            assert len(others) == len(member_perms)
+            source = state_clusters(vertices[rep])
+            for member, p in zip(others.tolist(), member_perms.tolist()):
+                relabel = {x: labels[i] for x, i in zip(labels, perms[p])}
+                image = {frozenset(relabel[x] for x in c) for c in source}
+                assert image == state_clusters(vertices[member]), (vertices[rep].key, vertices[member].key)
 
     def test_engine_runs_on_representatives(self, monkeypatch):
         # 9 orbits of states at 5 distinct leaves: each representative and
@@ -529,6 +553,26 @@ class TestOrbitTransport:
         with pytest.raises(MarkovError, match="differ from those carried over"):
             build_graph("abcd")
         assert corrupted
+
+    def test_carried_image_off_the_states_is_refused(self, monkeypatch):
+        # after the walk, the first carried permutation sends the mask of all
+        # leaves, every tree's root, to the mask of leaf a alone, which no
+        # internal vertex has: each carried tree leaves the state set
+        walk = markov._StateKeys.orbits
+        corrupted = []
+
+        def corrupt_after_walk(states):
+            out = walk(states)
+            p = next(perms[0] for _, others, perms in out if len(others))
+            states.word_lo[-1, p], states.word_hi[-1, p] = states.word_lo[1, 0], states.word_hi[1, 0]
+            corrupted.append(p)
+            return out
+
+        monkeypatch.setattr(markov._StateKeys, "orbits", corrupt_after_walk)
+        for labels in ("abcd", "abcdefg"):
+            with pytest.raises(MarkovError, match="a carried target is not a state of the chain"):
+                build_graph(labels)
+        assert len(corrupted) == 2
 
 
 class TestWeightedMatrices:
@@ -928,7 +972,7 @@ class TestSevenLeaves:
         g, pf = seven_leaves
         cell, k = markov._equitable_cells(g.rows, g.cols, g.values, g.n)
         assert k == pf.cells == CELL_COUNTS["abcdefg"]
-        for orbit in orbits(g, "abcdefg"):
+        for orbit in orbits(g.vertices):
             assert len(set(cell[orbit].tolist())) == 1
 
     def test_dense_views_refused(self, seven_leaves):
