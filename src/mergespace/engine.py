@@ -21,13 +21,16 @@ from mergespace.forest import (
     SyntaxTree,
     Workspace,
     _Frozen,
-    _set,
+    _new,
+    _setters,
     accessible_terms,
+    contract_up,
     nested,
+    path_vertices,
     positions,
     subtree_at,
+    trace_leaf,
     tree_from_json,
-    tree_quotient,
     workspace_from_json,
 )
 
@@ -67,14 +70,16 @@ class MergeStep(_Frozen):
 
     __slots__ = ("input_ws", "output_ws", "tag", "mode", "pair", "extractions", "sources")
 
-    def __init__(self, input_ws, output_ws, tag, mode, pair, extractions=(), sources=()):
-        _set(self, "input_ws", input_ws)
-        _set(self, "output_ws", output_ws)
-        _set(self, "tag", tag)
-        _set(self, "mode", mode)
-        _set(self, "pair", pair)
-        _set(self, "extractions", extractions)
-        _set(self, "sources", sources)
+    def __new__(cls, input_ws, output_ws, tag, mode, pair, extractions=(), sources=()):
+        self = _new(cls)
+        _step_input(self, input_ws)
+        _step_output(self, output_ws)
+        _step_tag(self, tag)
+        _step_mode(self, mode)
+        _step_pair(self, pair)
+        _step_extractions(self, extractions)
+        _step_sources(self, sources)
+        return self
 
     def _fields(self) -> tuple:
         return self.input_ws, self.output_ws, self.tag, self.mode, self.pair, self.extractions, self.sources
@@ -89,6 +94,9 @@ class MergeStep(_Frozen):
 
     def __repr__(self):
         return f"<{self.tag} {self.input_ws!r} -> {self.output_ws!r}>"
+
+
+_step_input, _step_output, _step_tag, _step_mode, _step_pair, _step_extractions, _step_sources = _setters(MergeStep)
 
 
 # A source is (component index, path), as forest.accessible_terms names a
@@ -156,39 +164,79 @@ def merge_pairs(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> Iterator[tup
 
 
 def apply(ws: Workspace, a: tuple, b: tuple, mode: str = "d") -> MergeStep:
-    """M_{S,S'} for a source pair from merge_pairs: cut each host once,
-    graft Node(S, S') at a new root and reassemble the workspace."""
-    return _apply(ws, a, b, mode, None)
+    """M_{S,S'} for a source pair that merge_pairs yields in either order
+    under the widest flags of the mode: cut each host once, graft
+    Node(S, S') at a new root and reassemble the workspace.  Any other pair
+    is a MergeError naming it."""
+    widest = MergeConfig(mode=mode, allow_identity_sm=True, allow_sibling_cut=True)
+    if not any(pair == (a, b) or pair == (b, a) for pair in merge_pairs(ws, widest)):
+        raise MergeError(f"source pair {a!r}, {b!r} is not a Merge application in {ws!r}")
+    return _apply(ws, a, b, mode, {})
 
 
-def _apply(ws: Workspace, a: tuple, b: tuple, mode: str, memo) -> MergeStep:
-    """apply, its single cuts shared through a tree_quotient memo."""
+def _cut(ws: Workspace, src: tuple, mode: str, memo: dict) -> tuple:
+    """(vertices, levels) of the cut at the source (c, p), p non-empty,
+    kept in memo under the source: the vertices on p from the root of
+    component c down to the term, and levels[j] the subtree at p[:j] with
+    the term traced (mode "c") or removed and contracted (mode "d").
+    levels[0] is the host's quotient."""
+    hit = memo.get(src)
+    if hit is None:
+        c, p = src
+        vertices = path_vertices(ws.components[c], p)
+        cut = trace_leaf(vertices[-1].key) if mode == "c" else None
+        hit = memo[src] = vertices, contract_up(cut, vertices, p, len(p))
+    return hit
+
+
+def _apply(ws: Workspace, a: tuple, b: tuple, mode: str, memo: dict) -> MergeStep:
+    """The step of a legal source pair, its cuts shared through memo.  The
+    form is read off the pair as _tag reads it; each host's quotient is the
+    top cut level of its source, and an SM3 or ID pair joins its sources'
+    levels below the vertex where their paths part and rebuilds only the
+    vertices above it."""
     comps = ws.components
     (ca, pa), (cb, pb) = a, b
-    if ca == cb and pa and pb:  # two cuts in one host: SM3, ID
-        quots = {ca: tree_quotient(comps[ca], [pa, pb], mode, memo)}
+    rest = [t for i, t in enumerate(comps) if i != ca and i != cb]
+    if pa and pb:
+        (va, la), (vb, lb) = _cut(ws, a, mode, memo), _cut(ws, b, mode, memo)
+        s, t = va[-1], vb[-1]
+        extractions = ((s, comps[ca]), (t, comps[cb]))
+        if ca != cb:
+            tag, quots = SM2, (la[0], lb[0])
+        else:
+            k = 0
+            while pa[k] == pb[k]:
+                k += 1
+            # the vertex where the paths part takes each child's cut from
+            # the source whose path goes down that child
+            l, r = (la[k + 1], lb[k + 1]) if pb[k] else (lb[k + 1], la[k + 1])
+            joined = r if l is None else l if r is None else Node(l, r)
+            quots = (contract_up(joined, va, pa, k)[0],)
+            tag = ID_SM if len(pa) == len(pb) == 1 else SM3
+    elif pa or pb:
+        c, p, other = (ca, pa, cb) if pa else (cb, pb, ca)
+        vertices, levels = _cut(ws, (c, p), mode, memo)
+        term = vertices[-1]
+        extractions = ((term, comps[c]),)
+        if other == c:  # the host itself, after the cut
+            tag, whole, quots = IM, levels[0], ()
+        else:
+            tag, whole, quots = SM1, comps[other], (levels[0],)
+        s, t = (term, whole) if pa else (whole, term)
     else:
-        quots = {c: tree_quotient(comps[c], [p], mode, memo) for c, p in (a, b) if p}
-    # a source is the subtree at its path, or its whole component after the cut
-    s = subtree_at(comps[ca], pa) if pa else quots.pop(ca, comps[ca])
-    t = subtree_at(comps[cb], pb) if pb else quots.pop(cb, comps[cb])
-    rest = [c for i, c in enumerate(comps) if i != ca and i != cb]
-    rest += [q for q in quots.values() if q is not None]
+        tag, s, t, extractions, quots = EM, comps[ca], comps[cb], (), ()
+    rest += [q for q in quots if q is not None]
     rest.append(Node(s, t))
-    if pa:
-        extractions = ((s, comps[ca]), (t, comps[cb])) if pb else ((s, comps[ca]),)
-    else:
-        extractions = ((t, comps[cb]),) if pb else ()
-    return MergeStep(ws, Workspace(rest), _tag(a, b), mode, (s, t), extractions, (a, b))
+    return MergeStep(ws, Workspace(rest), tag, mode, (s, t), extractions, (a, b))
 
 
 def all_merge_successors(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> list:
     """Every one-step Merge application under the flags, in merge_pairs
     order.  The quotient W/S depends on S alone, so the steps share one
-    memo of single cuts: a term is cut once for all its partners, and an
-    SM3 pair reuses the cuts below where its two paths part and rebuilds
-    only the spine above.  The memo dies with the call, while ws still
-    holds every tree it keys."""
+    memo of cut levels keyed by source: each term is cut once for all its
+    partners, and an SM3 pair reuses both cuts below where its two paths
+    part and rebuilds only the spine above.  The memo dies with the call."""
     memo: dict = {}
     return [_apply(ws, a, b, cfg.mode, memo) for a, b in merge_pairs(ws, cfg)]
 
@@ -295,7 +343,7 @@ def replay(initial: Workspace, script: list, cfg: MergeConfig = MergeConfig()) -
                 raise MergeError(f"not a legal Merge application here: {_why_illegal(ws, a, b, cfg)}")
         except MergeError as exc:
             raise MergeError(f"step {k}: {op}: {exc}") from exc
-        step = apply(ws, a, b, cfg.mode)
+        step = _apply(ws, a, b, cfg.mode, {})  # legal, as checked above
         deriv.steps.append(step)
         ws = step.output_ws
     return deriv

@@ -68,11 +68,13 @@ class ForestError(DomainError):
 
 
 _set = object.__setattr__
+_new = object.__new__
 
 
 class _Frozen:
     """Base of the immutable records: each subclass sets its slots once, in
-    __init__, and from then on a field can neither be assigned nor deleted."""
+    __new__ or __init__, and from then on a field can neither be assigned
+    nor deleted."""
 
     __slots__ = ()
 
@@ -89,9 +91,16 @@ class _Frozen:
         return _rebuilt, (type(self), {n: getattr(self, n) for n in names if hasattr(self, n)})
 
 
+def _setters(cls) -> tuple:
+    """The descriptor setters of cls's own slots, in __slots__ order.  A
+    record's __new__ fills its fields through them: one call each, past
+    _Frozen.__setattr__, where object.__setattr__ would look the name up."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
 def _rebuilt(cls, fields: dict):
     """The record of class cls with the given fields, as copied or unpickled."""
-    record = object.__new__(cls)
+    record = _new(cls)
     for name, value in fields.items():
         _set(record, name, value)
     return record
@@ -137,15 +146,17 @@ class Node(_Frozen):
 
     __slots__ = ("left", "right", "key", "leaves", "alpha")
 
-    def __init__(self, left: "SyntaxTree", right: "SyntaxTree"):
+    def __new__(cls, left: "SyntaxTree", right: "SyntaxTree"):
         if left.key > right.key:
             left, right = right, left
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "key", "(" + left.key + "|" + right.key + ")")
-        _set(self, "leaves", left.leaves + right.leaves)
+        self = _new(cls)
+        _node_left(self, left)
+        _node_right(self, right)
+        _node_key(self, "(" + left.key + "|" + right.key + ")")
+        _node_leaves(self, left.leaves + right.leaves)
         # alpha counts non-root vertices whose subtree still holds a live leaf
-        _set(self, "alpha", left.alpha + right.alpha + (left.leaves > 0) + (right.leaves > 0))
+        _node_alpha(self, left.alpha + right.alpha + (left.leaves > 0) + (right.leaves > 0))
+        return self
 
     def __eq__(self, other):
         if self is other:
@@ -163,6 +174,8 @@ class Node(_Frozen):
     def __repr__(self):
         return self.key
 
+
+_node_left, _node_right, _node_key, _node_leaves, _node_alpha = _setters(Node)
 
 SyntaxTree = Union[Leaf, Node]
 
@@ -189,11 +202,13 @@ class Workspace(_Frozen):
 
     __slots__ = ("components", "key", "alpha")
 
-    def __init__(self, components: tuple = ()):
+    def __new__(cls, components: tuple = ()):
         comps = tuple(sorted(components, key=_by_key))
-        _set(self, "components", comps)
-        _set(self, "key", "⊔".join([t.key for t in comps]) or "1")
-        _set(self, "alpha", sum([t.alpha for t in comps]))
+        self = _new(cls)
+        _ws_components(self, comps)
+        _ws_key(self, "⊔".join([t.key for t in comps]) or "1")
+        _ws_alpha(self, sum([t.alpha for t in comps]))
+        return self
 
     def __eq__(self, other):
         if self is other:
@@ -223,6 +238,9 @@ class Workspace(_Frozen):
         return sum(t.leaves for t in self.components)
 
 
+_ws_components, _ws_key, _ws_alpha = _setters(Workspace)
+
+
 def workspace(*trees: SyntaxTree) -> Workspace:
     return Workspace(tuple(trees))
 
@@ -230,6 +248,13 @@ def workspace(*trees: SyntaxTree) -> Workspace:
 def subtree_at(t: SyntaxTree, path: tuple) -> SyntaxTree:
     """The subtree of t at path, a sequence of child selectors: 0 for the
     left child, 1 for the right."""
+    return path_vertices(t, path)[-1]
+
+
+def path_vertices(t: SyntaxTree, path: tuple) -> list:
+    """The vertices on path from t down, t first and the subtree at path
+    last.  A step other than 0 or 1, or one past a leaf, is a ForestError."""
+    out = [t]
     for step in path:
         if isinstance(t, Leaf):
             raise ForestError("path runs past a leaf")
@@ -239,7 +264,25 @@ def subtree_at(t: SyntaxTree, path: tuple) -> SyntaxTree:
             t = t.right
         else:
             raise ForestError(f"path {path}: step {step!r} is neither 0 nor 1")
-    return t
+        out.append(t)
+    return out
+
+
+def contract_up(out, vertices: list, path: tuple, k: int) -> list:
+    """The cut levels from depth k up to the root, indexed by depth: level k
+    is out, what is left of the subtree at path[:k] after a cut inside it,
+    and level j < k is the vertex vertices[j] (at path[:j]) with its child
+    path[j] replaced by level j + 1, or, where that is None, contracted to
+    its other child.  Only the k vertices above depth k are rebuilt."""
+    levels = [out] * (k + 1)
+    for j in range(k - 1, -1, -1):
+        v = vertices[j]
+        if path[j]:
+            out = v.left if out is None else Node(v.left, out)
+        else:
+            out = v.right if out is None else Node(out, v.right)
+        levels[j] = out
+    return levels
 
 
 def positions(t: SyntaxTree, prefix: tuple = ()) -> Iterator[tuple]:
@@ -271,53 +314,35 @@ def nested(p: tuple, q: tuple) -> bool:
     return p[:n] == q[:n]
 
 
-_MISS = object()  # a memo's "not computed yet"; None is a quotient
-
-
-def tree_quotient(t: SyntaxTree, paths, mode: str, memo: Optional[dict] = None):
+def tree_quotient(t: SyntaxTree, paths, mode: str):
     """Quotient of one tree by disjoint cuts at the given paths, each a
-    non-empty sequence of 0s and 1s, as `quotient` checks them.
+    non-empty sequence of 0s and 1s, as `quotient` checks them.  A step
+    other than 0 or 1 is a ForestError worded as subtree_at words it.
 
     mode "c" replaces each cut subtree by a trace leaf; mode "d" removes it
     and contracts the vertex left with one child, returning None when the
     whole tree is consumed.  Only the vertices above a cut are rebuilt: the
     walk goes down the spine, the paths' common prefix, cuts where it ends
     or, where several cuts part, takes each child's share of them down that
-    child, and rebuilds the spine bottom-up.
-
-    memo, when given, keeps every single-path cut, of t itself or of a
-    child where cuts part, under (id(subtree), path), and returns the kept
-    result for a cut asked again.  Keys are identities, so one memo serves
-    one mode and only while every tree it was used with lives.
+    child, and contract_up rebuilds the spine bottom-up, as it builds the
+    cut levels of a Merge step.
     """
-    if memo is not None and len(paths) == 1:
-        k = (id(t), paths[0])
-        out = memo.get(k, _MISS)
-        if out is _MISS:
-            out = memo[k] = tree_quotient(t, paths, mode)
-        return out
+    for p in paths:
+        if p.count(0) + p.count(1) != len(p):
+            subtree_at(t, p)  # raises at the bad step, or at a leaf before it
     prefix = paths[0] if len(paths) == 1 else _common_prefix(paths)
-    spine = []
-    for step in prefix:
-        if isinstance(t, Leaf):
-            raise ForestError("path runs past a leaf")
-        spine.append(t)
-        t = t.right if step else t.left
+    spine = path_vertices(t, prefix)
+    t = spine[-1]
     if prefix in paths:
         out = trace_leaf(t.key) if mode == "c" else None
     elif isinstance(t, Leaf):
         raise ForestError("path runs past a leaf")
     else:
         k = len(prefix)
-        l = tree_quotient(t.left, [p[k + 1 :] for p in paths if p[k] == 0], mode, memo)
-        r = tree_quotient(t.right, [p[k + 1 :] for p in paths if p[k] == 1], mode, memo)
+        l = tree_quotient(t.left, [p[k + 1 :] for p in paths if p[k] == 0], mode)
+        r = tree_quotient(t.right, [p[k + 1 :] for p in paths if p[k] == 1], mode)
         out = r if l is None else l if r is None else Node(l, r)
-    for v, step in zip(reversed(spine), reversed(prefix)):
-        if step:
-            out = v.left if out is None else Node(v.left, out)
-        else:
-            out = v.right if out is None else Node(out, v.right)
-    return out
+    return contract_up(out, spine, prefix, len(prefix))[0]
 
 
 def _common_prefix(paths) -> tuple:

@@ -10,6 +10,7 @@ from mergespace.engine import (
     ECViolation,
     MergeConfig,
     MergeError,
+    MergeStep,
     _tag,
     all_merge_successors,
     apply,
@@ -27,6 +28,8 @@ from mergespace.forest import (
     nested,
     node,
     quotient,
+    subtree_at,
+    tree_quotient,
     workspace,
 )
 from mergespace.hopf import UNIT, coproduct, ws_union
@@ -127,6 +130,33 @@ class TestSuccessors:
             assert step.tag == tag and step.sources == (x, y)
 
 
+class TestApplyRefuses:
+    """apply builds only a pair that merge_pairs yields, in either order,
+    under the widest flags of its mode; any other is a MergeError naming it."""
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ((0, (0,)), (0, (0, 1))),  # nested: a second b beside (a|b)
+            ((0, (0, 0)), (0, (0, 0))),  # one term twice
+            ((0, ()), (0, ())),  # one component twice
+            ((5, ()), (0, ())),  # no component 5
+        ],
+        ids=["nested", "same-term", "same-component", "no-component"],
+    )
+    def test_a_pair_merge_pairs_never_yields(self, x, y):
+        ws = workspace(node(node(a, b), c), leaf("d"))
+        for mode in ("c", "d"):
+            with pytest.raises(MergeError, match=re.escape(f"source pair {x!r}, {y!r} is not a Merge application")):
+                apply(ws, x, y, mode)
+
+    def test_root_child_im_only_in_mode_c(self):
+        ws = workspace(node(node(a, b), c), leaf("d"))
+        assert apply(ws, (0, (1,)), (0, ()), "c").tag == "IM"
+        with pytest.raises(MergeError, match="not a Merge application"):
+            apply(ws, (0, (1,)), (0, ()), "d")
+
+
 class TestAgainstCoproduct:
     """Each step is a pair (S, S') drawn from a coproduct term and grafted:
     non-IM steps are the two-tree extractions of the workspace's coproduct,
@@ -192,7 +222,7 @@ def random_workspace(draw, mode="d"):
 
 
 class TestSuccessorMemo:
-    """all_merge_successors shares one memo of single cuts across its steps;
+    """all_merge_successors shares one memo of cut levels across its steps;
     each step must still be the one apply builds alone."""
 
     @pytest.mark.parametrize("mode", ["c", "d"])
@@ -211,33 +241,126 @@ class TestSuccessorMemo:
 
     @pytest.mark.parametrize("mode", ["c", "d"])
     def test_each_single_cut_once_per_call(self, monkeypatch, mode):
-        # every single-path cut tree_quotient computes, as (id of the tree,
-        # path); a memo hit computes nothing
-        real = forest.tree_quotient
-        computed: list = []
+        # every cut-level build walks its path once, as (id of the host,
+        # path); a memo hit walks nothing
+        real = engine.path_vertices
+        walked: list = []
 
-        def counted(t, paths, mode, memo=None):
-            if memo is None and len(paths) == 1:
-                computed.append((id(t), paths[0]))
-            return real(t, paths, mode, memo)
+        def counted(t, path):
+            walked.append((id(t), path))
+            return real(t, path)
 
-        monkeypatch.setattr(forest, "tree_quotient", counted)
-        monkeypatch.setattr(engine, "tree_quotient", counted)
+        monkeypatch.setattr(engine, "path_vertices", counted)
         ws = workspace(node(node(a, b), node(c, node(a, b))), node(c, node(b, a)), a)
         cfg = MergeConfig(mode=mode, allow_identity_sm=True, allow_sibling_cut=True)
-        for x, y in merge_pairs(ws, cfg):
-            apply(ws, x, y, mode)
-        alone = list(computed)
+        pairs = list(merge_pairs(ws, cfg))
+        sources = {(id(ws.components[ci]), p) for pair in pairs for ci, p in pair if p}
         runs = []
         for _ in range(2):
-            computed.clear()
+            walked.clear()
             all_merge_successors(ws, cfg)
-            runs.append(list(computed))
-        # the same cuts as the steps built one by one, each computed once,
-        # and computed again by the next call: nothing outlives a call
-        assert len(set(runs[0])) == len(runs[0])
-        assert set(runs[0]) == set(alone) and len(runs[0]) < len(alone)
+            runs.append(list(walked))
+        # each source with a path cut once for all its partners, and cut
+        # again by the next call: nothing outlives a call
+        assert len(set(runs[0])) == len(runs[0]) and set(runs[0]) == sources
+        assert len(runs[0]) < sum(bool(p) for pair in pairs for _, p in pair)
         assert runs[1] == runs[0]
+
+
+def reference_apply(ws, a, b, mode):
+    """The Merge kernel before cut levels: each host cut by tree_quotient,
+    the terms found by subtree_at and the form read by _tag."""
+    comps = ws.components
+    (ca, pa), (cb, pb) = a, b
+    if ca == cb and pa and pb:  # two cuts in one host: SM3, ID
+        quots = {ca: tree_quotient(comps[ca], [pa, pb], mode)}
+    else:
+        quots = {ci: tree_quotient(comps[ci], [p], mode) for ci, p in (a, b) if p}
+    s = subtree_at(comps[ca], pa) if pa else quots.pop(ca, comps[ca])
+    t = subtree_at(comps[cb], pb) if pb else quots.pop(cb, comps[cb])
+    rest = [x for i, x in enumerate(comps) if i != ca and i != cb]
+    rest += [q for q in quots.values() if q is not None]
+    rest.append(Node(s, t))
+    if pa:
+        extractions = ((s, comps[ca]), (t, comps[cb])) if pb else ((s, comps[ca]),)
+    else:
+        extractions = ((t, comps[cb]),) if pb else ()
+    return MergeStep(ws, Workspace(rest), _tag(a, b), mode, (s, t), extractions, (a, b))
+
+
+def same_stored(x, y) -> bool:
+    """Whether x and y hold the same keys in the same stored child order,
+    left before right, and so are one tree.  Shared subtrees are skipped."""
+    if x is y:
+        return True
+    if x.key != y.key or isinstance(x, Leaf) or isinstance(y, Leaf):
+        return x.key == y.key and isinstance(x, Leaf) and isinstance(y, Leaf)
+    return same_stored(x.left, y.left) and same_stored(x.right, y.right)
+
+
+def same_output(s, w) -> bool:
+    """Whether steps s and w give one output: one key, and each component
+    the same tree in the same stored child order."""
+    x, y = s.output_ws, w.output_ws
+    return x.key == y.key and x.b0 == y.b0 and all(map(same_stored, x.components, y.components))
+
+
+def same_step(s, w) -> bool:
+    """Whether s and w agree on every field the kernel sets but the input."""
+    return (s.tag, s.sources, s.pair, s.extractions) == (w.tag, w.sources, w.pair, w.extractions) and same_output(s, w)
+
+
+def trace_bearing():
+    """The workspaces with a trace leaf that one mode-c step from a 4-leaf
+    forest reaches."""
+    seen = {}
+    for ws in enumerate_forests("abcd") + enumerate_forests("aabc"):
+        for s in all_merge_successors(ws, CFG_C):
+            if "~" in s.output_ws.key:
+                seen.setdefault(s.output_ws.key, s.output_ws)
+    return list(seen.values())
+
+
+class TestAgainstReferenceKernel:
+    """The cut-level kernel builds the steps the tree_quotient kernel
+    built, field for field and child for child."""
+
+    @pytest.mark.parametrize("mode", ["c", "d"])
+    @pytest.mark.parametrize("labels", ["ab", "abc", "abcd", "abcde", "abcdef", "aabc", "traced"])
+    def test_every_step_equals_the_reference(self, labels, mode):
+        # the reference builds each pair of the widest flags once; every
+        # MEMO_FLAGS setting yields a subset of those pairs.  An SM3 or ID
+        # pair named the other way round must give the same output: where
+        # the paths part, the left child's cut comes from the source going
+        # left, whichever is named first.  That is apply's kernel with its
+        # fresh memo, without apply's scan of merge_pairs (8 s at 6 leaves)
+        forests = trace_bearing() if labels == "traced" else enumerate_forests(labels)
+        widest = MergeConfig(mode=mode, allow_identity_sm=True, allow_sibling_cut=True)
+        for ws in forests:
+            want = {(x, y): reference_apply(ws, x, y, mode) for x, y in merge_pairs(ws, widest)}
+            for (x, y), w in want.items():
+                if w.tag in ("SM3", "ID"):
+                    assert same_output(engine._apply(ws, y, x, mode, {}), w), (ws.key, x, y)
+            for flags in MEMO_FLAGS:
+                cfg = MergeConfig(mode=mode, **flags)
+                got = all_merge_successors(ws, cfg)
+                assert [s.sources for s in got] == list(merge_pairs(ws, cfg)), (ws.key, flags)
+                for s in got:
+                    assert same_step(s, want[s.sources]), (ws.key, flags, s.sources)
+
+    def test_equal_keys_keep_their_sides_at_the_split(self):
+        # two different trace-only subtrees with one key, (~p~|~q~|~r~),
+        # one beside each cut term: once x and y are deleted they meet at
+        # the root, which keeps each on the side it came from
+        kept = Node(forest.trace_leaf("p~|~q"), forest.trace_leaf("r"))
+        other = Node(forest.trace_leaf("p"), forest.trace_leaf("q~|~r"))
+        ws = workspace(Node(Node(kept, leaf("x")), Node(other, leaf("y"))))
+        x, y = (0, (0, 1)), (0, (1, 1))
+        for pair in ((x, y), (y, x)):
+            step = apply(ws, *pair, "d")
+            assert step.tag == "SM3" and same_step(step, reference_apply(ws, *pair, "d"))
+            (q,) = [t for t in step.output_ws.components if t.key != "(x|y)"]
+            assert q.left is kept and q.right is other
 
 
 FLAG_NAMES = ("allow_im", "allow_sm", "allow_identity_sm", "allow_sibling_cut", "atomic_sm_only")

@@ -254,9 +254,9 @@ class TestEnumeration:
         class CountedNode(Node):
             __slots__ = ()
 
-            def __init__(self, left, right):
+            def __new__(cls, left, right):
                 built.append(1)
-                super().__init__(left, right)
+                return super().__new__(cls, left, right)
 
         monkeypatch.setattr(forest, "Node", CountedNode)
         enumerate_forests("abcdef")
@@ -432,24 +432,6 @@ class TestTreeQuotient:
                     want = recursive_tree_quotient(t, cut, mode)
                     assert got == want and (got is None or got.key == want.key), (t.key, cut, mode)
 
-    @pytest.mark.parametrize("mode", ["c", "d"])
-    def test_shared_memo_changes_no_quotient(self, mode):
-        # one memo over every cut at one vertex and at two non-nested
-        # vertices of every 5-leaf tree over a, a, b, c, d: the single cuts
-        # it keeps, of a tree and of the children where two cuts part,
-        # give the quotients computed without it
-        memo: dict = {}
-        for t in enumerate_trees("aabcd"):
-            paths = [p for p, _ in positions(t)][1:]
-            cuts = [[p] for p in paths] + [
-                [p, q] for p, q in itertools.combinations(paths, 2) if not forest.nested(p, q)
-            ]
-            for cut in cuts:
-                got = forest.tree_quotient(t, cut, mode, memo)
-                want = forest.tree_quotient(t, cut, mode)
-                assert got == want and (got is None or got.key == want.key), (t.key, cut)
-        assert memo
-
     def test_keeps_the_order_of_equal_keys(self):
         # cutting z leaves the root two different children with one key,
         # (~p~|~q~|~r~); the rebuilt root keeps each on the side it came from
@@ -465,6 +447,14 @@ class TestTreeQuotient:
     def test_subtree_at_refuses_a_step_other_than_0_or_1(self, path):
         with pytest.raises(ForestError, match=re.escape(f"path {path}: step {path[-1]!r} is neither 0 nor 1")):
             subtree_at(node(node(a, b), c), path)
+
+    @pytest.mark.parametrize(
+        "paths, bad",
+        [([(2,)], (2,)), ([(-1,)], (-1,)), ([("x",)], ("x",)), ([(1,), (5,)], (5,)), ([(0, 0), (0, 3)], (0, 3))],
+    )
+    def test_tree_quotient_refuses_a_step_other_than_0_or_1(self, paths, bad):
+        with pytest.raises(ForestError, match=re.escape(f"path {bad}: step {bad[-1]!r} is neither 0 nor 1")):
+            forest.tree_quotient(node(node(a, b), c), paths, "d")
 
     def test_path_past_a_leaf_rejected(self):
         with pytest.raises(ForestError, match="past a leaf"):
