@@ -162,11 +162,19 @@ def cmd_enumerate(args):
     return 0
 
 
+def _pair_bound(ws) -> int:
+    """At least the number of Merge pairs of ws under any flags: C(b, 2) EM
+    pairs of its b components, α IM and α(b - 1) SM1 pairs of its α
+    accessible terms, C(α, 2) SM2 and SM3 pairs and b ID pairs."""
+    a, b = ws.alpha, ws.b0
+    return b * (b - 1) // 2 + a * b + a * (a - 1) // 2 + b
+
+
 def cmd_successors(args):
     ws = workspace_from_json(_parse_json("--workspace", args.workspace))
     cfg = _cfg(args)
     limit = MAX_EMITTED_LEAVES // max(ws.degree, 1)
-    if sum(1 for _ in islice(merge_pairs(ws, cfg), limit + 1)) > limit:
+    if _pair_bound(ws) > limit and sum(1 for _ in islice(merge_pairs(ws, cfg), limit + 1)) > limit:
         raise MergeError(
             f"{ws.degree} leaves give more than {limit} Merge steps, over the bound of "
             f"{MAX_EMITTED_LEAVES} emitted leaves"
@@ -176,9 +184,9 @@ def cmd_successors(args):
     if args.format == "json":
         # each row as _to_json writes {"tag", "output", "output_text"}
         rows = [
-            f'{{"tag": "{s.tag}", "output": {render.workspace_json(s.output_ws)}, '
-            f'"output_text": {json.dumps(render.workspace_text(s.output_ws))}}}'
+            f'{{"tag": "{s.tag}", "output": {output}, "output_text": {text}}}'
             for s in steps
+            for output, text in [render.json_forms(s.output_ws)]
         ]
         _emit(_json_lines(rows), args.out)
     else:

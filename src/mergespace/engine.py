@@ -9,8 +9,8 @@ nothing in this module can insert material at an interior edge.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 from typing import Iterator
 
 from mergespace.forest import (
@@ -20,12 +20,14 @@ from mergespace.forest import (
     Node,
     SyntaxTree,
     Workspace,
+    _by_key,
     _Frozen,
     _new,
     _setters,
     accessible_terms,
     contract_up,
     nested,
+    ordered_workspace,
     path_vertices,
     positions,
     subtree_at,
@@ -128,6 +130,13 @@ def merge_pairs(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> Iterator[tup
     children (that is ID) and other sibling pairs only with
     allow_sibling_cut.  atomic_sm_only keeps only single-leaf SM extractions
     and drops SM2, the edge set of the atomic subgraph.
+
+    The terms come in component order and pre-order, and a term's subtree
+    holds the sub.alpha terms right after it.  So the SM2 partners of a term
+    are the terms of later components, and its SM3 partners the terms after
+    its subtree up to the end of its component; when the term is a left
+    child, the first of those is its right sibling if that holds a live
+    leaf.  No pair is tested for nesting.
     """
     if ws.b0 < 1:
         raise MergeError("workspace has no components")
@@ -142,21 +151,26 @@ def merge_pairs(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> Iterator[tup
                 yield (c, p), (c, ())
     if cfg.allow_sm:
         atomic = cfg.atomic_sm_only
-        sources = [src for src, sub in terms if not atomic or isinstance(sub, Leaf)]
+        if atomic:
+            terms = [term for term in terms if isinstance(term[1], Leaf)]
+        sources = [src for src, _ in terms]
         for c, p in sources:
             for other in range(n):
                 if other != c:
                     yield (c, p), (other, ())
+        end = {c: k + 1 for k, (c, _) in enumerate(sources)}  # past c's last source
         if not atomic:
-            for a, b in combinations(sources, 2):
-                if a[0] != b[0]:
+            for a in sources:
+                for b in sources[end[a[0]] :]:
                     yield a, b
-        for a, b in combinations(sources, 2):
-            if a[0] != b[0] or nested(a[1], b[1]):
-                continue
-            if a[1][:-1] == b[1][:-1] and (len(a[1]) == 1 or not cfg.allow_sibling_cut):
-                continue  # siblings; the root pair is the identity reassembly
-            yield a, b
+        sibling_cut = cfg.allow_sibling_cut
+        for k, (a, sub) in enumerate(terms):
+            p, start, stop = a[1], k + 1 + sub.alpha, end[a[0]]
+            if start < stop and p[-1] == 0 and (len(p) == 1 or not sibling_cut):
+                if sources[start][1] == p[:-1] + (1,):
+                    start += 1  # siblings; the root pair is the identity reassembly
+            for b in sources[start:stop]:
+                yield a, b
     if cfg.allow_identity_sm:
         for ci, comp in enumerate(ws.components):
             if isinstance(comp, Node):
@@ -194,10 +208,15 @@ def _apply(ws: Workspace, a: tuple, b: tuple, mode: str, memo: dict) -> MergeSte
     form is read off the pair as _tag reads it; each host's quotient is the
     top cut level of its source, and an SM3 or ID pair joins its sources'
     levels below the vertex where their paths part and rebuilds only the
-    vertices above it."""
+    vertices above it.  The input's other components stay in their sorted
+    order, and the new ones are inserted among them, each after those with
+    its key."""
     comps = ws.components
     (ca, pa), (cb, pb) = a, b
-    rest = [t for i, t in enumerate(comps) if i != ca and i != cb]
+    rest = list(comps)
+    del rest[cb]
+    if ca != cb:
+        del rest[ca - (ca > cb)]  # one down if it came after cb
     if pa and pb:
         (va, la), (vb, lb) = _cut(ws, a, mode, memo), _cut(ws, b, mode, memo)
         s, t = va[-1], vb[-1]
@@ -226,9 +245,11 @@ def _apply(ws: Workspace, a: tuple, b: tuple, mode: str, memo: dict) -> MergeSte
         s, t = (term, whole) if pa else (whole, term)
     else:
         tag, s, t, extractions, quots = EM, comps[ca], comps[cb], (), ()
-    rest += [q for q in quots if q is not None]
-    rest.append(Node(s, t))
-    return MergeStep(ws, Workspace(rest), tag, mode, (s, t), extractions, (a, b))
+    for q in quots:
+        if q is not None:
+            insort(rest, q, key=_by_key)
+    insort(rest, Node(s, t), key=_by_key)
+    return MergeStep(ws, ordered_workspace(rest), tag, mode, (s, t), extractions, (a, b))
 
 
 def all_merge_successors(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> list:

@@ -19,6 +19,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from json.encoder import encode_basestring_ascii as _quoted  # json.dumps of a str
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
 
@@ -55,6 +56,7 @@ __all__ = [
 # Reserved by the key encoding; labels must avoid them.
 _RESERVED = set("(|)~⊔ ")
 _by_key = attrgetter("key")
+_by_alpha = attrgetter("alpha")
 
 
 class DomainError(ValueError):
@@ -152,7 +154,7 @@ class Node(_Frozen):
         self = _new(cls)
         _node_left(self, left)
         _node_right(self, right)
-        _node_key(self, "(" + left.key + "|" + right.key + ")")
+        _node_key(self, f"({left.key}|{right.key})")
         _node_leaves(self, left.leaves + right.leaves)
         # alpha counts non-root vertices whose subtree still holds a live leaf
         _node_alpha(self, left.alpha + right.alpha + (left.leaves > 0) + (right.leaves > 0))
@@ -203,12 +205,7 @@ class Workspace(_Frozen):
     __slots__ = ("components", "key", "alpha")
 
     def __new__(cls, components: tuple = ()):
-        comps = tuple(sorted(components, key=_by_key))
-        self = _new(cls)
-        _ws_components(self, comps)
-        _ws_key(self, "⊔".join([t.key for t in comps]) or "1")
-        _ws_alpha(self, sum([t.alpha for t in comps]))
-        return self
+        return ordered_workspace(sorted(components, key=_by_key))
 
     def __eq__(self, other):
         if self is other:
@@ -239,6 +236,17 @@ class Workspace(_Frozen):
 
 
 _ws_components, _ws_key, _ws_alpha = _setters(Workspace)
+
+
+def ordered_workspace(comps) -> Workspace:
+    """The workspace of components already sorted by key, kept in the order
+    given: Workspace without the sort."""
+    comps = tuple(comps)
+    self = _new(Workspace)
+    _ws_components(self, comps)
+    _ws_key(self, "⊔".join(map(_by_key, comps)) or "1")
+    _ws_alpha(self, sum(map(_by_alpha, comps)))
+    return self
 
 
 def workspace(*trees: SyntaxTree) -> Workspace:
@@ -622,42 +630,57 @@ class Renderer:
     one enumeration share their trees.  One Renderer per request renders
     each shared subtree once.  The memo is keyed on identity, because keys
     are not injective once traces appear, and it holds every tree it
-    rendered, so that no id is reused while it lives.
+    rendered, so that no id is reused while it lives.  Its entry for a tree
+    is (tree, JSON, text, text escaped as in a JSON string); escaping acts
+    character by character, so the escaped text of a vertex is built from
+    its children's as its text is.
     """
 
-    __slots__ = ("_json", "_text")
+    __slots__ = ("_memo",)
 
     def __init__(self):
-        self._json: dict = {}
-        self._text: dict = {}
+        self._memo: dict = {}
 
-    def tree_json(self, t: SyntaxTree) -> str:
-        """tree_to_json(t) as json.dumps writes it."""
-        hit = self._json.get(id(t))
-        if hit is None:
-            if isinstance(t, Leaf):
-                s = '{"trace": ' + json.dumps(t.name) + "}" if t.trace else json.dumps(t.name)
+    def _rendered(self, t: SyntaxTree) -> tuple:
+        """The memo entry of t, rendered on a miss."""
+        get = self._memo.get
+        if isinstance(t, Leaf):
+            quoted = _quoted(t.name)
+            if t.trace:
+                hit = t, '{"trace": ' + quoted + "}", t.key, "~" + quoted[1:-1] + "~"
             else:
-                s = '["M", ' + self.tree_json(t.left) + ", " + self.tree_json(t.right) + "]"
-            hit = self._json[id(t)] = (t, s)
-        return hit[1]
+                hit = t, quoted, t.key, quoted[1:-1]
+        else:
+            _, lj, lt, lx = get(id(t.left)) or self._rendered(t.left)
+            _, rj, rt, rx = get(id(t.right)) or self._rendered(t.right)
+            hit = t, f'["M", {lj}, {rj}]', f"[{lt} {rt}]", f"[{lx} {rx}]"
+        self._memo[id(t)] = hit
+        return hit
+
+    def _entries(self, ws: Workspace) -> list:
+        """The memo entries of ws's components, in component order."""
+        get, rendered = self._memo.get, self._rendered
+        return [get(id(t)) or rendered(t) for t in ws.components]
 
     def tree_text(self, t: SyntaxTree) -> str:
         """t with each vertex as [left right] and each leaf as its key."""
-        if isinstance(t, Leaf):
-            return t.key
-        hit = self._text.get(id(t))
-        if hit is None:
-            hit = self._text[id(t)] = (t, "[" + self.tree_text(t.left) + " " + self.tree_text(t.right) + "]")
-        return hit[1]
+        return (self._memo.get(id(t)) or self._rendered(t))[2]
 
     def workspace_json(self, ws: Workspace) -> str:
         """workspace_to_json(ws) as json.dumps writes it."""
-        return "[" + ", ".join([self.tree_json(t) for t in ws.components]) + "]"
+        return "[" + ", ".join([e[1] for e in self._entries(ws)]) + "]"
 
     def workspace_text(self, ws: Workspace) -> str:
         """The components' texts joined by ⊔; the empty workspace is 1."""
-        return " ⊔ ".join([self.tree_text(t) for t in ws.components]) or "1"
+        return " ⊔ ".join([e[2] for e in self._entries(ws)]) or "1"
+
+    def json_forms(self, ws: Workspace) -> tuple:
+        """(self.workspace_json(ws), json.dumps(self.workspace_text(ws))) in
+        one pass over the components, the second joined from the escaped
+        texts."""
+        entries = self._entries(ws)
+        text = '"' + " \\u2294 ".join([e[3] for e in entries]) + '"' if entries else '"1"'
+        return "[" + ", ".join([e[1] for e in entries]) + "]", text
 
 
 def workspace_to_text(ws: Workspace) -> str:

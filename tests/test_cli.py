@@ -10,14 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from mergespace.cli import InputError, main
+from mergespace.cli import InputError, _pair_bound, main
 from mergespace.coloring import ColoringError
 from mergespace.costs import CostError
-from mergespace.engine import ECViolation, MergeError
+from mergespace.engine import ECViolation, MergeConfig, MergeError, merge_pairs
 from mergespace.forest import DomainError, ForestError, enumerate_forests, forest_counts, workspace_from_json
 from mergespace.markov import MarkovError
 from mergespace.rulesets import get_ruleset
 from mergespace.verify import VerifyError, run_verify
+from test_engine import trace_bearing
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "src" / "mergespace" / "data" / "scripts"
@@ -121,6 +122,24 @@ class TestSuccessors:
         code, out, err = run(capsys, "successors", "--workspace", text)
         assert code == 1 and not out
         assert err.startswith("error: " + why)
+
+    def test_pair_bound_holds_every_pair(self):
+        # the bound that lets a request skip counting its pairs is never
+        # below the count under the widest flags of either mode
+        forests = [w for n in range(2, 7) for w in enumerate_forests("abcdef"[:n])] + trace_bearing()
+        for mode in ("c", "d"):
+            widest = MergeConfig(mode=mode, allow_identity_sm=True, allow_sibling_cut=True)
+            for ws in forests:
+                assert _pair_bound(ws) >= sum(1 for _ in merge_pairs(ws, widest)), (ws.key, mode)
+
+    @pytest.mark.parametrize("mode, rows", [("c", 2_499), ("d", 2_497)])
+    def test_comb_past_the_pair_bound_is_counted_and_kept(self, capsys, mode, rows):
+        # a 50-leaf comb: 4 852 by the bound, over the limit of 3 000, so
+        # the pairs are counted, and fall under it
+        ws = "[" + comb_text(49) + "]"
+        assert _pair_bound(workspace_from_json(json.loads(ws))) == 4_852
+        code, out, _ = run(capsys, "successors", "--workspace", ws, "--mode", mode, "--identity-sm", "--sibling-cut")
+        assert code == 0 and out.endswith(f"# {rows} successors\n")
 
 
 class TestGraphAndMarkov:

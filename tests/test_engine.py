@@ -367,6 +367,63 @@ FLAG_NAMES = ("allow_im", "allow_sm", "allow_identity_sm", "allow_sibling_cut", 
 EVERY_SETTING = [dict(zip(FLAG_NAMES, bits)) for bits in itertools.product((False, True), repeat=len(FLAG_NAMES))]
 
 
+def reference_merge_pairs(ws, cfg):
+    """merge_pairs before pre-order spans: the SM2 and SM3 pairs picked
+    out of every pair of sources, SM3 the disjoint ones by nested."""
+    n = ws.b0
+    for i in range(n):
+        for j in range(i + 1, n):
+            yield (i, ()), (j, ())
+    terms = accessible_terms(ws)
+    if cfg.allow_im:
+        for (ci, p), _ in terms:
+            if cfg.mode == "c" or len(p) > 1:
+                yield (ci, p), (ci, ())
+    if cfg.allow_sm:
+        atomic = cfg.atomic_sm_only
+        sources = [src for src, sub in terms if not atomic or isinstance(sub, Leaf)]
+        for ci, p in sources:
+            for other in range(n):
+                if other != ci:
+                    yield (ci, p), (other, ())
+        if not atomic:
+            for x, y in itertools.combinations(sources, 2):
+                if x[0] != y[0]:
+                    yield x, y
+        for x, y in itertools.combinations(sources, 2):
+            if x[0] != y[0] or nested(x[1], y[1]):
+                continue
+            if x[1][:-1] == y[1][:-1] and (len(x[1]) == 1 or not cfg.allow_sibling_cut):
+                continue
+            yield x, y
+    if cfg.allow_identity_sm:
+        for ci, comp in enumerate(ws.components):
+            if isinstance(comp, Node):
+                yield (ci, (0,)), (ci, (1,))
+
+
+class TestAgainstReferencePairs:
+    """merge_pairs yields the pairs the combinations scan yielded, in the
+    same order: the order of successors' rows."""
+
+    @pytest.mark.parametrize("mode", ["c", "d"])
+    def test_every_setting_to_five_leaves(self, mode):
+        labels = ("ab", "abc", "abcd", "abcde", "aabc", "aabcd")
+        forests = [w for ls in labels for w in enumerate_forests(ls, require_edge=False)]
+        forests += trace_bearing() if mode == "c" else []
+        for flags in EVERY_SETTING:
+            cfg = MergeConfig(mode=mode, **flags)
+            for ws in forests:
+                assert list(merge_pairs(ws, cfg)) == list(reference_merge_pairs(ws, cfg)), (ws.key, flags)
+
+    @pytest.mark.parametrize("mode", ["c", "d"])
+    def test_default_and_widest_at_six_leaves(self, mode):
+        widest = MergeConfig(mode=mode, allow_identity_sm=True, allow_sibling_cut=True)
+        for ws in enumerate_forests("abcdef"):
+            for cfg in (MergeConfig(mode=mode), widest):
+                assert list(merge_pairs(ws, cfg)) == list(reference_merge_pairs(ws, cfg)), ws.key
+
+
 def _disjoint_collections(terms: list):
     """All sets of pairwise non-nested accessible terms (incl. empty), from
     the (source, subtree) pairs of accessible_terms."""

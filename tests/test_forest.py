@@ -564,11 +564,13 @@ class TestRenderer:
         assert render.workspace_json(ws) == json.dumps(workspace_to_json(ws))
         text = " ⊔ ".join(recursive_text(t) for t in ws.components) or "1"
         assert render.workspace_text(ws) == workspace_to_text(ws) == text
+        assert render.json_forms(ws) == (json.dumps(workspace_to_json(ws)), json.dumps(text))
 
     def test_matches_json_dumps_and_the_recursion(self):
         render = Renderer()  # one memo for every output, as in one request
-        labels = [leaf(x) for x in ("a", "ü", "日本", 'q"\\')]
-        ws = workspace(Node(*labels[:2]), Node(Node(labels[2], trace_leaf("(a|ü)")), labels[3]))
+        labels = [leaf(x) for x in ("a", "ü", "日本", 'q"\\', "𝔞")]
+        traces = Node(trace_leaf("~x~"), trace_leaf("(a|b)⊔c"))
+        ws = workspace(Node(*labels[:2]), Node(Node(labels[2], trace_leaf("(a|ü)")), labels[3]), Node(labels[4], traces))
         for w in (ws, workspace(), workspace(*self.SAME_KEY), workspace(node(a, b), c)):
             self.check(render, w)
         for step in all_merge_successors(ws, MergeConfig(mode="c")):
@@ -577,8 +579,9 @@ class TestRenderer:
     def test_shared_subtrees_rendered_once(self):
         render = Renderer()
         shared = node(node(a, b), c)
-        render.tree_json(Node(shared, d))
-        rendered = len(render._json)
-        assert render.tree_json(Node(shared, e)) == '["M", ' + render.tree_json(shared) + ', "e"]'
+        render.workspace_json(workspace(Node(shared, d)))
+        rendered = len(render._memo)
+        shared_json = render.workspace_json(workspace(shared))[1:-1]
+        assert render.workspace_json(workspace(Node(shared, e))) == '[["M", ' + shared_json + ', "e"]]'
         # only the new root and its new leaf e; shared and its subtrees are reused
-        assert len(render._json) == rendered + 2
+        assert len(render._memo) == rendered + 2
