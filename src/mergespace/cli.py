@@ -50,19 +50,19 @@ class InputError(DomainError):
     """A command-line option or input file that cannot be read or parsed."""
 
 
-# `enumerate` refuses to list more structures than this.  Measured on one
-# core: 27 006 forests (7 leaves) in 1.3 s and 68 MB, 135 135 trees
-# (8 leaves, --trees-only) in 3.8 s and 110 MB; the next sizes, 353 521
-# forests and 2 027 025 trees, are refused.
+# `enumerate` refuses to list more structures than this.  Measured as whole
+# processes on a 2-vCPU shared host: 27 006 forests (7 leaves) in 0.26 s
+# and 38 MB peak RSS, 135 135 trees (8 leaves, --trees-only) in 1.8–2.0 s
+# and 174 MB; the next sizes, 353 521 forests and 2 027 025 trees, are refused.
 MAX_ENUMERATED = 150_000
 
 # `successors` refuses a workspace whose steps would emit more leaves than
 # this in all (Merge pairs times the workspace's leaves).  A pair bound
 # alone is not enough: each step's output grows with the workspace.
-# Measured on one core, JSON output: a 50-leaf comb under --identity-sm
-# --sibling-cut (2 499 pairs, 125 k leaves) in 2.3 s and 15 MB; a 1 024-leaf
-# balanced tree under --no-sm (2 046 pairs, 2.1 M leaves) in 17 s, 157 MB
-# and 1 GB of memory.
+# Measured as above, JSON output: a 50-leaf comb under --identity-sm
+# --sibling-cut (2 497 steps, 125 k leaves) in 0.23–0.31 s and 71 MB; a
+# 1 024-leaf balanced tree under --no-sm (2 044 steps, 2.1 M leaves, 46 MB of
+# JSON), which the bound refuses, in 0.5–0.7 s and 370 MB with it lifted.
 MAX_EMITTED_LEAVES = 150_000
 
 

@@ -403,11 +403,7 @@ def quotient(ws: Workspace, sources: list, mode: str) -> Workspace:
 
 
 def double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    return math.prod(range(n, 1, -2))
 
 
 def forest_counts() -> Iterator[int]:
@@ -510,86 +506,90 @@ def leaf_count_over(labels, bound: int, trees: bool = False, require_edge: bool 
 
 
 def enumerate_trees(labels) -> list:
-    """All non-planar binary trees over a leaf multiset; (2n-3)!! of them for
-    n distinct labels."""
-    labels = tuple(sorted(labels))
-    if not labels:
-        raise ForestError("empty leaf set")
-    return _trees(labels, {})
+    """All non-planar binary trees over a leaf multiset, sorted by key;
+    (2n-3)!! of them for n distinct labels."""
+    sub = _SubMultisets(labels)
+    return sorted(sub.trees(sub.full)[0], key=_by_key)
 
 
-def _trees(ms: tuple, seen: dict) -> list:
-    """The trees over the sorted multiset ms, sorted by key.  seen maps each
-    sub-multiset already expanded to its trees, so that one dict shared by
-    several calls builds every tree once."""
-    if ms in seen:
-        return seen[ms]
-    if len(ms) == 1:
-        out = [leaf(ms[0])]
-    else:
-        found = {}
-        for block, rest in _blocks(ms):
-            if not rest:
-                continue
-            rights = _trees(rest, seen)
-            for lt in _trees(block, seen):
-                for rt in rights:
-                    t = Node(lt, rt)
-                    found[t.key] = t
-        out = [found[k] for k in sorted(found)]
-    seen[ms] = out
-    return out
+class _SubMultisets:
+    """The trees and forests over each sub-multiset of a leaf multiset, built
+    once, each with its internal vertices' codes as a bitset, bit c for code
+    c.  A code counts each distinct label in one digit of a mixed radix, the
+    place of a label being the product of m + 1 over the multiplicities m
+    before it: codes 0 to full are the sub-multisets, leaf masks if distinct."""
 
+    def __init__(self, labels):
+        labels = sorted(labels)
+        if not labels:
+            raise ForestError("empty leaf set")
+        self.n, self.distinct = len(labels), len(set(labels)) == len(labels)
+        self.tree_memo, place = {}, 1
+        for name, run in itertools.groupby(labels):
+            self.tree_memo[place] = [Leaf(name)], [0]
+            place *= len(list(run)) + 1
+        self.full, self.forest_memo = place - 1, {0: ([()], [0])}
+        self.lowest = [0] * place  # the place of each code's lowest nonzero digit
+        for p in self.tree_memo:
+            self.lowest[p::p] = [p] * (self.full // p)
 
-def _blocks(ms: tuple) -> Iterator[tuple]:
-    """Each distinct (block, rest) split of the sorted multiset ms with ms[0]
-    in the block, by increasing bit mask of the block; the block that is all
-    of ms, with an empty rest, comes last."""
-    n = len(ms)
-    emitted = set()
-    for mask in range(1, 2 ** n, 2):  # bit 0 set, so ms[0] stays in the block
-        block = tuple(ms[i] for i in range(n) if mask >> i & 1)
-        if block in emitted:
-            continue
-        emitted.add(block)
-        yield block, tuple(ms[i] for i in range(n) if not mask >> i & 1)
+    def blocks(self, c: int) -> Iterator[tuple]:
+        """(block, rest) for each block of c holding c's first label, all of
+        c first: v steps down the sub-multisets of r, c less that label."""
+        low = self.lowest[c]
+        r = v = c - low
+        yield c, 0
+        while v:
+            p = self.lowest[v]  # one off v's lowest nonzero digit, those below refilled
+            v += r % p - p
+            yield v + low, r - v
 
+    def trees(self, c: int) -> tuple:
+        """(trees, codes), an entry of each per tree over c, each tree once."""
+        if c not in self.tree_memo:
+            out, codes, root = [], [], 1 << c
+            for block, rest in self.blocks(c):
+                if rest:
+                    (lts, lcs), (rts, rcs) = self.trees(block), self.trees(rest)
+                    out += [Node(lt, rt) for lt in lts for rt in rts]
+                    codes += [lc | rc | root for lc in lcs for rc in rcs]
+            if not self.distinct:  # then a tree comes once per split of its root
+                out, codes = map(list, zip(*{t.key: (t, x) for t, x in zip(out, codes)}.values()))
+            self.tree_memo[c] = out, codes
+        return self.tree_memo[c]
 
-def _forests(ms: tuple, trees: dict, memo: dict) -> list:
-    """The component tuples of the forests over the sorted multiset ms: a
-    tree over the block holding ms[0], then a forest over the rest.  Repeated
-    labels can give one forest more than once."""
-    if not ms:
-        return [()]
-    if ms not in memo:
-        out = []
-        for block, rest in _blocks(ms):
-            tails = _forests(rest, trees, memo)
-            out += [(t,) + comps for t in _trees(block, trees) for comps in tails]
-        memo[ms] = out
-    return memo[ms]
+    def forests(self, c: int) -> tuple:
+        """(components, codes), an entry of each per forest over c: a tree over
+        the block holding c's first label, then a forest over the rest."""
+        if c not in self.forest_memo:
+            comps_out, codes_out = self.forest_memo[c] = [], []
+            for block, rest in self.blocks(c):
+                (trees, tree_codes), (tails, tail_codes) = self.trees(block), self.forests(rest)
+                comps_out += [(t,) + comps for t in trees for comps in tails]
+                codes_out += [tc | codes for tc in tree_codes for codes in tail_codes]
+        return self.forest_memo[c]
 
 
 def enumerate_forests(labels, require_edge: bool = True) -> list:
-    """All workspaces over a fixed leaf multiset.
+    """The workspaces of forests_and_masks."""
+    return forests_and_masks(labels, require_edge)[0]
 
-    Every set-partition block of size >= 2 is expanded into all non-planar
-    binary trees over it; singleton blocks stay bare leaves.  With
-    require_edge the all-singleton partition is dropped.  Result is
-    deduplicated and sorted by (component count, canonical key).
-    """
-    labels = tuple(sorted(labels))
-    if not labels:
-        raise ForestError("empty leaf set")
-    if require_edge and len(labels) < 2:
+
+def forests_and_masks(labels, require_edge: bool = True) -> tuple:
+    """(workspaces, masks): all workspaces over a fixed leaf multiset, a tree
+    over every set-partition block (with require_edge, not all singletons),
+    sorted by (component count, key).  With distinct labels masks[i] is the
+    bitset of the leaf masks of workspace i's internal vertices, else None."""
+    sub = _SubMultisets(labels)
+    if require_edge and sub.n < 2:
         raise ForestError("need at least 2 leaves for a forest with an edge")
-    found: dict = {}
-    for comps in _forests(labels, {}, {}):
-        if require_edge and len(comps) == len(labels):
-            continue
-        ws = Workspace(comps)
-        found[ws.key] = ws
-    return sorted(found.values(), key=lambda w: (w.b0, w.key))
+    forests, codes = sub.forests(sub.full)
+    states = [ordered_workspace(sorted(comps, key=_by_key)) for comps in forests]
+    by_count = [{} for _ in range(sub.n + 1)]  # key -> index, by component count
+    for i, ws in enumerate(states):
+        by_count[len(ws.components)][ws.key] = i
+    order = [found[key] for found in by_count[: sub.n + 1 - require_edge] for key in sorted(found)]
+    return [states[i] for i in order], [codes[i] for i in order] if sub.distinct else None
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from mergespace.costs import REGIMES, cost_ratios
 from mergespace.engine import MergeConfig, all_merge_successors
-from mergespace.forest import DomainError, Leaf, enumerate_forests, leaf_count_over
+from mergespace.forest import DomainError, forests_and_masks, leaf_count_over
 
 # sector exponents (SM3, SM1, EM) realized on the 3-leaf state space
 REGIME_EXPONENTS = {
@@ -150,12 +150,12 @@ def build_graph(
         raise MarkovError(f"unknown regime {regime!r}")
     if not (math.isfinite(t) and t > 0):
         raise MarkovError(f"weight parameter t must be finite and positive, got t = {t}")
-    vertices = enumerate_forests(labels, require_edge=True)
+    vertices, masks = forests_and_masks(labels, require_edge=True)
     index = {w.key: i for i, w in enumerate(vertices)}
-    if len(set(labels)) < len(labels):
+    if masks is None:  # repeated labels
         orbits = [(i, (), None) for i in range(len(vertices))]
     else:
-        states = _StateKeys(vertices, labels)
+        states = _StateKeys(masks, len(labels))
         orbits = states.orbits()
 
     pick = None if regime is None else REGIMES.index(regime)
@@ -237,29 +237,28 @@ class _StateKeys:
     """The states over n distinct labels, keyed exactly, and the action of
     the n! permutations of the labels on them.
 
-    A label's leaf mask is its bit in sorted label order.  masks[i] holds
-    the leaf masks of state i's internal vertices, zero-padded to the n - 1
-    of a tree; their set determines the state.  A key is that set as a
-    bitset over the 2^n masks in two uint64 words, lo for masks below 64 and
-    hi for the rest.  The permutations of the leaf bits are numbered in
-    itertools order, so permutation 0 is the identity; word_lo[m, p] and
-    word_hi[m, p] are the key bits of leaf mask m's image under permutation
-    p, 0 for m = 0.  The keys sit in an open-addressing table with linear
-    probing: the hash picks the first slot, and a state is found only when
-    both of its words equal the query's.
+    A label's leaf mask is its bit in sorted label order.  A state's key is
+    the set of leaf masks of its internal vertices, which determines it, as
+    a bitset over the 2^n masks (forests_and_masks gives it), held in two
+    uint64 words, lo for masks below 64 and hi for the rest; masks[i] lists
+    them, zero-padded to the n - 1 of a tree.  The permutations of the leaf
+    bits are numbered in itertools order, so permutation 0 is the identity;
+    word_lo[m, p] and word_hi[m, p] are the key bits of leaf mask m's image
+    under permutation p, 0 for m = 0.  The keys sit in an open-addressing
+    table with linear probing: the hash picks the first slot, and a state is
+    found only when both of its words equal the query's.
     """
 
-    def __init__(self, vertices: list, labels: tuple):
-        n = len(labels)
-        bit = {label: 1 << i for i, label in enumerate(labels)}
-        trees: dict = {}  # tree key -> (leaf mask, internal masks)
-        pad = [(0,) * k for k in range(n)]
-        flat: list = []
-        for ws in vertices:
-            flat += pad[len(ws.components) - 1]
-            for c in ws.components:
-                flat += _tree_masks(c, bit, trees)[1]
-        self.masks = np.array(flat, dtype=np.intp).reshape(len(vertices), n - 1)
+    def __init__(self, keys: list, n: int):
+        self.lo = np.array([key % 2**64 for key in keys], dtype=np.uint64)
+        self.hi = np.array([key >> 64 for key in keys], dtype=np.uint64)
+        # the set bits of each state's 128, in order, fill its row of masks
+        words = np.stack([self.lo, self.hi], axis=1).astype("<u8").view(np.uint8)
+        bits = np.unpackbits(words, axis=1, bitorder="little").view(bool)
+        state, held = np.divmod(np.flatnonzero(bits), 128)
+        count = np.bincount(state, minlength=len(keys))
+        self.masks = np.zeros((len(keys), n - 1), dtype=np.intp)
+        self.masks[state, np.arange(len(state)) - np.repeat(np.cumsum(count) - count, count)] = held
         # images[m, p], mask m under permutation p: the masks from 2^i to
         # 2^(i + 1) are those below 2^i with bit i, which p sends to bit perms[p, i]
         perms = np.array(list(permutations(range(n))), dtype=np.intp)
@@ -271,12 +270,11 @@ class _StateKeys:
         bits[0] = 0
         self.word_lo = np.where(mask < 64, bits, np.uint64(0))[images]
         self.word_hi = np.where(mask >= 64, bits, np.uint64(0))[images]
-        self.lo, self.hi = (w.ravel() for w in self.words(slice(None), [0]))
         # a hash of b bits, so at most a quarter of the 2^b slots are homes;
         # in the order of their home slots, each state takes the first free
         # slot from its home on, in a table of 2^(b + 1) slots that has room
         # for every state past the last home
-        b = (4 * len(vertices)).bit_length()
+        b = (4 * len(keys)).bit_length()
         self._shift = np.uint64(64 - b)
         home = self._slot(self.lo, self.hi)
         order = np.argsort(home, kind="stable")
@@ -330,21 +328,6 @@ class _StateKeys:
             orbits.append((rep, members[1:], perms[1:]))
             rep = int(np.argmin(covered))
         return orbits
-
-
-def _tree_masks(t, bit: dict, memo: dict) -> tuple:
-    """(leaf mask, internal vertices' leaf masks, root last) of one tree over
-    distinct labels, bit[label] being each label's mask; memo maps each tree
-    key already seen to its result."""
-    out = memo.get(t.key)
-    if out is None:
-        if isinstance(t, Leaf):
-            out = bit[t.name], ()
-        else:
-            (a, inner_a), (b, inner_b) = _tree_masks(t.left, bit, memo), _tree_masks(t.right, bit, memo)
-            out = a | b, inner_a + inner_b + (a | b,)
-        memo[t.key] = out
-    return out
 
 
 def _transport(targets: np.ndarray, perms: np.ndarray, states: _StateKeys) -> np.ndarray:
@@ -530,10 +513,11 @@ class PFData:
     cells is the number of cells of the equitable partition the power
     iterations started from (n when it is discrete).  iterations is the
     number of matrix-vector products of all the power iterations together:
-    on the cells' quotient matrices, then on K, for the right and the left
-    vector.  residual is the larger of the two final relative
-    Collatz-Wielandt gaps (hi - lo) / lo on K; it bounds the relative error
-    of lam and the deviation of every row sum of K_hat from 1.
+    two per step of the joint one on the cells' quotient matrices, then
+    those on K for the right and the left vector.  residual is the larger
+    of the two final relative Collatz-Wielandt gaps (hi - lo) / lo on K; it
+    bounds the relative error of lam and the deviation of every row sum of
+    K_hat from 1.
     """
 
     lam: float
@@ -570,17 +554,19 @@ def perron_frobenius(K) -> PFData:
     (_equitable_cells), the Perron vectors are constant on the cells, and
     their values per cell are the Perron vectors of the quotient matrices
     S[A, B] / |A| (right) and S[A, B] / |B| (left), S[A, B] the sum of K
-    over A x B.  Those are iterated to PF_TOL, lifted by cell, and the
-    iteration on K certifies them, by the same rule, in one product.  A
-    partition that is not equitable gives a worse start and costs products
-    on K, never a different certificate.  A discrete partition starts from
-    ones.
+    over A x B.  Those are iterated to PF_TOL together, as one
+    block-diagonal matrix (_lifted_starts), lifted by cell, and each
+    iteration on K certifies its vector, by the same rule, in one product.
+    A partition that is not equitable gives a worse start and costs
+    products on K, never a different certificate.  A discrete partition
+    starts from ones.
 
     Raises MarkovError on a matrix that is not square, on non-finite or
     negative entries, on support that is not strongly connected (naming a
-    state that another cannot reach), on a single state without a
-    successor, and when a bracket is still wider than PF_TOL after PF_MAX_ITER
-    steps of one power iteration.
+    state that another cannot reach and, for a graph, how many edges
+    underflowed to 0), on a single state without a successor, and when a
+    bracket is still wider than PF_TOL after PF_MAX_ITER steps of one power
+    iteration.
     """
     rows, cols, w, n = _edges(K)
     if not np.isfinite(w).all():
@@ -611,15 +597,18 @@ def perron_frobenius(K) -> PFData:
 
 
 def _check_strongly_connected(K, rows, cols, n: int) -> None:
-    """Raises MarkovError naming a state that another cannot reach."""
+    """Raises MarkovError naming a state that another cannot reach and, when
+    K is a graph some of whose t^cost weights underflowed to 0, how many."""
     if not n:
         raise MarkovError("reducible support; Perron-Frobenius theory needs strong connectivity: no states")
     pair = _unreachable_pair(rows, cols, n)
     if pair is not None:
         i, j = pair
+        lost = int(np.count_nonzero(K.values == 0)) if isinstance(K, TransitionGraph) else 0
         raise MarkovError(
             "reducible support; Perron-Frobenius theory needs strong connectivity: "
             f"{_state_name(K, i)} cannot reach {_state_name(K, j)}"
+            + (f"; t^cost underflowed to 0 on {lost} of {len(K.values)} edges at this t" if lost else "")
         )
 
 
@@ -682,27 +671,37 @@ def _lifted_starts(rows, cols, w, cell, k: int) -> tuple:
     """(right start, left start, products) for the power iterations on the
     n x n matrix K with entries w at (rows, cols), from the partition of its
     states into k cells: the Perron vectors of the quotients S[A, B] / |A|
-    and S^T[B, A] / |B|, S[A, B] the sum of K over A x B, lifted to the
-    states by cell.  A discrete partition (k = n) gives no start."""
+    and S^T[B, A] / |B|, S[A, B] the sum of K over A x B, each scaled to max
+    1 and lifted by cell; none for a discrete partition (k = n).  Both come
+    from one power iteration on the block-diagonal matrix of the quotients,
+    two products a step: with D = diag(|A|), D^-1 S^T = (S D^-1)^T and
+    S D^-1 = D (D^-1 S) D^-1, so the blocks share a spectrum and converge
+    together, and PF_TOL on the bracket of all 2k ratios certifies each."""
     if k == len(cell):
         return None, None, 0
     size = np.bincount(cell, minlength=k)
     # dense k x k: k < n, and over every multiplicity pattern of 7 leaves the
     # most cells a chain of build_graph has is 1 840 (a,a,a,b,b,c,d; 27 MB)
-    S = np.bincount(cell[rows] * k + cell[cols], w, k * k).reshape(k, k)
-    starts, products = [], 0
-    for Q in (S, S.T):
-        q_rows, q_cols = np.nonzero(Q)
-        v, _, _, steps = _perron_vector(q_rows, q_cols, Q[q_rows, q_cols] / size[q_rows], k)
-        starts.append(v[cell])
-        products += steps
-    return *starts, products
+    S = np.bincount(cell[rows] * k + cell[cols], w, k * k)  # flat, by row
+    at = np.flatnonzero(S != 0)  # faster than a scan over the floats
+    q_rows, q_cols = np.divmod(at, k)
+    t_rows, t_cols, t_S = _transposed(q_rows, q_cols, S[at], k)
+    v, _, _, steps = _perron_vector(
+        np.concatenate([q_rows, t_rows + k]),
+        np.concatenate([q_cols, t_cols + k]),
+        np.concatenate([S[at] / size[q_rows], t_S / size[t_rows]]),
+        2 * k,
+    )
+    right, left = v[:k], v[k:]
+    return (right / right.max())[cell], (left / left.max())[cell], 2 * steps
 
 
 def _transposed(rows, cols, w, n: int) -> tuple:
-    """The reversed edges of unique edge arrays over n states, sorted by
-    their new row and then column: one sort of the unique keys col * n + row."""
-    order = np.argsort(cols * n + rows)
+    """The reversed edges of unique, row-sorted edge arrays over n states,
+    sorted by new row, then column: a stable sort of the columns keeps each
+    column's rows in order, and in the least unsigned type that holds n
+    numpy radix-sorts them (n up to 65 535)."""
+    order = np.argsort(cols.astype(np.min_scalar_type(n)), kind="stable")
     return cols[order], rows[order], w[order]
 
 

@@ -190,7 +190,7 @@ class TestGraphAndMarkov:
         def never(*args, **kwargs):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(mergespace.markov, "enumerate_forests", never)
+        monkeypatch.setattr(mergespace.markov, "forests_and_masks", never)
         start = time.perf_counter()
         code, out, err = run(capsys, *argv, "--leaves", "a,b,c,d,e,f,g")
         assert code == 1 and not out

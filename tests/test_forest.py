@@ -21,6 +21,7 @@ from mergespace.forest import (
     enumerate_forests,
     enumerate_trees,
     forest_counts,
+    forests_and_masks,
     leaf,
     leaf_count_over,
     multiset_counts,
@@ -261,6 +262,45 @@ class TestEnumeration:
         monkeypatch.setattr(forest, "Node", CountedNode)
         enumerate_forests("abcdef")
         assert len(built) == 1875
+
+
+def tree_masks(t, bit: dict, memo: dict) -> tuple:
+    """(leaf mask, internal vertices' leaf masks, root last) of one tree over
+    distinct labels, bit[label] being each label's mask, by a walk of the
+    tree; memo maps each tree key already seen to its result."""
+    out = memo.get(t.key)
+    if out is None:
+        if isinstance(t, Leaf):
+            out = bit[t.name], ()
+        else:
+            (l, inner_l), (r, inner_r) = tree_masks(t.left, bit, memo), tree_masks(t.right, bit, memo)
+            out = l | r, inner_l + inner_r + (l | r,)
+        memo[t.key] = out
+    return out
+
+
+class TestMasks:
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("require_edge", [True, False])
+    def test_masks_are_the_walked_masks(self, n, require_edge):
+        # the bitset of masks carried through the enumeration holds those a
+        # walk of each state's trees reads, one per internal vertex
+        labels = "gfedcba"[-n:]  # given unsorted; bits follow sorted order
+        forests, masks = forests_and_masks(labels, require_edge)
+        assert [w.key for w in forests] == [w.key for w in enumerate_forests(labels, require_edge)]
+        assert len(masks) == len(forests)
+        bit = {x: 1 << i for i, x in enumerate(sorted(labels))}
+        memo: dict = {}
+        for ws, m in zip(forests, masks):
+            walked = [x for comp in ws.components for x in tree_masks(comp, bit, memo)[1]]
+            assert len(walked) == n - ws.b0
+            assert {x for x in range(1 << n) if m >> x & 1} == set(walked), ws.key
+
+    @pytest.mark.parametrize("labels", ["aa", "aabc", "aaabbcd", "a" * 9])
+    def test_repeated_labels_have_no_masks(self, labels):
+        forests, masks = forests_and_masks(labels)
+        assert masks is None
+        assert [w.key for w in forests] == [w.key for w in enumerate_forests(labels)]
 
 
 def set_partitions(items):

@@ -11,7 +11,7 @@ import pytest
 from mergespace import markov
 from mergespace.costs import cost_ratios
 from mergespace.engine import MergeConfig, all_merge_successors
-from mergespace.forest import Leaf, Node, Workspace, enumerate_forests
+from mergespace.forest import Leaf, Node, Workspace, enumerate_forests, forests_and_masks
 from mergespace.markov import (
     EXACT_T0_EXPONENT,
     MarkovError,
@@ -107,7 +107,7 @@ class TestThreeLeafMatrices:
         def never(*args, **kwargs):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(markov, "enumerate_forests", never)
+        monkeypatch.setattr(markov, "forests_and_masks", never)
         with pytest.raises(MarkovError, match=f"353521 states, over the bound of {markov.MAX_STATES}"):
             build_graph("abcdefgh")
 
@@ -365,10 +365,11 @@ class TestLumpedStart:
         pf = perron_frobenius(g)
         assert_matches_ones_start(pf, g)
         assert 1 < pf.cells < g.n
-        # the two quotients, then one certifying product on K per vector
-        assert [n for n, _ in products] == [pf.cells, pf.cells, g.n, g.n]
-        assert products[2][1] == products[3][1] == 1
-        assert pf.iterations == sum(steps for _, steps in products)
+        # one joint iteration on both quotients, then one certifying product
+        # on K per vector; a joint step counts as two products
+        assert [n for n, _ in products] == [2 * pf.cells, g.n, g.n]
+        assert products[1][1] == products[2][1] == 1
+        assert pf.iterations == 2 * products[0][1] + sum(steps for _, steps in products[1:])
 
     def test_wrong_partition_costs_products_not_the_result(self, monkeypatch):
         g = build_graph("abcde", regime="total", t=0.5)
@@ -402,6 +403,20 @@ class TestLumpedStart:
         assert pf.cells == n
         assert pf.lam == lam and pf.iterations == products
         assert np.array_equal(pf.eta, eta) and np.array_equal(pf.xi, xi)
+
+    @pytest.mark.parametrize("n", [200, 300, 70_000])
+    def test_transposed_is_the_lexsort(self, n):
+        # uint8, uint16 and uint32 columns: numpy radix-sorts the first two
+        # and runs timsort on the last; each must give (col, row) order
+        rng = np.random.default_rng(n)
+        keys = np.unique(rng.integers(0, n * n, size=4 * n))
+        rows, cols = np.divmod(keys, n)
+        w = rng.random(len(keys))
+        order = np.lexsort((rows, cols))
+        t_rows, t_cols, t_w = markov._transposed(rows, cols, w, n)
+        assert np.array_equal(t_rows, cols[order])
+        assert np.array_equal(t_cols, rows[order])
+        assert np.array_equal(t_w, w[order])
 
     @pytest.mark.parametrize("K", ["graph", "dense"])
     def test_two_calls_are_bit_identical(self, K):
@@ -506,8 +521,8 @@ class TestOrbitTransport:
                 clusters(c, out)
             return out
 
-        vertices = enumerate_forests(labels, require_edge=True)
-        walked = markov._StateKeys(vertices, labels).orbits()
+        vertices, masks = forests_and_masks(labels, require_edge=True)
+        walked = markov._StateKeys(masks, len(labels)).orbits()
         assert [[rep, *others.tolist()] for rep, others, _ in walked] == orbits(vertices)
         perms = list(permutations(range(len(labels))))
         for rep, others, member_perms in walked:
@@ -930,10 +945,26 @@ class TestEdgeArrays:
         sm3 = np.array([g.kinds[k][0] == ("SM3",) for k in g.edge_kind.tolist()])
         assert np.array_equal(g.values == 0, sm3) and sm3.any()
         assert strong_connectivity(g)["scc_count"] > 1
-        with pytest.raises(MarkovError, match="reducible"):
+        # the graph's error counts the edges lost; the dense K cannot tell
+        lost = f"; t\\^cost underflowed to 0 on {sm3.sum()} of {len(g.values)} edges at this t$"
+        with pytest.raises(MarkovError, match="^reducible support; .*cannot reach .*" + lost):
             perron_frobenius(g)
-        with pytest.raises(MarkovError, match="reducible"):
+        with pytest.raises(MarkovError, match=r"^reducible support; .*: state 0 cannot reach state 3$"):
             perron_frobenius(g.K)
+
+
+@pytest.mark.parametrize(
+    "n, states, edges, steps, lam",
+    [(8, 75, 977, 4_542, 49.011401172222), (10, 319, 7_551, 33_586, 81.268073601187)],
+)
+def test_equal_leaves_chain(n, states, edges, steps, lam):
+    # K(a^n): repeated labels, so every state runs through the engine, and
+    # the partition into cells is discrete
+    g = build_graph("a" * n)
+    assert (g.n, len(g.rows), g.values.sum()) == (states, edges, steps)
+    pf = perron_frobenius(g)
+    assert pf.cells == states
+    assert abs(pf.lam - lam) <= 1e-12 * lam
 
 
 SEVEN_LEAF_LAMBDA = 35.883468251826  # the full 7-leaf chain, 12 digits
