@@ -11,7 +11,6 @@ from mergespace.forest import (
     accessible_terms,
     enumerate_forests,
     enumerate_trees,
-    quotient,
     workspace,
 )
 
@@ -26,6 +25,5 @@ __all__ = [
     "accessible_terms",
     "enumerate_forests",
     "enumerate_trees",
-    "quotient",
     "workspace",
 ]

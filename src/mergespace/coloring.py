@@ -338,12 +338,7 @@ def candidate_table(rs: RuleSet, tree: SyntaxTree, constraints: Optional[dict] =
     return total, roots_at
 
 
-def color_search(
-    rs: RuleSet,
-    tree: SyntaxTree,
-    constraints: Optional[dict] = None,
-    limit: Optional[int] = None,
-) -> list:
+def color_search(rs: RuleSet, tree: SyntaxTree, constraints: Optional[dict] = None) -> list:
     """All accepted colorings of a bare tree, leaf colors drawn from the
     constraint map (label -> allowed colors; unconstrained leaves range over
     the whole palette).  An empty result means the structure is filtered out.
@@ -372,8 +367,6 @@ def color_search(
             continue
         if _failed_check(rs, colored) is None:
             out.append(colored)
-            if limit is not None and len(out) >= limit:
-                break
     return out
 
 

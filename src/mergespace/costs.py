@@ -207,7 +207,7 @@ def derivation_cost(deriv: Derivation) -> dict:
     both by extracted degree and by operation type.
     """
     steps = [step_costs(s) for s in deriv.steps]
-    mode = deriv.steps[0].mode if deriv.steps else "d"
+    mode = deriv.mode
     my_actual = sum(v.dsigma for v in steps)
     my_d = sum(
         v.dsigma if mode == "d" else _table_my(v.tag, "d", v.dsigma) for v in steps

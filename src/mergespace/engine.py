@@ -10,7 +10,7 @@ nothing in this module can insert material at an interior edge.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from mergespace.forest import (
@@ -57,8 +57,13 @@ class MergeConfig:
     atomic_sm_only: bool = False  # SM extractions restricted to single leaves; no SM2
 
     def __post_init__(self):
-        if self.mode not in ("c", "d"):
-            raise MergeError(f"unknown coproduct mode {self.mode!r}")
+        _checked_mode(self.mode)
+
+
+def _checked_mode(mode) -> str:
+    if mode not in ("c", "d"):
+        raise MergeError(f"unknown coproduct mode {mode!r}")
+    return mode
 
 
 class MergeStep(_Frozen):
@@ -179,11 +184,10 @@ def merge_pairs(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> Iterator[tup
 
 def apply(ws: Workspace, a: tuple, b: tuple, mode: str = "d") -> MergeStep:
     """M_{S,S'} for a source pair that merge_pairs yields in either order
-    under the widest flags of the mode: cut each host once, graft
-    Node(S, S') at a new root and reassemble the workspace.  Any other pair
-    is a MergeError naming it."""
-    widest = MergeConfig(mode=mode, allow_identity_sm=True, allow_sibling_cut=True)
-    if not any(pair == (a, b) or pair == (b, a) for pair in merge_pairs(ws, widest)):
+    under every form of the mode, sibling cuts included: cut each host
+    once, graft Node(S, S') at a new root and reassemble the workspace.
+    Any other pair is a MergeError naming it."""
+    if not any(pair == (a, b) or pair == (b, a) for pair in merge_pairs(ws, _every_form(mode, True))):
         raise MergeError(f"source pair {a!r}, {b!r} is not a Merge application in {ws!r}")
     return _apply(ws, a, b, mode, {})
 
@@ -268,6 +272,7 @@ def all_merge_successors(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> lis
 @dataclass
 class Derivation:
     initial: Workspace
+    mode: str
     steps: list = field(default_factory=list)
 
     @property
@@ -339,15 +344,22 @@ def _resolve(ws: Workspace, op, args) -> tuple:
     return tuple(sorted((a, _resolve_occurrence(ws, args[1]))))
 
 
-def replay(initial: Workspace, script: list, cfg: MergeConfig = MergeConfig()) -> Derivation:
+def _every_form(mode: str, allow_sibling_cut: bool) -> MergeConfig:
+    """The flags that admit every Merge form of the mode, IM, SM and ID
+    included and SM not limited to leaves; sibling cuts as given."""
+    return MergeConfig(mode=mode, allow_identity_sm=True, allow_sibling_cut=allow_sibling_cut)
+
+
+def replay(initial: Workspace, script: list, mode: str = "d", allow_sibling_cut: bool = False) -> Derivation:
     """Execute a derivation script, verifying each step is a legal Merge
-    application in cfg's mode under the widest flags, sibling cuts only
-    with cfg.allow_sibling_cut.  Steps name extraction targets by canonical key
+    application in the mode under every form of it, sibling cuts only with
+    allow_sibling_cut.  Steps name extraction targets by canonical key
     plus occurrence index; any step requesting interior-edge growth raises
     ECViolation.  Errors read ``step {k}: {op}: {reason}``."""
     if not isinstance(script, list):
         raise MergeError("a script's steps must be a list")
-    deriv = Derivation(initial)
+    cfg = _every_form(mode, allow_sibling_cut)
+    deriv = Derivation(initial, mode)
     ws = initial
     for k, raw in enumerate(script):
         op = raw.get("op") if isinstance(raw, dict) else None
@@ -360,24 +372,25 @@ def replay(initial: Workspace, script: list, cfg: MergeConfig = MergeConfig()) -
             tag = _tag(a, b)
             if tag != op:
                 raise MergeError(f"the named terms make {tag}, not {op}")
-            if (a, b) not in merge_pairs(ws, _permissive(cfg)):
-                raise MergeError(f"not a legal Merge application here: {_why_illegal(ws, a, b, cfg)}")
+            if (a, b) not in merge_pairs(ws, cfg):
+                raise MergeError(f"not a legal Merge application here: {_why_illegal(ws, a, b, mode)}")
         except MergeError as exc:
             raise MergeError(f"step {k}: {op}: {exc}") from exc
-        step = _apply(ws, a, b, cfg.mode, {})  # legal, as checked above
+        step = _apply(ws, a, b, mode, {})  # legal, as checked above
         deriv.steps.append(step)
         ws = step.output_ws
     return deriv
 
 
-# the one MergeConfig flag a script may set: replay overrides the others
+# the one MergeConfig flag a script may set: replay admits every other form
 SCRIPT_FLAGS = ("allow_sibling_cut",)
 
 
 def load_script(blob) -> tuple:
-    """The (initial workspace, steps, MergeConfig) of a derivation script,
-    checked field by field: a bad field raises MergeError naming it.  The
-    steps themselves are checked one by one by `replay`."""
+    """The (initial workspace, steps, mode, allow_sibling_cut) of a
+    derivation script, the arguments of `replay`, checked field by field:
+    a bad field raises MergeError naming it.  The steps themselves are
+    checked one by one by `replay`."""
     if not isinstance(blob, dict):
         raise MergeError("a script must be a JSON object")
     for name in ("initial", "steps"):
@@ -391,25 +404,19 @@ def load_script(blob) -> tuple:
             raise MergeError(f"flags: unknown flag {name!r}; known: {', '.join(SCRIPT_FLAGS)}")
         if not isinstance(value, bool):
             raise MergeError(f"flags: {name} must be true or false, got {value!r}")
-    cfg = MergeConfig(mode=blob.get("mode", "d"), **flags)
+    mode = _checked_mode(blob.get("mode", "d"))
     try:
         initial = workspace_from_json(blob["initial"])
     except ForestError as exc:
         raise MergeError(f"initial: {exc}") from None
-    return initial, blob["steps"], cfg
+    return initial, blob["steps"], mode, flags.get("allow_sibling_cut", False)
 
 
-def _permissive(cfg: MergeConfig) -> MergeConfig:
-    # replay validates against the widest flag set for the chosen mode,
-    # except sibling cuts, which stay an explicit opt-in
-    return replace(cfg, allow_im=True, allow_sm=True, allow_identity_sm=True, atomic_sm_only=False)
-
-
-def _why_illegal(ws: Workspace, a: tuple, b: tuple, cfg: MergeConfig) -> str:
-    """The rule by which merge_pairs under _permissive(cfg) leaves out the
-    resolved source pair (a, b).  Under it every EM, SM1, SM2 and ID pair is
-    legal, so only IM and SM3 pairs get here."""
-    if (a, b) in merge_pairs(ws, replace(_permissive(cfg), allow_sibling_cut=True)):
+def _why_illegal(ws: Workspace, a: tuple, b: tuple, mode: str) -> str:
+    """The rule by which replay's merge_pairs leaves out the resolved
+    source pair (a, b).  Under every form of the mode each EM, SM1, SM2
+    and ID pair is legal, so only IM and SM3 pairs get here."""
+    if (a, b) in merge_pairs(ws, _every_form(mode, True)):
         return "the terms are siblings below a non-root vertex, a cut that needs the flag allow_sibling_cut"
     if not b[1]:
         return "IM of a root child is the identity in mode d"

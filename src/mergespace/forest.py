@@ -37,8 +37,6 @@ __all__ = [
     "positions",
     "subtree_at",
     "nested",
-    "tree_quotient",
-    "quotient",
     "enumerate_trees",
     "enumerate_forests",
     "double_factorial",
@@ -373,6 +371,11 @@ def quotient(ws: Workspace, sources: list, mode: str) -> Workspace:
     A source outside the workspace, at a component's root or past a leaf,
     with a path step other than 0 or 1, or one overlapping another, is a
     ForestError naming it.
+
+    No code in the package calls it: the engine cuts through path_vertices
+    and contract_up.  It stays for the benchmark's tracer, which wraps it,
+    and for the tests, where it and tree_quotient are the reference the
+    engine's cuts and the Hopf coproduct are checked against.
     """
     if mode not in ("c", "d"):
         raise ForestError(f"unknown quotient mode {mode!r}")

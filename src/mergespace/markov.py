@@ -778,11 +778,6 @@ def _sector_closed_form(a, b, c, t: float, coupling: float) -> dict:
 
 
 SERIES_T0_EXPONENT = {"ms": Fraction(5, 6), "cl": Fraction(3), "total": Fraction(17, 6)}
-EXACT_T0_EXPONENT = {
-    "ms": Fraction(1, 3),
-    "cl": Fraction(2),
-    "total": Fraction(7, 3),
-}
 
 
 def _fit_exponent(form, a, b, c) -> float:

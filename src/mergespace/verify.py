@@ -325,7 +325,6 @@ def check_hierarchy(c: Check):
                 {"op": "SM1", "args": [{"key": key}, {"key": other_key}]},
                 {"op": "EM", "args": [{"component": 0}, {"component": 1}]},
             ],
-            MergeConfig(mode="d"),
         )
         cls, prof = classify_hierarchy(deriv.steps[0], deriv.steps[1])
         ok &= (cls, prof) == (want_cls, want_prof)
@@ -420,13 +419,13 @@ def check_coloring_scenarios(c: Check):
         deriv = _run_script(f"clitic_cluster_{size}")
         counts.append(sum(1 for s in deriv.steps if s.tag.startswith("SM")))
     c.equal("clitic-cluster scripts 2-4 use 1, 2 and 3 sideward steps", counts, [1, 2, 3])
-    ws, steps, _ = load_script(_script("korean_pac"))
+    ws, steps, mode, _ = load_script(_script("korean_pac"))
     try:
-        replay(ws, steps, MergeConfig(mode="d"))
+        replay(ws, steps, mode)
         gated = False
     except MergeError:
         gated = True
-    built = replay(ws, steps, MergeConfig(mode="d", allow_sibling_cut=True))
+    built = replay(ws, steps, mode, allow_sibling_cut=True)
     c.true(
         "double-accusative cluster needs the two-edges-below-one-vertex cut",
         gated and len(built.steps) == 2,
@@ -447,7 +446,7 @@ def check_coloring_scenarios(c: Check):
         rs = get_ruleset(rs_name)
         for labels in label_sets:
             for tree in enumerate_trees(labels):
-                filt = bool(coloring.color_search(rs, tree, constraints, limit=1))
+                filt = bool(coloring.color_search(rs, tree, constraints))
                 built_ok = coloring.reachable_by_colored_merge(rs, tree, constraints)
                 eq_ok &= filt == built_ok
                 checked += 1

@@ -278,11 +278,13 @@ class TestDerive:
         assert blob["vertex_history"] == [17, 14, 13]
 
     def test_empty_script(self, capsys, tmp_path):
+        # no step to read the mode from: the derivation records it
         p = tmp_path / "empty.json"
-        p.write_text(json.dumps({"mode": "d", "initial": ["a", "b"], "steps": []}))
-        code, out, _ = run(capsys, "derive", "--script", str(p))
-        blob = json.loads(out)
-        assert code == 0 and blob["totals"]["ms"] == "0"
+        for mode in ("c", "d"):
+            p.write_text(json.dumps({"mode": mode, "initial": [["M", "a", "b"], "c"], "steps": []}))
+            code, out, _ = run(capsys, "derive", "--script", str(p))
+            blob = json.loads(out)
+            assert code == 0 and blob["totals"]["ms"] == "0" and blob["mode"] == mode
 
     def test_illegal_step_is_domain_error(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
@@ -326,11 +328,13 @@ class TestDerive:
             ({"mode": "d", "initial": ["a", "b"], "steps": [], "flags": {"nope": 1}}, "'nope'"),
             ({"mode": "d", "initial": ["a", "b"], "steps": [], "flags": {"allow_sibling_cut": 1}}, "allow_sibling_cut"),
             ({"mode": "d", "initial": ["a", "b"], "steps": [], "flags": []}, "'flags'"),
+            ({"mode": "x", "initial": 5, "steps": []}, "error: unknown coproduct mode 'x'"),
             ({"mode": "d", "steps": []}, "script has no 'initial' field"),
             ({"mode": "d", "initial": ["a", "b"]}, "script has no 'steps' field"),
             (["a", "b"], "JSON object"),
         ],
-        ids=["unknown-flag", "flag-not-bool", "flags-not-object", "no-initial", "no-steps", "not-object"],
+        ids=["unknown-flag", "flag-not-bool", "flags-not-object", "unknown-mode", "no-initial", "no-steps",
+             "not-object"],
     )
     def test_malformed_script_names_field(self, capsys, tmp_path, blob, field):
         p = tmp_path / "bad.json"

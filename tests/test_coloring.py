@@ -22,7 +22,7 @@ from mergespace.coloring import (
     ruleset_to_json,
     theta_criterion,
 )
-from mergespace.engine import MergeConfig, MergeError, replay
+from mergespace.engine import MergeError, replay
 from mergespace.forest import Leaf, Node, enumerate_trees, positions, tree_from_json, workspace_from_json
 from mergespace.rulesets import BUILTIN_RULESETS, get_ruleset
 
@@ -150,7 +150,7 @@ class TestCliticDerivations:
     def test_cluster_sm_counts_increase(self, size, expected_sm):
         blob = json.loads((DATA / "scripts" / f"clitic_cluster_{size}.json").read_text())
         ws = workspace_from_json(blob["initial"])
-        deriv = replay(ws, blob["steps"], MergeConfig(mode=blob["mode"], **blob["flags"]))
+        deriv = replay(ws, blob["steps"], blob["mode"], **blob["flags"])
         sm_steps = sum(1 for s in deriv.steps if s.tag.startswith("SM"))
         assert sm_steps == expected_sm == blob["expect"]["sm_steps"]
 
@@ -159,7 +159,7 @@ class TestCliticDerivations:
         for size in (2, 3, 4):
             blob = json.loads((DATA / "scripts" / f"clitic_cluster_{size}.json").read_text())
             ws = workspace_from_json(blob["initial"])
-            deriv = replay(ws, blob["steps"], MergeConfig(mode=blob["mode"], **blob["flags"]))
+            deriv = replay(ws, blob["steps"], blob["mode"], **blob["flags"])
             counts.append(sum(1 for s in deriv.steps if s.tag.startswith("SM")))
         assert counts == sorted(set(counts))
 
@@ -169,8 +169,8 @@ class TestKoreanPAC:
         blob = json.loads((DATA / "scripts" / "korean_pac.json").read_text())
         ws = workspace_from_json(blob["initial"])
         with pytest.raises(MergeError):
-            replay(ws, blob["steps"], MergeConfig(mode="d"))
-        deriv = replay(ws, blob["steps"], MergeConfig(mode="d", allow_sibling_cut=True))
+            replay(ws, blob["steps"], "d")
+        deriv = replay(ws, blob["steps"], "d", allow_sibling_cut=True)
         assert sum(1 for s in deriv.steps if s.tag == "SM3") == 1
 
     def test_dual_coloring_count(self):
@@ -485,7 +485,7 @@ class TestInvariants:
         for constraints in pools:
             labels = sorted(constraints)
             for tree in enumerate_trees(labels):
-                filtered = bool(color_search(rs, tree, constraints, limit=1))
+                filtered = bool(color_search(rs, tree, constraints))
                 built = reachable_by_colored_merge(rs, tree, constraints)
                 assert filtered == built, (ruleset, tree.key)
 
@@ -495,7 +495,7 @@ class TestInvariants:
         rs = get_ruleset("phase+composite")
         blob = json.loads((DATA / "scenarios" / "triple_wh_nested.json").read_text())
         tree = tree_from_json(blob["tree"])
-        assert color_search(rs, tree, blob["constraints"], limit=1)
+        assert color_search(rs, tree, blob["constraints"])
         assert not reachable_by_colored_merge(rs, tree, blob["constraints"])
 
 

@@ -28,7 +28,6 @@ from test_engine import amalgam_tree
 a, b, c, d = (leaf(x) for x in "abcd")
 CFG_D = MergeConfig(mode="d")
 CFG_C = MergeConfig(mode="c")
-CFG_D_SIB = MergeConfig(mode="d", allow_sibling_cut=True)
 
 
 def steps_by_tag(ws, cfg, tag):
@@ -43,7 +42,7 @@ class TestMsCost:
     def test_sm3_pair_of_pairs_from_six(self):
         T = node(node(leaf("h"), node(node(a, b), node(c, d))), leaf("x"))
         script = [{"op": "SM3", "args": [{"key": "(a|b)"}, {"key": "(c|d)"}]}]
-        deriv = replay(workspace(T), script, CFG_D_SIB)
+        deriv = replay(workspace(T), script, allow_sibling_cut=True)
         assert ms_cost(deriv.steps[0]) == Fraction(1, 3)
 
     def test_sm1_leaf_from_cherry(self):
@@ -124,7 +123,7 @@ class TestHierarchy:
         # resolve the non-host component by key instead
         other_key = ws.components[0].key if ws.components[0].key != host.key else ws.components[1].key
         script[0]["args"][1] = {"key": other_key}
-        deriv = replay(ws, script, CFG_D)
+        deriv = replay(ws, script)
         return deriv.steps[0], deriv.steps[1]
 
     def test_head_to_head(self):
@@ -218,8 +217,8 @@ class TestDerivationCosts:
     def test_sixleaf_single_vs_triple(self):
         single, triple = sixleaf_scripts()
         ws = workspace(sixleaf_tree())
-        d1 = replay(ws, single, CFG_D_SIB)
-        d2 = replay(ws, triple, CFG_D_SIB)
+        d1 = replay(ws, single, allow_sibling_cut=True)
+        d2 = replay(ws, triple, allow_sibling_cut=True)
         assert d1.final.key == d2.final.key
         r1, r2 = derivation_cost(d1), derivation_cost(d2)
         assert r1["totals"]["ms"] == Fraction(1, 3)
@@ -235,8 +234,8 @@ class TestDerivationCosts:
         # extractions keeps every step's complexity loss smaller
         single, triple = sixleaf_scripts()
         ws = workspace(sixleaf_tree())
-        d1 = replay(ws, single, CFG_D_SIB)
-        d2 = replay(ws, triple, CFG_D_SIB)
+        d1 = replay(ws, single, allow_sibling_cut=True)
+        d2 = replay(ws, triple, allow_sibling_cut=True)
         r1, r2 = derivation_cost(d1), derivation_cost(d2)
         assert r1["totals"]["ms"] < r2["totals"]["ms"]
         worst_step_cl_single = max(v.cl for v in r1["steps"])
@@ -254,7 +253,7 @@ class TestDerivationCosts:
             {"op": "SM1", "args": [{"key": "(read|v*)"}, {"key": "INFL"}]},
             {"op": "EM", "args": [{"component": 0}, {"component": 1}]},
         ]
-        deriv = replay(ws, script, CFG_D)
+        deriv = replay(ws, script)
         report = derivation_cost(deriv)
         t = report["totals"]
         assert t["ms"] == Fraction(2, 3) + Fraction(3, 5)
@@ -271,13 +270,14 @@ class TestDerivationCosts:
             {"op": "EM", "args": [{"key": "(a|b)"}, {"key": "c"}]},
             {"op": "IM", "args": [{"key": "a"}]},
         ]
-        deriv = replay(ws, script, CFG_D)
+        deriv = replay(ws, script)
         assert derivation_cost(deriv)["totals"]["ms"] == 0
 
     def test_empty_derivation(self):
-        deriv = replay(workspace(node(a, b)), [], CFG_D)
-        report = derivation_cost(deriv)
-        assert report["totals"]["ms"] == 0 and not report["steps"]
+        # no step to read the mode from: the derivation records it
+        for mode in ("c", "d"):
+            report = derivation_cost(replay(workspace(node(a, b)), [], mode))
+            assert report["totals"]["ms"] == 0 and not report["steps"] and report["mode"] == mode
 
     def test_contraction_derivation_starting_with_em_labels_mode(self):
         ws = workspace(leaf("x"), node(a, b), c)
@@ -285,7 +285,7 @@ class TestDerivationCosts:
             {"op": "EM", "args": [{"key": "x"}, {"key": "c"}]},
             {"op": "SM1", "args": [{"key": "a"}, {"key": "(c|x)"}]},
         ]
-        report = derivation_cost(replay(ws, script, CFG_C))
+        report = derivation_cost(replay(ws, script, "c"))
         assert report["mode"] == "c"
         assert report["totals"]["my_c"] == 2  # actual contraction deltas
         assert report["totals"]["my_d"] == 1  # deletion read from the table
@@ -328,7 +328,7 @@ class TestLookupComparison:
             {"op": "SM1", "args": [{"key": extract_key}, {"key": "v*"}]},
             {"op": "EM", "args": [{"component": 0}, {"component": 1}]},
         ]
-        return derivation_cost(replay(ws, script, CFG_C))
+        return derivation_cost(replay(ws, script, "c"))
 
     def test_atomic_extraction_cheaper_in_cl(self):
         head = self.make("look")

@@ -15,6 +15,7 @@ from mergespace.engine import (
     all_merge_successors,
     apply,
     form_copy_quotient,
+    load_script,
     merge_pairs,
     replay,
 )
@@ -584,7 +585,7 @@ class TestReplay:
             {"op": "SM1", "args": [{"key": "y"}, {"key": "x"}]},
             {"op": "EM", "args": [{"component": 0}, {"component": 1}]},
         ]
-        deriv = replay(ws, script, CFG_D)
+        deriv = replay(ws, script)
         assert deriv.steps[0].tag == "SM1"
         assert deriv.final.b0 == 1
         assert deriv.final.key == workspace(node(node(leaf("x"), leaf("y")), node(leaf("w"), leaf("z")))).key
@@ -597,7 +598,7 @@ class TestReplay:
             {"op": "SM1", "args": [{"key": "look"}, {"key": "v*"}]},
             {"op": "EM", "args": [{"component": 0}, {"component": 1}]},
         ]
-        deriv = replay(ws, script, CFG_C)
+        deriv = replay(ws, script, "c")
         assert deriv.steps[0].tag == "SM1"
         final = deriv.final
         assert final.b0 == 1
@@ -606,21 +607,21 @@ class TestReplay:
     def test_insert_rejected(self):
         ws = workspace(node(a, b), c)
         with pytest.raises(ECViolation):
-            replay(ws, [{"op": "INSERT", "args": [{"key": "a"}]}], CFG_D)
+            replay(ws, [{"op": "INSERT", "args": [{"key": "a"}]}])
 
     def test_bad_occurrence_rejected(self):
         ws = workspace(node(a, b), c)
         with pytest.raises(MergeError):
-            replay(ws, [{"op": "SM1", "args": [{"key": "zzz"}, {"component": 1}]}], CFG_D)
+            replay(ws, [{"op": "SM1", "args": [{"key": "zzz"}, {"component": 1}]}])
         with pytest.raises(MergeError):
-            replay(ws, [{"op": "SM1", "args": [{"key": "a", "n": 5}, {"component": 1}]}], CFG_D)
+            replay(ws, [{"op": "SM1", "args": [{"key": "a", "n": 5}, {"component": 1}]}])
 
     def test_sibling_cut_needs_flag(self):
         T = node(node(a, b), c)
         script = [{"op": "SM3", "args": [{"key": "a"}, {"key": "b"}]}]
         with pytest.raises(MergeError):
-            replay(workspace(T), script, CFG_D)
-        deriv = replay(workspace(T), script, MergeConfig(mode="d", allow_sibling_cut=True))
+            replay(workspace(T), script)
+        deriv = replay(workspace(T), script, allow_sibling_cut=True)
         assert deriv.final.key == workspace(node(a, b), c).key
 
     @pytest.mark.parametrize(
@@ -639,11 +640,16 @@ class TestReplay:
     def test_illegal_step_names_its_rule(self, mode, step, reason):
         message = f"step 0: {step['op']}: not a legal Merge application here: {reason}"
         with pytest.raises(MergeError, match=re.escape(message) + "$"):
-            replay(workspace(node(node(a, b), c)), [step], MergeConfig(mode=mode))
+            replay(workspace(node(node(a, b), c)), [step], mode)
+
+    def test_load_script_returns_the_arguments_of_replay(self):
+        blob = {"mode": "c", "flags": {"allow_sibling_cut": True}, "initial": ["a", "b"], "steps": []}
+        assert load_script(blob) == (workspace(a, b), [], "c", True)
+        assert load_script({"initial": ["a", "b"], "steps": []})[2:] == ("d", False)
 
     def test_empty_script(self):
         ws = workspace(node(a, b), c)
-        deriv = replay(ws, [], CFG_D)
+        deriv = replay(ws, [])
         assert deriv.final is ws and len(deriv) == 0
 
     def test_mutated_scripts_always_error_or_stay_legal(self):
@@ -660,7 +666,7 @@ class TestReplay:
         ]
         for script in bad_scripts:
             with pytest.raises(MergeError):
-                replay(ws, script, CFG_D)
+                replay(ws, script)
 
 
 def amalgam_tree():

@@ -1,17 +1,18 @@
-"""Every module-level function and class in the package has a caller, and so
-does every method and property of a module-level class.
+"""Every module-level function, class and assigned name in the package has a
+reader, and so does every method and property of a module-level class.
 
 A module-level definition counts as used when `src/` reads its name outside
-its own body (an `ast.Name` or `ast.Attribute` in Load context: a field
-declaration or an assignment of the same name is no use).  A method or
-property counts as used only when `src/` reads it as an attribute
-(`x.name`) outside every function of that name: a local variable of the
-same name, or a same-named method of another class reading it, is no use.
-Either kind also counts as used when anything in `bench/*.py` names it:
-there a string constant counts too, because the benchmark's tracer names
-the functions it wraps as strings.  Dunder methods are exempt, since the
-interpreter calls them.  Tests do not count: a helper that only tests call
-is not part of the program."""
+its own body, or for an assignment outside its own statement (an `ast.Name`
+or `ast.Attribute` in Load context: a field declaration or an assignment of
+the same name is no use).  A method or property counts as used only when
+`src/` reads it as an attribute (`x.name`) outside every function of that
+name: a local variable of the same name, or a same-named method of another
+class reading it, is no use.  Either kind also counts as used when anything
+in `bench/*.py` names it: there a string constant counts too, because the
+benchmark's tracer names the functions it wraps as strings.  Dunder methods
+and dunder names such as `__all__` are exempt, since the interpreter reads
+them.  Tests do not count: a helper that only tests call is not part of the
+program."""
 
 import ast
 from collections import Counter
@@ -54,16 +55,32 @@ def _attribute_reads(tree) -> Counter:
     return found
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _assigned(target) -> list:
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _assigned(elt)]
+    return [target.id] if isinstance(target, ast.Name) else []
+
+
 def _definitions(tree):
-    """(definition, is_method) for every module-level function and class
-    and every non-dunder method of such a class."""
+    """(name, definition, is_method) for every module-level function, class
+    and non-dunder assigned name, and every non-dunder method of such a
+    class; an assignment's definition is its statement."""
     for d in tree.body:
         if isinstance(d, FUNCTIONS + (ast.ClassDef,)):
-            yield d, False
+            yield d.name, d, False
+        elif isinstance(d, (ast.Assign, ast.AnnAssign)):
+            targets = d.targets if isinstance(d, ast.Assign) else [d.target]
+            for name in (n for t in targets for n in _assigned(t)):
+                if not _dunder(name):
+                    yield name, d, False
         if isinstance(d, ast.ClassDef):
             for m in d.body:
-                if isinstance(m, FUNCTIONS) and not (m.name.startswith("__") and m.name.endswith("__")):
-                    yield m, True
+                if isinstance(m, FUNCTIONS) and not _dunder(m.name):
+                    yield m.name, m, True
 
 
 def unreferenced() -> list:
@@ -74,13 +91,14 @@ def unreferenced() -> list:
     in_src = sum(map(_names, src), Counter())
     as_attribute = sum(map(_attribute_reads, src), Counter())
     return sorted(
-        d.name
+        name
         for tree in src
-        for d, is_method in _definitions(tree)
-        if not bench[d.name]
-        and (not as_attribute[d.name] if is_method else in_src[d.name] == _names(d)[d.name])
+        for name, d, is_method in _definitions(tree)
+        if not bench[name]
+        and (not as_attribute[name] if is_method else in_src[name] == _names(d)[name])
     )
 
 
 def test_every_module_level_definition_has_a_caller():
     assert unreferenced() == []
+
