@@ -6,13 +6,13 @@ failing verification item, 2 on usage errors.
 
 Only graph, markov and verify need numpy, through `markov` and `verify`;
 their commands import those modules when they run, so the others start
-without loading numpy.
+without loading numpy.  No module on their path loads the standard
+library's dataclasses either.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -21,7 +21,7 @@ from itertools import islice
 
 from mergespace import coloring as coloring_mod
 from mergespace.coloring import color_search, ruleset_to_json
-from mergespace.costs import REGIMES, derivation_cost, fc_cost_report
+from mergespace.costs import REGIMES, CostVector, derivation_cost, fc_cost_report
 from mergespace.engine import (
     MergeConfig,
     MergeError,
@@ -100,8 +100,8 @@ def _emit(text: str, out: str | None):
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if dataclasses.is_dataclass(obj):
-        return vars(obj)
+    if isinstance(obj, CostVector):
+        return {name: getattr(obj, name) for name in obj.__slots__}
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -151,7 +151,7 @@ def cmd_enumerate(args):
     render = Renderer()
     if args.trees_only:
         found = enumerate_trees(labels)
-        as_json, as_text = (lambda t: json.dumps(t.key)), render.tree_text
+        as_json, as_text = render.tree_json, render.tree_text
     else:
         found = enumerate_forests(labels, require_edge=not args.all)
         as_json, as_text = render.workspace_json, render.workspace_text

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Optional
 
 from mergespace.forest import (
@@ -26,6 +25,9 @@ from mergespace.forest import (
     Leaf,
     Node,
     SyntaxTree,
+    _Frozen,
+    _Record,
+    _setters,
     leaf,
     positions,
     trace_leaf,
@@ -39,18 +41,32 @@ class ColoringError(DomainError):
     pass
 
 
-@dataclass(frozen=True)
-class CLeaf:
-    label: str
-    color: str
-    trace: bool = False
+class CLeaf(_Frozen):
+    """A colored leaf; ``trace`` as for forest.Leaf."""
+
+    __slots__ = ("label", "color", "trace")
+
+    def __init__(self, label: str, color: str, trace: bool = False):
+        _cleaf_label(self, label)
+        _cleaf_color(self, color)
+        _cleaf_trace(self, trace)
 
 
-@dataclass(frozen=True)
-class CNode:
-    color: str
-    left: "ColoredTree"
-    right: "ColoredTree"
+_cleaf_label, _cleaf_color, _cleaf_trace = _setters(CLeaf)
+
+
+class CNode(_Frozen):
+    """A colored internal vertex over two colored trees, in the order given."""
+
+    __slots__ = ("color", "left", "right")
+
+    def __init__(self, color: str, left: "ColoredTree", right: "ColoredTree"):
+        _cnode_color(self, color)
+        _cnode_left(self, left)
+        _cnode_right(self, right)
+
+
+_cnode_color, _cnode_left, _cnode_right = _setters(CNode)
 
 
 ColoredTree = object  # CLeaf | CNode
@@ -62,8 +78,7 @@ def bare(t: ColoredTree) -> SyntaxTree:
     return Node(bare(t.left), bare(t.right))
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(_Frozen):
     """Single-vertex rule: root color over an unordered pair of child colors.
 
     A child may be the wildcard.  ``tag`` records what introduced the rule
@@ -71,34 +86,44 @@ class Generator:
     movement, clitic splitting).
     """
 
-    root: str
-    children: tuple
-    tag: str = "base"
+    __slots__ = ("root", "children", "tag")
+
+    def __init__(self, root: str, children: tuple, tag: str = "base"):
+        _gen_root(self, root)
+        _gen_children(self, children)
+        _gen_tag(self, tag)
 
     def child_pairs(self, c1: str, c2: str) -> bool:
         g1, g2 = self.children
         return (_cm(g1, c1) and _cm(g2, c2)) or (_cm(g1, c2) and _cm(g2, c1))
 
 
+_gen_root, _gen_children, _gen_tag = _setters(Generator)
+
+
 def _cm(pattern: str, color: str) -> bool:
     return pattern == WILDCARD or pattern == color
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_Frozen):
     """Body of a composite generator: internal vertices fix consumed colors,
     leaves constrain the subtrees plugged in below."""
 
-    color: str
-    children: tuple = ()
+    __slots__ = ("color", "children")
+
+    def __init__(self, color: str, children: tuple = ()):
+        _pattern_color(self, color)
+        _pattern_children(self, children)
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
 
-@dataclass
-class RuleSet:
+_pattern_color, _pattern_children = _setters(Pattern)
+
+
+class RuleSet(_Record):
     """Colors, generators and checks of one coloring system.
 
     ``roots(c1, c2)`` is the one generator lookup: at construction every
@@ -107,20 +132,24 @@ class RuleSet:
     internal vertices of the composite bodies are filed the same way, a body
     leaf keyed by its color or ``*``, a body vertex by (color, True) for "a
     vertex of this color".  Generators and composites are stored as tuples,
-    so neither can go stale.
+    so neither can go stale.  A composite's root color is its Pattern's
+    color.  role_inject maps a color to the role names it injects,
+    role_discharge a color to the role it discharges.
     """
 
-    name: str
-    colors: set
-    generators: tuple
-    composites: tuple = ()  # (root) carried by Pattern.color
-    global_checks: list = field(default_factory=list)
-    role_inject: dict = field(default_factory=dict)  # color -> iterable of role names
-    role_discharge: dict = field(default_factory=dict)  # color -> role name
+    __slots__ = ("name", "colors", "generators", "composites", "global_checks", "role_inject", "role_discharge",
+                 "_index", "_bodies")
+    _fields = __slots__[:-2]  # the lookup indexes are built from the fields
 
-    def __post_init__(self):
-        self.generators = tuple(self.generators)
-        self.composites = tuple(self.composites)
+    def __init__(self, name: str, colors: set, generators, composites=(), global_checks: list = None,
+                 role_inject: dict = None, role_discharge: dict = None):
+        self.name = name
+        self.colors = colors
+        self.generators = tuple(generators)
+        self.composites = tuple(composites)
+        self.global_checks = [] if global_checks is None else global_checks
+        self.role_inject = {} if role_inject is None else role_inject
+        self.role_discharge = {} if role_discharge is None else role_discharge
         self._index = _filed((g.children, g.root) for g in self.generators)
         self._bodies = _filed(
             ([q.color if q.is_leaf else (q.color, True) for q in p.children], p.color)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from mergespace.engine import (
     EM,
@@ -28,7 +27,7 @@ from mergespace.engine import (
     Derivation,
     MergeStep,
 )
-from mergespace.forest import DomainError, Node
+from mergespace.forest import DomainError, Node, _Record
 
 # (db0, dalpha, dsigma) per tag and coproduct mode
 RR_TABLE = {
@@ -165,17 +164,23 @@ def classify_hierarchy(sm_step: MergeStep, em_step: MergeStep):
     return cls, (deg_v, deg_p)
 
 
-@dataclass
-class CostVector:
-    tag: str
-    ms: Fraction
-    ms_ws: Fraction
-    db0: int
-    dalpha: int
-    dsigma: int
-    dsigma_hat: int
-    cl: int
-    cl_type: int
+class CostVector(_Record):
+    """The costs of one Merge step under every regime, as step_costs fills
+    them."""
+
+    __slots__ = ("tag", "ms", "ms_ws", "db0", "dalpha", "dsigma", "dsigma_hat", "cl", "cl_type")
+
+    def __init__(self, tag: str, ms: Fraction, ms_ws: Fraction, db0: int, dalpha: int, dsigma: int,
+                 dsigma_hat: int, cl: int, cl_type: int):
+        self.tag = tag
+        self.ms = ms
+        self.ms_ws = ms_ws
+        self.db0 = db0
+        self.dalpha = dalpha
+        self.dsigma = dsigma
+        self.dsigma_hat = dsigma_hat
+        self.cl = cl
+        self.cl_type = cl_type
 
 
 def step_costs(step: MergeStep) -> CostVector:

@@ -10,7 +10,6 @@ nothing in this module can insert material at an interior edge.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from mergespace.forest import (
@@ -22,6 +21,7 @@ from mergespace.forest import (
     Workspace,
     _by_key,
     _Frozen,
+    _Record,
     _new,
     _setters,
     accessible_terms,
@@ -47,17 +47,25 @@ class ECViolation(MergeError):
     """Raised for any request that would grow structure at a non-root vertex."""
 
 
-@dataclass(frozen=True)
-class MergeConfig:
-    mode: str = "d"  # coproduct flavor: "c" traces, "d" deletion
-    allow_im: bool = True
-    allow_sm: bool = True
-    allow_identity_sm: bool = False
-    allow_sibling_cut: bool = False  # non-root cuts of both edges below one vertex
-    atomic_sm_only: bool = False  # SM extractions restricted to single leaves; no SM2
+class MergeConfig(_Frozen):
+    """Which Merge forms a step may take, and the coproduct flavor: mode "c"
+    leaves traces, "d" deletes.  allow_sibling_cut admits non-root cuts of
+    both edges below one vertex; atomic_sm_only restricts SM extractions to
+    single leaves and rules out SM2."""
 
-    def __post_init__(self):
-        _checked_mode(self.mode)
+    __slots__ = ("mode", "allow_im", "allow_sm", "allow_identity_sm", "allow_sibling_cut", "atomic_sm_only")
+
+    def __init__(self, mode="d", allow_im=True, allow_sm=True, allow_identity_sm=False, allow_sibling_cut=False,
+                 atomic_sm_only=False):
+        _cfg_mode(self, _checked_mode(mode))
+        _cfg_im(self, allow_im)
+        _cfg_sm(self, allow_sm)
+        _cfg_identity_sm(self, allow_identity_sm)
+        _cfg_sibling_cut(self, allow_sibling_cut)
+        _cfg_atomic_sm(self, atomic_sm_only)
+
+
+_cfg_mode, _cfg_im, _cfg_sm, _cfg_identity_sm, _cfg_sibling_cut, _cfg_atomic_sm = _setters(MergeConfig)
 
 
 def _checked_mode(mode) -> str:
@@ -87,17 +95,6 @@ class MergeStep(_Frozen):
         _step_extractions(self, extractions)
         _step_sources(self, sources)
         return self
-
-    def _fields(self) -> tuple:
-        return self.input_ws, self.output_ws, self.tag, self.mode, self.pair, self.extractions, self.sources
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
     def __repr__(self):
         return f"<{self.tag} {self.input_ws!r} -> {self.output_ws!r}>"
@@ -269,11 +266,16 @@ def all_merge_successors(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> lis
 # ---------------------------------------------------------------------------
 # derivations
 
-@dataclass
-class Derivation:
-    initial: Workspace
-    mode: str
-    steps: list = field(default_factory=list)
+class Derivation(_Record):
+    """A replayed derivation: its initial workspace, coproduct mode and
+    steps."""
+
+    __slots__ = ("initial", "mode", "steps")
+
+    def __init__(self, initial: Workspace, mode: str, steps: list = None):
+        self.initial = initial
+        self.mode = mode
+        self.steps = [] if steps is None else steps
 
     @property
     def final(self) -> Workspace:
@@ -426,13 +428,18 @@ def _why_illegal(ws: Workspace, a: tuple, b: tuple, mode: str) -> str:
 # ---------------------------------------------------------------------------
 # FormCopy as a graph quotient
 
-@dataclass
-class QuotientGraph:
-    """Tree vertices merged under FormCopy identifications; may have cycles."""
+class QuotientGraph(_Record):
+    """Tree vertices merged under FormCopy identifications; may have cycles.
+    leaf_count counts the distinct non-trace leaf classes after
+    identification; history is the vertex count after each identification,
+    the starting value first."""
 
-    leaf_count: int  # distinct non-trace leaf classes after identification
-    initial_leaf_count: int
-    history: list  # vertex count after each identification, starting value first
+    __slots__ = ("leaf_count", "initial_leaf_count", "history")
+
+    def __init__(self, leaf_count: int, initial_leaf_count: int, history: list):
+        self.leaf_count = leaf_count
+        self.initial_leaf_count = initial_leaf_count
+        self.history = history
 
 
 def load_form_copy(fc) -> tuple:

@@ -18,7 +18,6 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import FrozenInstanceError
 from json.encoder import encode_basestring_ascii as _quoted  # json.dumps of a str
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
@@ -67,16 +66,49 @@ class ForestError(DomainError):
     pass
 
 
+class FrozenInstanceError(AttributeError):
+    """Assignment to or deletion of a field of an immutable record."""
+
+
 _set = object.__setattr__
 _new = object.__new__
 
 
-class _Frozen:
-    """Base of the immutable records: each subclass sets its slots once, in
-    __new__ or __init__, and from then on a field can neither be assigned
-    nor deleted."""
+class _Record:
+    """Base of the records compared field by field.  A subclass's fields are
+    its __slots__, or the names in its ``_fields`` when some slots are not
+    fields.  Two records are equal when their classes and fields are, and
+    the repr shows each field by name, as a dataclass's does.  A record that
+    can change is not hashable."""
 
     __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        if cls._fields:
+            cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """Base of the immutable records: each subclass sets its slots once, in
+    __new__ or __init__, and from then on a field can neither be assigned
+    nor deleted.  Hashed by field, unless the subclass says otherwise."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values(self))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -664,6 +696,10 @@ class Renderer:
         """The memo entries of ws's components, in component order."""
         get, rendered = self._memo.get, self._rendered
         return [get(id(t)) or rendered(t) for t in ws.components]
+
+    def tree_json(self, t: SyntaxTree) -> str:
+        """tree_to_json(t) as json.dumps writes it."""
+        return (self._memo.get(id(t)) or self._rendered(t))[1]
 
     def tree_text(self, t: SyntaxTree) -> str:
         """t with each vertex as [left right] and each leaf as its key."""

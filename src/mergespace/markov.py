@@ -13,6 +13,10 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+# TransitionGraph and PFData stay dataclasses, unlike the records that
+# every command loads: this module loads only together with numpy, which
+# costs far more to import, and the benchmark's negative control rebuilds
+# a PFData with dataclasses.replace.
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction

@@ -11,10 +11,18 @@ from pathlib import Path
 import pytest
 
 from mergespace.cli import InputError, _pair_bound, main
-from mergespace.coloring import ColoringError
+from mergespace.coloring import ColoringError, color_search
 from mergespace.costs import CostError
 from mergespace.engine import ECViolation, MergeConfig, MergeError, merge_pairs
-from mergespace.forest import DomainError, ForestError, enumerate_forests, forest_counts, workspace_from_json
+from mergespace.forest import (
+    DomainError,
+    ForestError,
+    enumerate_forests,
+    enumerate_trees,
+    forest_counts,
+    tree_from_json,
+    workspace_from_json,
+)
 from mergespace.markov import MarkovError
 from mergespace.rulesets import get_ruleset
 from mergespace.verify import VerifyError, run_verify
@@ -41,6 +49,16 @@ class TestEnumerate:
         blobs = json.loads(out)
         keys = {workspace_from_json(b).key for b in blobs}
         assert len(keys) == 6
+
+    def test_trees_only_json_reads_back_as_trees(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--leaves", "a,b,c,d", "--trees-only", "--format", "json")
+        assert code == 0, err
+        lines = [line.removesuffix(",") for line in out.splitlines()[1:-1]]
+        trees = enumerate_trees("a,b,c,d".split(","))
+        assert [tree_from_json(json.loads(line)) for line in lines] == trees
+        code, out, err = run(capsys, "color-check", "--ruleset", "korean-pac", "--tree", lines[0])
+        assert code == 0, err
+        assert json.loads(out)["colorings"] == len(color_search(get_ruleset("korean-pac"), trees[0])) > 0
 
     def test_empty_leaves_domain_error(self, capsys):
         code, _, err = run(capsys, "enumerate", "--leaves", "")
@@ -684,11 +702,11 @@ def setup_snippet() -> str:
     raise AssertionError("bench/run.py assigns no SETUP_SNIPPET")
 
 
-def loaded_in_a_fresh_interpreter(*argvs) -> tuple:
-    """The NUMPY_SIDE modules loaded after the set-up snippet, and after
+def loaded_in_a_fresh_interpreter(*argvs, watched=NUMPY_SIDE) -> tuple:
+    """The watched modules loaded after the set-up snippet, and after
     main() has then run each argv."""
     proc = subprocess.run(
-        [sys.executable, "-c", setup_snippet() + LOADED, str(ROOT / "src"), json.dumps(argvs), json.dumps(NUMPY_SIDE)],
+        [sys.executable, "-c", setup_snippet() + LOADED, str(ROOT / "src"), json.dumps(argvs), json.dumps(watched)],
         capture_output=True, text=True, cwd=ROOT, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -718,3 +736,30 @@ def test_exact_subcommands_load_no_numpy():
 )
 def test_chain_and_verify_subcommands_load_what_they_use(argv, loads):
     assert loaded_in_a_fresh_interpreter(argv) == (set(), loads)
+
+
+def outside_imports(sources) -> list:
+    """The import statements of the given sources that import neither the
+    package nor __future__, one source line each."""
+    found = set()
+    for node in (n for src in sources for n in ast.walk(ast.parse(src))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = (node.module or "") if isinstance(node, ast.ImportFrom) else node.names[0].name
+            if module.split(".")[0] not in ("", "mergespace", "__future__"):
+                found.add(ast.unparse(node))
+    return sorted(found)
+
+
+def test_start_up_loads_neither_dataclasses_nor_numpy():
+    # in a fresh interpreter, since pytest itself loads dataclasses
+    watched = ("dataclasses", "inspect", "numpy")
+    before, after = loaded_in_a_fresh_interpreter(["successors", "--workspace", WORKSPACE], watched=watched)
+    assert before <= after and not after & {"dataclasses", "numpy"}
+    if "inspect" in after:
+        # only where the standard library loads it for the imports of start-up
+        # (importlib.resources does from Python 3.12 on)
+        start_up = [p for p in (ROOT / "src" / "mergespace").glob("*.py") if f"mergespace.{p.stem}" not in NUMPY_SIDE]
+        imports = outside_imports([p.read_text() for p in start_up] + [setup_snippet() + LOADED])
+        code = "\n".join(imports + ["import sys", "print('inspect' in sys.modules)"])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.stdout.strip() == "True", proc.stderr

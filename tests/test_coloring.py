@@ -11,6 +11,7 @@ from mergespace.coloring import (
     CNode,
     ColoringError,
     Generator,
+    Pattern,
     RuleSet,
     accepts,
     bare,
@@ -25,6 +26,8 @@ from mergespace.coloring import (
 from mergespace.engine import MergeError, replay
 from mergespace.forest import Leaf, Node, enumerate_trees, positions, tree_from_json, workspace_from_json
 from mergespace.rulesets import BUILTIN_RULESETS, get_ruleset
+
+import test_forest as forest_tests
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "mergespace" / "data"
 
@@ -562,3 +565,93 @@ class TestSerialization:
         t2 = colored_tree_from_json(colored_tree_to_json(t))
         assert t2 == t
         assert bare(t2).key == bare(t).key
+
+
+class TestRecordContracts:
+    """CLeaf, CNode, Generator, Pattern and RuleSet: constructors, equality,
+    hashing, repr, immutability, copies."""
+
+    def frozen_records(self):
+        t = CNode("clause", CLeaf("EA", "th_E"), CLeaf("x", "th_I", trace=True))
+        return [t.left, t.right, t, Generator("clause", ("th_E", WILDCARD), tag="IM"), Pattern("s", (Pattern("a"), Pattern("b")))]
+
+    def test_defaults_and_positional_fields(self):
+        assert CLeaf("a", "D").trace is False and CLeaf("a", "D", True) == CLeaf(label="a", color="D", trace=True)
+        assert CNode("X", CLeaf("a", "D"), CLeaf("b", "D")) == CNode(
+            color="X", left=CLeaf("a", "D"), right=CLeaf("b", "D")
+        )
+        assert Generator("r", ("a", "b")).tag == "base" and Generator("r", ("a", "b"), "IM") == Generator(
+            root="r", children=("a", "b"), tag="IM"
+        )
+        assert Pattern("c").children == () and Pattern("c").is_leaf
+        assert Pattern("c", (Pattern("a"), Pattern("b"))) == Pattern(color="c", children=(Pattern("a"), Pattern("b")))
+        for make in (lambda: CLeaf("a"), lambda: CNode("X", CLeaf("a", "D")), lambda: Generator("r"), lambda: Pattern()):
+            with pytest.raises(TypeError):
+                make()
+
+    def test_equality_and_hash(self):
+        one, two = self.frozen_records(), self.frozen_records()
+        for x, y in zip(one, two):
+            assert x == y and hash(x) == hash(y) and x is not y
+        assert len(set(one)) == len(one)
+        assert CLeaf("a", "D") != CLeaf("a", "D", trace=True) != CLeaf("a", "N", trace=True)
+        assert CNode("X", CLeaf("a", "D"), CLeaf("b", "D")) != CNode("X", CLeaf("b", "D"), CLeaf("a", "D"))
+        assert Generator("r", ("a", "b")) != Generator("r", ("b", "a")) != Generator("r", ("b", "a"), tag="IM")
+        assert Pattern("c") != Pattern("c", (Pattern("a"), Pattern("b")))
+        assert CLeaf("a", "D") != ("a", "D", False) and Pattern("c") != Generator("c", ())
+
+    def test_repr(self):
+        # reachable_by_colored_merge tells candidate workspaces apart by it
+        t, g, p = self.frozen_records()[2:]
+        assert repr(t) == (
+            "CNode(color='clause', left=CLeaf(label='EA', color='th_E', trace=False), "
+            "right=CLeaf(label='x', color='th_I', trace=True))"
+        )
+        assert repr(g) == "Generator(root='clause', children=('th_E', '*'), tag='IM')"
+        assert repr(p) == "Pattern(color='s', children=(Pattern(color='a', children=()), Pattern(color='b', children=())))"
+
+    def test_frozen(self):
+        for record, names in zip(
+            self.frozen_records(),
+            [("label", "color", "trace")] * 2 + [("color", "left", "right"), ("root", "children", "tag"), ("color", "children")],
+        ):
+            forest_tests.assert_frozen(record, names)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+
+    def test_ruleset_defaults_and_equality(self):
+        gens = [Generator("r", ("a", "b"))]
+        rs = RuleSet("x", {"r", "a", "b"}, gens)
+        assert rs.generators == tuple(gens) and rs.composites == ()
+        assert (rs.global_checks, rs.role_inject, rs.role_discharge) == ([], {}, {})
+        other = RuleSet(name="x", colors={"r", "a", "b"}, generators=tuple(gens))
+        assert rs == other and rs.global_checks is not other.global_checks
+        assert rs.role_inject is not other.role_inject and rs.role_discharge is not other.role_discharge
+        assert rs.roots("b", "a") == {"r"}
+        assert rs != RuleSet("x", {"r", "a", "b"}, gens, global_checks=["theta"])
+        assert rs.extended("x", []) == rs and rs.extended("y", []) != rs
+        for name in BUILTIN_RULESETS:
+            assert get_ruleset(name) == get_ruleset(name)
+        assert get_ruleset("theta") != get_ruleset("theta+sm1")
+        with pytest.raises(TypeError):
+            hash(rs)
+        rs.name = "renamed"
+        assert rs.name == "renamed" and rs != other
+
+    def test_ruleset_repr(self):
+        rs = RuleSet("x", {"r"}, [Generator("r", ("r", "r"))], global_checks=["theta"])
+        assert repr(rs) == (
+            "RuleSet(name='x', colors={'r'}, generators=(Generator(root='r', children=('r', 'r'), tag='base'),), "
+            "composites=(), global_checks=['theta'], role_inject={}, role_discharge={})"
+        )
+
+    def test_copied_and_pickled_records_are_equal(self):
+        for record in self.frozen_records() + [get_ruleset(name) for name in BUILTIN_RULESETS]:
+            for twin in forest_tests.twins(record):
+                assert type(twin) is type(record) and twin == record
+        for record in self.frozen_records():
+            assert all(hash(twin) == hash(record) for twin in forest_tests.twins(record))
+        rs = get_ruleset("theta")
+        pairs = list(itertools.product(sorted(rs.colors) + [WILDCARD], repeat=2))
+        for twin in forest_tests.twins(rs):
+            assert [twin.roots(*p) for p in pairs] == [rs.roots(*p) for p in pairs]

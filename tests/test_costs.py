@@ -4,6 +4,7 @@ import pytest
 
 from mergespace.costs import (
     CostError,
+    CostVector,
     EM_AFTER_SM_TABLE,
     HierarchyClass,
     classify_hierarchy,
@@ -23,6 +24,7 @@ from mergespace.engine import (
 )
 from mergespace.forest import enumerate_forests, leaf, node, workspace
 
+import test_forest as forest_tests
 from test_engine import amalgam_tree
 
 a, b, c, d = (leaf(x) for x in "abcd")
@@ -336,3 +338,36 @@ class TestLookupComparison:
         assert head["totals"]["cl"] == 1 < phrase["totals"]["cl"] == 2
         # the search regime ranks them the other way; both are reported
         assert head["totals"]["ms"] > phrase["totals"]["ms"]
+
+
+class TestCostVector:
+    def vector(self, **changed):
+        fields = dict(tag="SM1", ms=Fraction(1, 2), ms_ws=Fraction(2, 3), db0=0, dalpha=0, dsigma=0,
+                      dsigma_hat=0, cl=1, cl_type=1)
+        return CostVector(**{**fields, **changed})
+
+    def test_positional_and_keyword_fields(self):
+        ws = workspace(node(a, b), c)
+        sm1 = [s for s in all_merge_successors(ws, CFG_D) if s.tag == "SM1"][0]
+        assert step_costs(sm1) == self.vector() == CostVector("SM1", Fraction(1, 2), Fraction(2, 3), 0, 0, 0, 0, 1, 1)
+        with pytest.raises(TypeError):
+            CostVector("SM1", Fraction(1, 2))
+
+    def test_equality(self):
+        assert self.vector() == self.vector() and self.vector() != self.vector(cl=2)
+        assert self.vector() != self.vector(tag="SM2") and self.vector() != ("SM1",)
+        with pytest.raises(TypeError):
+            hash(self.vector())
+        v = self.vector()
+        v.cl = 3
+        assert v == self.vector(cl=3)
+
+    def test_repr(self):
+        assert repr(self.vector()) == (
+            "CostVector(tag='SM1', ms=Fraction(1, 2), ms_ws=Fraction(2, 3), db0=0, dalpha=0, dsigma=0, "
+            "dsigma_hat=0, cl=1, cl_type=1)"
+        )
+
+    def test_copied_and_pickled_vectors_are_equal(self):
+        for twin in forest_tests.twins(self.vector()):
+            assert type(twin) is CostVector and twin == self.vector()

@@ -35,6 +35,8 @@ from mergespace.forest import (
 )
 from mergespace.hopf import UNIT, coproduct, ws_union
 
+import test_forest as forest_tests
+
 a, b, c = leaf("a"), leaf("b"), leaf("c")
 CFG_D = MergeConfig(mode="d")
 CFG_C = MergeConfig(mode="c")
@@ -698,3 +700,78 @@ class TestFormCopy:
         g = form_copy_quotient(amalgam_tree(), [("(read|v*)", 0, 1), ("read", 0, 2)])
         assert g.initial_leaf_count == 9
         assert g.leaf_count == 6
+
+
+class TestRecordContracts:
+    """MergeConfig, Derivation and QuotientGraph: constructors, equality,
+    hashing, repr, immutability, copies."""
+
+    def test_merge_config_defaults_and_positional_fields(self):
+        cfg = MergeConfig()
+        assert (cfg.mode, cfg.allow_im, cfg.allow_sm) == ("d", True, True)
+        assert (cfg.allow_identity_sm, cfg.allow_sibling_cut, cfg.atomic_sm_only) == (False, False, False)
+        assert MergeConfig("c", False, False, True, True, True) == MergeConfig(
+            mode="c", allow_im=False, allow_sm=False, allow_identity_sm=True, allow_sibling_cut=True, atomic_sm_only=True
+        )
+        with pytest.raises(TypeError):
+            MergeConfig("c", True, True, False, False, False, "extra")
+        with pytest.raises(TypeError):
+            MergeConfig(flavor="c")
+
+    @pytest.mark.parametrize("mode", ["x", "", None, "C"])
+    def test_merge_config_checks_its_mode(self, mode):
+        with pytest.raises(MergeError, match=re.escape(f"unknown coproduct mode {mode!r}")):
+            MergeConfig(mode=mode)
+
+    def test_merge_config_equality_and_hash(self):
+        assert MergeConfig("c") == CFG_C and hash(MergeConfig("c")) == hash(CFG_C)
+        assert CFG_C != CFG_D and MergeConfig(allow_im=False) != CFG_D
+        assert len({MergeConfig(), CFG_D, MergeConfig(allow_sm=False)}) == 2
+        assert CFG_D != ("d", True, True, False, False, False)
+
+    def test_merge_config_repr(self):
+        assert repr(MergeConfig(allow_sm=False)) == (
+            "MergeConfig(mode='d', allow_im=True, allow_sm=False, allow_identity_sm=False, "
+            "allow_sibling_cut=False, atomic_sm_only=False)"
+        )
+
+    def test_merge_config_is_frozen(self):
+        cfg = MergeConfig()
+        forest_tests.assert_frozen(cfg, ["mode", "allow_im", "allow_sm", "allow_identity_sm",
+                                         "allow_sibling_cut", "atomic_sm_only"])
+        with pytest.raises(AttributeError):
+            cfg.extra = 1
+
+    def test_derivation_defaults_and_equality(self):
+        ws = workspace(a, b)
+        one, two = engine.Derivation(ws, "d"), engine.Derivation(initial=ws, mode="d")
+        assert one.steps == [] and one.steps is not two.steps
+        assert one == two and len(one) == 0 and one.final is ws
+        one.steps.append(all_merge_successors(ws)[0])
+        assert one != two and one.final != ws
+        assert one == engine.Derivation(ws, "d", list(one.steps))
+        assert engine.Derivation(ws, "c") != two
+        with pytest.raises(TypeError):
+            hash(one)
+        assert repr(two) == "Derivation(initial=a⊔b, mode='d', steps=[])"
+
+    def test_quotient_graph_fields_and_equality(self):
+        g = form_copy_quotient(amalgam_tree(), [("read", 0, 2)])
+        assert g == engine.QuotientGraph(8, 9, [17, 16]) == engine.QuotientGraph(
+            leaf_count=8, initial_leaf_count=9, history=[17, 16]
+        )
+        assert g != engine.QuotientGraph(8, 9, [17, 15])
+        with pytest.raises(TypeError):
+            hash(g)
+        assert repr(g) == "QuotientGraph(leaf_count=8, initial_leaf_count=9, history=[17, 16])"
+        g.history.append(0)
+        assert g.history == [17, 16, 0]
+
+    def test_copied_and_pickled_records_are_equal(self):
+        ws = workspace(node(a, b), c)
+        deriv = replay(ws, [{"op": "EM", "args": [{"key": "(a|b)"}, {"key": "c"}]}], "d")
+        records = [MergeConfig("c", allow_sibling_cut=True), deriv, form_copy_quotient(amalgam_tree(), [("read", 0, 2)])]
+        for record in records:
+            for twin in forest_tests.twins(record):
+                assert type(twin) is type(record) and twin == record
+        assert hash(forest_tests.twins(records[0])[2]) == hash(records[0])

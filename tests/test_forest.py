@@ -511,22 +511,33 @@ def every_record():
     return [a, t, ws, step]
 
 
+def assert_frozen(record, names) -> None:
+    """Each field of record named in names can be neither assigned nor
+    deleted, and keeps its value through the attempts."""
+    for name in names:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+
+
+def twins(record) -> tuple:
+    """A shallow copy, a deep copy and a pickle round trip of record."""
+    return copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))
+
+
 class TestRecords:
     @pytest.mark.parametrize("record", every_record(), ids=lambda r: type(r).__name__)
     def test_fields_can_be_neither_assigned_nor_deleted(self, record):
-        for name in type(record).__slots__:
-            value = getattr(record, name)
-            with pytest.raises(AttributeError):
-                setattr(record, name, value)
-            with pytest.raises(AttributeError):
-                delattr(record, name)
-            assert getattr(record, name) is value
+        assert_frozen(record, type(record).__slots__)
         with pytest.raises(AttributeError):
             record.extra = 1
 
     @pytest.mark.parametrize("record", every_record(), ids=lambda r: type(r).__name__)
     def test_copied_and_pickled_records_are_equal(self, record):
-        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        for twin in twins(record):
             assert type(twin) is type(record) and twin == record and hash(twin) == hash(record)
             assert all(getattr(twin, n) == getattr(record, n) for n in type(record).__slots__)
 

@@ -2,7 +2,7 @@ import copy
 import itertools
 import pickle
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -12,6 +12,7 @@ from mergespace import hopf
 
 from mergespace.forest import (
     ForestError,
+    FrozenInstanceError,
     Node,
     Workspace,
     enumerate_forests,
