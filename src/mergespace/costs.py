@@ -27,7 +27,7 @@ from mergespace.engine import (
     Derivation,
     MergeStep,
 )
-from mergespace.forest import DomainError, Node, _Record
+from mergespace.forest import REGIMES, DomainError, Node, _Record
 
 # (db0, dalpha, dsigma) per tag and coproduct mode
 RR_TABLE = {
@@ -52,9 +52,6 @@ EM_AFTER_SM_TABLE = {
     (SM3, "c"): (0, 2, 2),
     (SM3, "d"): (0, 0, 0),
 }
-
-# the cost regimes of a weighted Merge chain, in the order of cost_ratios
-REGIMES = ("ms", "my", "cl", "total")
 
 _B_COMPONENTS = {EM: 2, IM: 1, SM1: 2, SM2: 2, SM3: 1, ID_SM: 1}
 

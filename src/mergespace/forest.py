@@ -66,6 +66,16 @@ class ForestError(DomainError):
     pass
 
 
+# Names that the CLI offers as choices, here beside DomainError so that
+# building the CLI's parser loads no model: the cost regimes of a weighted
+# Merge chain, in the order of costs.cost_ratios, and the names of the
+# built-in rule sets, which rulesets.BUILTIN_RULESETS maps to their factories.
+REGIMES = ("ms", "my", "cl", "total")
+RULESET_NAMES = (
+    "theta", "theta+sm1", "theta+smsplit", "theta+clitic", "phase", "phase+split", "phase+composite", "korean-pac",
+)
+
+
 class FrozenInstanceError(AttributeError):
     """Assignment to or deletion of a field of an immutable record."""
 

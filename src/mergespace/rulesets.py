@@ -14,6 +14,7 @@ runs TOP > C > INFL > v > V with D > N on the nominal side.
 from __future__ import annotations
 
 from mergespace.coloring import ColoringError, Generator, Pattern, RuleSet, WILDCARD
+from mergespace.forest import RULESET_NAMES
 
 HEAD_CLASSES = ("C", "INFL", "v", "V", "D", "P", "N")
 SPINE = (("TOP", "C"), ("C", "INFL"), ("INFL", "v"), ("v", "V"), ("D", "N"))
@@ -174,16 +175,17 @@ def korean_pac_ruleset() -> RuleSet:
     return RuleSet(name="korean-pac", colors=colors, generators=gens)
 
 
-BUILTIN_RULESETS = {
-    "theta": theta_ruleset,
-    "theta+sm1": theta_sm_nontheta_ruleset,
-    "theta+smsplit": theta_sm_split_ruleset,
-    "theta+clitic": theta_clitic_ruleset,
-    "phase": phase_ruleset,
-    "phase+split": phase_split_ruleset,
-    "phase+composite": phase_composite_ruleset,
-    "korean-pac": korean_pac_ruleset,
-}
+# one factory per name of forest.RULESET_NAMES, in that order
+BUILTIN_RULESETS = dict(
+    zip(
+        RULESET_NAMES,
+        (
+            theta_ruleset, theta_sm_nontheta_ruleset, theta_sm_split_ruleset, theta_clitic_ruleset,
+            phase_ruleset, phase_split_ruleset, phase_composite_ruleset, korean_pac_ruleset,
+        ),
+        strict=True,
+    )
+)
 
 
 def get_ruleset(name: str) -> RuleSet:

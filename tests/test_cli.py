@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from mergespace.cli import InputError, _pair_bound, main
+from mergespace import costs, forest
+from mergespace.cli import InputError, _pair_bound, build_parser, main
 from mergespace.coloring import ColoringError, color_search
 from mergespace.costs import CostError
 from mergespace.engine import ECViolation, MergeConfig, MergeError, merge_pairs
@@ -24,7 +26,7 @@ from mergespace.forest import (
     workspace_from_json,
 )
 from mergespace.markov import MarkovError
-from mergespace.rulesets import get_ruleset
+from mergespace.rulesets import BUILTIN_RULESETS, get_ruleset
 from mergespace.verify import VerifyError, run_verify
 from test_engine import trace_bearing
 
@@ -665,7 +667,7 @@ def test_domain_error_in_a_subcommand_exits_1(capsys, monkeypatch, error):
     def fail(*args, **kwargs):
         raise error("boom")
 
-    monkeypatch.setattr("mergespace.cli.all_merge_successors", fail)
+    monkeypatch.setattr("mergespace.engine.all_merge_successors", fail)
     assert run(capsys, "successors", "--workspace", WORKSPACE) == (1, "", "error: boom\n")
 
 
@@ -673,7 +675,7 @@ def test_plain_value_error_in_a_subcommand_propagates(monkeypatch):
     def fail(*args, **kwargs):
         raise ValueError("not a domain error")
 
-    monkeypatch.setattr("mergespace.cli.all_merge_successors", fail)
+    monkeypatch.setattr("mergespace.engine.all_merge_successors", fail)
     with pytest.raises(ValueError, match="not a domain error"):
         main(["successors", "--workspace", WORKSPACE])
 
@@ -763,3 +765,67 @@ def test_start_up_loads_neither_dataclasses_nor_numpy():
         code = "\n".join(imports + ["import sys", "print('inspect' in sys.modules)"])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
         assert proc.stdout.strip() == "True", proc.stderr
+
+
+# runs in a fresh interpreter, without the set-up snippet: builds the parser
+# when argv is null, else runs main() on argv; then prints the package's
+# modules loaded and whether fractions is
+ONE_COMMAND = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from mergespace.cli import build_parser, main
+argv = json.loads(sys.argv[2])
+if argv is None:
+    build_parser()
+else:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(json.dumps([[m for m in sys.modules if m.split(".")[0] == "mergespace"], "fractions" in sys.modules]))
+"""
+
+
+def loaded_by_one_command(argv) -> tuple:
+    """The package's modules, as a set, and whether fractions is loaded, after
+    a fresh interpreter has run argv alone (or only built the parser)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", ONE_COMMAND, str(ROOT / "src"), json.dumps(argv)],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules, fractions = json.loads(proc.stdout.splitlines()[-1])
+    return set(modules), fractions
+
+
+ONE_COMMAND_CASES = [  # (argv, the models it loads, whether it loads fractions)
+    (["enumerate", "--leaves", "a,b,c", "--format", "json"], (), False),
+    (["successors", "--workspace", WORKSPACE, "--format", "json"], ("engine",), False),
+    (["derive", "--script", str(SCRIPTS / "sixleaf_single.json")], ("engine", "costs"), True),
+    (["costs", "--script", str(SCRIPTS / "amalgam_fc.json")], ("engine", "costs"), True),
+    (["color-check", "--scenario", str(SCENARIOS / "theta_transitive.json")], ("coloring", "rulesets"), False),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, models, fractions",
+    [
+        pytest.param(None, (), False, id="build_parser"),
+        *(pytest.param(*case, id=case[0][0]) for case in ONE_COMMAND_CASES),
+    ],
+)
+def test_a_command_loads_only_the_models_it_runs(argv, models, fractions):
+    want = {"mergespace", "mergespace.cli", "mergespace.forest", *(f"mergespace.{m}" for m in models)}
+    assert loaded_by_one_command(argv) == (want, fractions)
+
+
+def parser_option(command: str, flag: str) -> argparse.Action:
+    """The action of one subcommand's option in the CLI's parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+
+
+def test_parser_names_have_one_definition_each():
+    # forest holds the names, so that building the parser loads no model
+    assert parser_option("markov", "--regime").choices is forest.REGIMES is costs.REGIMES
+    assert tuple(BUILTIN_RULESETS) == forest.RULESET_NAMES
+    assert [get_ruleset(name).name for name in forest.RULESET_NAMES] == list(forest.RULESET_NAMES)
+    assert parser_option("color-check", "--ruleset").help == f"a built-in rule set: {', '.join(sorted(BUILTIN_RULESETS))}"

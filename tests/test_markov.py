@@ -3,7 +3,7 @@ import re
 import time
 import warnings
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -968,6 +968,67 @@ def test_equal_leaves_chain(n, states, edges, steps, lam):
     pf = perron_frobenius(g)
     assert pf.cells == states
     assert abs(pf.lam - lam) <= 1e-12 * lam
+
+
+# every setting of the five MergeConfig flags, under the deletion coproduct
+FLAG_NAMES = {"allow_im": "im", "allow_sm": "sm", "allow_identity_sm": "idsm", "allow_sibling_cut": "sibling",
+              "atomic_sm_only": "atomic"}
+ALL_FLAGS = [
+    pytest.param(flags, id="-".join(FLAG_NAMES[k] for k, on in flags.items() if on) or "none")
+    for flags in (dict(zip(FLAG_NAMES, bits)) for bits in product((False, True), repeat=len(FLAG_NAMES)))
+]
+
+
+def assert_lumps_to_equal_labels(labels, cfg, regime=None, t=1.0, rtol=0.0):
+    """The chain over distinct labels, each row summed over each orbit of
+    states under relabeling, equals the chain over as many equal labels at
+    (the orbit of the row's state, that orbit)."""
+    g = build_graph(labels, cfg, regime=regime, t=t)
+    lumped = build_graph("x" * len(labels), cfg, regime=regime, t=t)
+    at = {w.key: k for k, w in enumerate(lumped.vertices)}
+    memo, orbit_of = {}, np.empty(g.n, dtype=np.intp)
+    for orbit in orbits(g.vertices):
+        ws = g.vertices[orbit[0]]
+        orbit_of[orbit] = at[Workspace(tuple(erased(c, memo) for c in ws.components)).key]
+    assert sorted(set(orbit_of.tolist())) == list(range(lumped.n))
+    summed = np.zeros((g.n, lumped.n))
+    np.add.at(summed, (g.rows, orbit_of[g.cols]), g.values)
+    np.testing.assert_allclose(summed, lumped.K[orbit_of], rtol=rtol, atol=0)
+
+
+class TestLumpedChain:
+    """The chain over n equal labels is the chain over n distinct labels
+    lumped by leaf relabeling, entry for entry: Merge steps pick their
+    sources by position, never by label, and every cost regime commutes
+    with relabeling."""
+
+    @pytest.mark.parametrize("labels", ["abc", "abcd", "abcde"])
+    @pytest.mark.parametrize("flags", ALL_FLAGS)
+    def test_step_counts_lump_exactly(self, labels, flags):
+        assert_lumps_to_equal_labels(labels, MergeConfig(**flags))
+
+    @pytest.mark.parametrize("labels", ["abc", "abcd", "abcde", "abcdef"])
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("t", [0.3, 0.7])
+    def test_weights_lump(self, labels, regime, t):
+        assert_lumps_to_equal_labels(labels, MergeConfig(), regime, t, rtol=1e-12)
+
+
+class TestMyGauge:
+    """A step's my cost is the change in sigma = alpha + b0, so the my chain
+    is D^-1 K D with D = diag(t^sigma): a gauge of the unweighted chain."""
+
+    @pytest.mark.parametrize("labels", ["abc", "abcd", "abcde", "abcdef"])
+    def test_exponents_are_sigma_differences(self, labels):
+        g = build_graph(labels, regime="my", t=0.5)
+        sigma = [w.sigma for w in g.vertices]
+        for i, j, k in zip(g.rows.tolist(), g.cols.tolist(), g.edge_kind.tolist()):
+            assert set(g.kinds[k][1]) == {sigma[j] - sigma[i]}, (g.vertices[i].key, g.vertices[j].key)
+
+    @pytest.mark.parametrize("t", [0.3, 0.7])
+    def test_lambda_is_the_unweighted_one(self, t):
+        lam = perron_frobenius(build_graph("abcde")).lam
+        assert abs(perron_frobenius(build_graph("abcde", regime="my", t=t)).lam - lam) <= 1e-12 * lam
 
 
 SEVEN_LEAF_LAMBDA = 35.883468251826  # the full 7-leaf chain, 12 digits
