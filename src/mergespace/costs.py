@@ -88,14 +88,22 @@ def ms_cost(step: MergeStep) -> Fraction:
     return Fraction(*_ms_ratio(step))
 
 
-def cost_ratios(step: MergeStep) -> tuple:
-    """The cost of one step under each of REGIMES, in that order, as reduced
-    (numerator, denominator) int pairs: search, the sigma delta, complexity
-    loss and their sum.  ms_cost is the search cost's Fraction view."""
+def cost_ratio(step: MergeStep, regime: str) -> tuple:
+    """The cost of one step under one of REGIMES as a reduced (numerator,
+    denominator) int pair: the search cost for ms, the sigma delta for my,
+    complexity loss for cl, and their sum for total.  Only the costs that
+    the regime reads are computed.  ms_cost is the search cost's Fraction
+    view."""
+    if regime == "ms":
+        return _ms_ratio(step)
+    if regime == "my":
+        return rr_delta(step)[2], 1
+    if regime == "cl":
+        return cl_cost(step), 1
+    if regime != "total":
+        raise CostError(f"unknown regime {regime!r}")
     num, den = _ms_ratio(step)
-    my = rr_delta(step)[2]
-    cl = cl_cost(step)
-    return (num, den), (my, 1), (cl, 1), (num + (my + cl) * den, den)
+    return num + (rr_delta(step)[2] + cl_cost(step)) * den, den
 
 
 def rr_delta(step: MergeStep) -> tuple:

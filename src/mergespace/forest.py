@@ -68,7 +68,7 @@ class ForestError(DomainError):
 
 # Names that the CLI offers as choices, here beside DomainError so that
 # building the CLI's parser loads no model: the cost regimes of a weighted
-# Merge chain, in the order of costs.cost_ratios, and the names of the
+# Merge chain, which costs.cost_ratio prices, and the names of the
 # built-in rule sets, which rulesets.BUILTIN_RULESETS maps to their factories.
 REGIMES = ("ms", "my", "cl", "total")
 RULESET_NAMES = (

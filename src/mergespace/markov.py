@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from mergespace.costs import REGIMES, cost_ratios
+from mergespace.costs import REGIMES, cost_ratio
 from mergespace.engine import MergeConfig, all_merge_successors
 from mergespace.forest import DomainError, forests_and_masks, leaf_count_over
 
@@ -135,12 +135,16 @@ def build_graph(
 
     Merge and every cost regime commute with relabeling the leaves, so the
     engine and the cost model run on one representative per orbit of states
-    under label permutations (_StateKeys.orbits).  Every other state's row
-    is the representative's row carried through the permutation that maps
-    the representative onto that state.  The first other member of each
-    orbit is also built directly, and MarkovError is raised if its (target,
-    tag, exponent) steps differ from the carried ones.  With repeated labels
-    every state is its own orbit, and no state is keyed.
+    under label permutations (_StateKeys.orbits), and each step is priced
+    under the given regime alone.  Every representative's row comes first,
+    which fixes every state's degree and the offset of its edges.  Then
+    each orbit's other members get the representative's row carried
+    through the permutation that maps the representative onto them, each
+    member's targets sorted and written straight into the edge arrays.  The
+    first other member of each orbit is also built directly, and
+    MarkovError is raised if its (target, tag, exponent) steps differ from
+    the carried ones.  With repeated labels every state is its own orbit,
+    and no state is keyed.
     """
     labels = tuple(sorted(leaves))
     if len(labels) < 2:
@@ -157,32 +161,40 @@ def build_graph(
     vertices, masks = forests_and_masks(labels, require_edge=True)
     index = {w.key: i for i, w in enumerate(vertices)}
     if masks is None:  # repeated labels
-        orbits = [(i, (), None) for i in range(len(vertices))]
+        alone = np.empty(0, dtype=np.intp)
+        orbits = [(i, alone, None) for i in range(len(vertices))]
     else:
         states = _StateKeys(masks, len(labels))
         orbits = states.orbits()
 
-    pick = None if regime is None else REGIMES.index(regime)
-
     def direct_row(i: int) -> list:
         # each exponent as a reduced (numerator, denominator) pair
         return [
-            (index[step.output_ws.key], step.tag, None if pick is None else cost_ratios(step)[pick])
+            (index[step.output_ws.key], step.tag, None if regime is None else cost_ratio(step, regime))
             for step in all_merge_successors(vertices[i], cfg)
         ]
 
     kinds: dict = {}  # sorted (tag, exponent pair or None) pairs -> index
-    blocks = []  # (states, their targets sorted per row, kind indices) per orbit
+    reps = []  # (the representative's steps, sorted targets, kind indices) per orbit
     degree = np.zeros(len(vertices), dtype=np.intp)
-    for rep, others, perms in orbits:
+    for rep, others, _ in orbits:
         row = direct_row(rep)
         edges: dict = {}  # target -> (tag, exponent) pairs
         for j, tag, expo in row:
             edges.setdefault(j, []).append((tag, expo))
         targets = sorted(edges)
         kind = np.array([kinds.setdefault(tuple(sorted(edges[j])), len(kinds)) for j in targets], np.int32)
-        targets = np.array(targets, dtype=np.intp)
-        members = [rep]
+        degree[rep] = degree[others] = len(targets)
+        reps.append((row, np.array(targets, dtype=np.intp), kind))
+    # each state's edges in one run, in state order
+    first = np.cumsum(degree) - degree
+    rows = np.repeat(np.arange(len(vertices)), degree)
+    cols = np.empty(len(rows), dtype=np.intp)
+    kind = np.empty(len(rows), dtype=np.int32)
+    for (rep, others, perms), (row, targets, rep_kind) in zip(orbits, reps):
+        at = slice(first[rep], first[rep] + len(targets))
+        cols[at] = targets
+        kind[at] = rep_kind
         if len(others):
             moved = _transport(targets, perms, states)
             carried = dict(zip(targets.tolist(), moved[0].tolist()))
@@ -192,20 +204,9 @@ def build_graph(
                     f"{vertices[rep].key}; Merge or the cost model is not label-invariant"
                 )
             order = np.argsort(moved, axis=1)
-            members += others.tolist()
-            targets = np.vstack([targets, np.take_along_axis(moved, order, axis=1)])
-            kind = np.vstack([kind, kind[order]])
-        degree[members] = len(edges)
-        blocks.append((members, targets, kind))
-    # each state's edges in one run, in state order
-    first = np.cumsum(degree) - degree
-    rows = np.repeat(np.arange(len(vertices)), degree)
-    cols = np.empty(len(rows), dtype=np.intp)
-    kind = np.empty(len(rows), dtype=np.int32)
-    for members, targets, block_kind in blocks:
-        at = first[members, None] + np.arange(targets.shape[-1])
-        cols[at] = targets
-        kind[at] = block_kind
+            at = first[others, None] + np.arange(len(targets))
+            cols[at] = np.take_along_axis(moved, order, axis=1)
+            kind[at] = rep_kind[order]
     table = [_kind(pairs, regime is not None) for pairs in kinds]
     per_kind = [float(len(tags)) if expos is None else _weight(t, expos) for tags, expos in table]
     values = np.array(per_kind)[kind]
@@ -243,23 +244,25 @@ class _StateKeys:
 
     A label's leaf mask is its bit in sorted label order.  A state's key is
     the set of leaf masks of its internal vertices, which determines it, as
-    a bitset over the 2^n masks (forests_and_masks gives it), held in two
-    uint64 words, lo for masks below 64 and hi for the rest; masks[i] lists
-    them, zero-padded to the n - 1 of a tree.  The permutations of the leaf
-    bits are numbered in itertools order, so permutation 0 is the identity;
-    word_lo[m, p] and word_hi[m, p] are the key bits of leaf mask m's image
-    under permutation p, 0 for m = 0.  The keys sit in an open-addressing
-    table with linear probing: the hash picks the first slot, and a state is
-    found only when both of its words equal the query's.
+    a bitset over the 2^n masks (forests_and_masks gives it), held in as
+    many uint64 words as the masks fill: one up to 6 leaves, two at 7.
+    key[k][i] is word k of state i, the bits of masks 64k to 64k + 63;
+    masks[i] lists state i's masks, zero-padded to the n - 1 of a tree.  The
+    permutations of the leaf bits are numbered in itertools order, so
+    permutation 0 is the identity; word[k][m, p] is the bit in word k of
+    leaf mask m's image under permutation p, 0 for m = 0.  The keys sit in
+    an open-addressing table with linear probing: the hash picks the first
+    slot, and a state is found only when each of its words equals the
+    query's.
     """
 
     def __init__(self, keys: list, n: int):
-        self.lo = np.array([key % 2**64 for key in keys], dtype=np.uint64)
-        self.hi = np.array([key >> 64 for key in keys], dtype=np.uint64)
-        # the set bits of each state's 128, in order, fill its row of masks
-        words = np.stack([self.lo, self.hi], axis=1).astype("<u8").view(np.uint8)
-        bits = np.unpackbits(words, axis=1, bitorder="little").view(bool)
-        state, held = np.divmod(np.flatnonzero(bits), 128)
+        width = max(1, (1 << n) // 64)  # key words
+        self.key = [np.array([key >> 64 * k & (2**64 - 1) for key in keys], dtype=np.uint64) for k in range(width)]
+        # the set bits of each state's 64 * width, in order, fill its row of masks
+        packed = np.stack(self.key, axis=1).astype("<u8").view(np.uint8)
+        bits = np.unpackbits(packed, axis=1, bitorder="little").view(bool)
+        state, held = np.divmod(np.flatnonzero(bits), 64 * width)
         count = np.bincount(state, minlength=len(keys))
         self.masks = np.zeros((len(keys), n - 1), dtype=np.intp)
         self.masks[state, np.arange(len(state)) - np.repeat(np.cumsum(count) - count, count)] = held
@@ -272,48 +275,57 @@ class _StateKeys:
         mask = np.arange(1 << n)
         bits = np.left_shift(np.uint64(1), (mask % 64).astype(np.uint64))
         bits[0] = 0
-        self.word_lo = np.where(mask < 64, bits, np.uint64(0))[images]
-        self.word_hi = np.where(mask >= 64, bits, np.uint64(0))[images]
+        self.word = [np.where(mask // 64 == k, bits, np.uint64(0))[images] for k in range(width)]
         # a hash of b bits, so at most a quarter of the 2^b slots are homes;
         # in the order of their home slots, each state takes the first free
         # slot from its home on, in a table of 2^(b + 1) slots that has room
         # for every state past the last home
         b = (4 * len(keys)).bit_length()
         self._shift = np.uint64(64 - b)
-        home = self._slot(self.lo, self.hi)
+        home = self._slot(self.key)
         order = np.argsort(home, kind="stable")
         rank = np.arange(len(order))
         self.table = np.full(2 << b, -1, dtype=np.intp)
         self.table[np.maximum.accumulate(home[order] - rank) + rank] = order
 
-    def _slot(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        return (((lo ^ (hi * _HASH[0])) * _HASH[1]) >> self._shift).astype(np.intp)
+    def _slot(self, key: list) -> np.ndarray:
+        mixed = key[0]
+        for word in key[1:]:
+            mixed = mixed ^ (word * _HASH[0])
+        return ((mixed * _HASH[1]) >> self._shift).astype(np.intp)
 
-    def words(self, states, perms) -> tuple:
-        """(lo, hi), each of shape (states, permutations): the key words of
-        the given states under the given permutations."""
-        wl, wh = self.word_lo[:, perms], self.word_hi[:, perms]
-        lo = hi = np.uint64(0)
+    def _differs(self, states: np.ndarray, key: list) -> np.ndarray:
+        """Whether each of the given states' keys differs from key, word by
+        word."""
+        out = self.key[0][states] != key[0]
+        for mine, word in zip(self.key[1:], key[1:]):
+            out |= mine[states] != word
+        return out
+
+    def words(self, states, perms) -> list:
+        """The key words of the given states under the given permutations,
+        each of shape (states, permutations)."""
+        tables = [word[:, perms] for word in self.word]
+        key = [np.uint64(0)] * len(tables)
         for column in self.masks[states].T:
-            lo = lo + wl[column]
-            hi = hi + wh[column]
-        return lo, hi
+            key = [k + table[column] for k, table in zip(key, tables)]
+        return key
 
-    def find(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    def find(self, key: list) -> np.ndarray:
         """The states with the given key words (1-d arrays).  Each key is
         probed from its hashed slot on until a slot holds the state with
-        both of its words; reaching an empty slot first means no state has
+        each of its words; reaching an empty slot first means no state has
         that key.  An empty slot holds -1, whose words (the last state's)
         differ from the key's: the key's state would lie before that slot."""
-        slot = self._slot(lo, hi)
+        slot = self._slot(key)
         found = self.table[slot]
-        todo = np.flatnonzero((self.lo[found] != lo) | (self.hi[found] != hi))
+        todo = np.flatnonzero(self._differs(found, key))
         while len(todo):
             if found[todo].min() < 0:
                 raise MarkovError("a carried target is not a state of the chain")
             slot[todo] += 1
             state = found[todo] = self.table[slot[todo]]
-            todo = todo[(self.lo[state] != lo[todo]) | (self.hi[state] != hi[todo])]
+            todo = todo[self._differs(state, [word[todo] for word in key])]
         return found
 
     def orbits(self) -> list:
@@ -322,12 +334,11 @@ class _StateKeys:
         orbit is the next representative, its images under every
         permutation are its orbit, and each member's permutation is the
         first that maps the representative onto it."""
-        covered = np.zeros(len(self.lo), dtype=bool)
+        covered = np.zeros(len(self.key[0]), dtype=bool)
         orbits = []
         rep = 0
         while not covered[rep]:
-            lo, hi = self.words(rep, slice(None))
-            members, perms = np.unique(self.find(lo, hi), return_index=True)
+            members, perms = np.unique(self.find(self.words(rep, slice(None))), return_index=True)
             covered[members] = True
             orbits.append((rep, members[1:], perms[1:]))
             rep = int(np.argmin(covered))
@@ -339,8 +350,8 @@ def _transport(targets: np.ndarray, perms: np.ndarray, states: _StateKeys) -> np
     row r holds the images under perms[r], in the order of targets.  Each
     image's key is summed from the permutations' key-bit tables, and all
     are looked up at once."""
-    lo, hi = states.words(targets, perms)
-    return states.find(lo.ravel(), hi.ravel()).reshape(lo.shape).T
+    key = states.words(targets, perms)
+    return states.find([word.ravel() for word in key]).reshape(key[0].shape).T
 
 
 def weighted_matrix(leaves, regime: str, t: float, cfg: MergeConfig = MergeConfig()) -> TransitionGraph:

@@ -8,8 +8,8 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from mergespace import markov
-from mergespace.costs import cost_ratios
+from mergespace import costs, markov
+from mergespace.costs import cost_ratio
 from mergespace.engine import MergeConfig, all_merge_successors
 from mergespace.forest import Leaf, Node, Workspace, enumerate_forests, forests_and_masks
 from mergespace.markov import (
@@ -454,7 +454,7 @@ def _reference_graph(vertices, steps, regime, t, collapse_01):
             if regime is None:
                 K[i, j] += 1.0
             else:
-                expo = Fraction(*cost_ratios(step)[REGIMES.index(regime)])
+                expo = Fraction(*cost_ratio(step, regime))
                 weights.setdefault((i, j), []).append((step.tag, expo))
                 K[i, j] += t ** float(expo)
     if collapse_01:
@@ -582,7 +582,8 @@ class TestOrbitTransport:
         def corrupt_after_walk(states):
             out = walk(states)
             p = next(perms[0] for _, others, perms in out if len(others))
-            states.word_lo[-1, p], states.word_hi[-1, p] = states.word_lo[1, 0], states.word_hi[1, 0]
+            for word in states.word:
+                word[-1, p] = word[1, 0]
             corrupted.append(p)
             return out
 
@@ -591,6 +592,28 @@ class TestOrbitTransport:
             with pytest.raises(MarkovError, match="a carried target is not a state of the chain"):
                 build_graph(labels)
         assert len(corrupted) == 2
+
+
+class TestStateKeys:
+    @pytest.mark.parametrize("labels", ["abc", "abcd", "abcde", "abcdef", "abcdefg"])
+    def test_key_table(self, labels):
+        # one uint64 word per 64 leaf masks; each state's own key finds it,
+        # and a key with one more mask bit, a single leaf's, which no
+        # internal vertex has, finds no state
+        n = len(labels)
+        vertices, masks = forests_and_masks(labels, require_edge=True)
+        states = markov._StateKeys(masks, n)
+        assert len(states.key) == len(states.word) == (1 if n <= 6 else 2)
+        every = np.arange(len(vertices))
+        key = [word.ravel() for word in states.words(every, [0])]
+        assert [sum(int(w) << 64 * k for k, w in enumerate(words)) for words in zip(*key)] == masks
+        assert np.array_equal(states.find(key), every)
+        for i in every.tolist():
+            leaf = 1 << i % n
+            extra = [word[i : i + 1].copy() for word in key]
+            extra[leaf // 64] |= np.uint64(1) << np.uint64(leaf % 64)
+            with pytest.raises(MarkovError, match="a carried target is not a state of the chain"):
+                states.find(extra)
 
 
 class TestWeightedMatrices:
@@ -612,15 +635,12 @@ class TestWeightedMatrices:
     def test_rounded_exponent_is_refused(self, monkeypatch):
         # an SM3 search cost of 333333333333333/10^15 moves t^cost by less
         # than 1e-12 at t = 0.5, but it is not the published 1/3
-        ms = REGIMES.index("ms")
+        def rounded(step, regime):
+            if step.tag == "SM3" and regime == "ms":
+                return 333333333333333, 10**15
+            return cost_ratio(step, regime)
 
-        def rounded(step):
-            ratios = list(cost_ratios(step))
-            if step.tag == "SM3":
-                ratios[ms] = (333333333333333, 10**15)
-            return tuple(ratios)
-
-        monkeypatch.setattr(markov, "cost_ratios", rounded)
+        monkeypatch.setattr(markov, "cost_ratio", rounded)
         with pytest.raises(MarkovError, match=r"ms chain deviates from the sector pattern at edge \(0, 4\)"):
             weighted_matrix("abc", "ms", 0.5)
 
@@ -643,13 +663,28 @@ class TestWeightedMatrices:
                 assert sum(p[k] for p in parts) == total[k]
 
     def test_per_step_costs_sum(self):
-        g = build_graph("abc")
-        from mergespace.engine import all_merge_successors
-
+        g = build_graph("abcde")
         for ws in g.vertices:
             for s in all_merge_successors(ws, g.cfg):
-                ms, my, cl, total = (Fraction(*r) for r in cost_ratios(s))
+                ms, my, cl, total = (Fraction(*cost_ratio(s, r)) for r in REGIMES)
                 assert total == ms + my + cl
+        with pytest.raises(costs.CostError, match="unknown regime 'sigma'"):
+            cost_ratio(s, "sigma")
+
+    @pytest.mark.parametrize("regime, unread", [("ms", "cl_cost"), ("cl", "_ms_ratio")])
+    def test_build_prices_only_its_regime(self, monkeypatch, regime, unread):
+        # a cost that the regime does not read is never computed: the build
+        # gives the same values with that cost broken, and a regime that
+        # reads it fails
+        values = build_graph("abcde", regime=regime, t=0.5).values
+
+        def broken(step, *args):
+            raise AssertionError(f"{unread} ran")
+
+        monkeypatch.setattr(costs, unread, broken)
+        assert np.array_equal(build_graph("abcde", regime=regime, t=0.5).values, values)
+        with pytest.raises(AssertionError, match=f"{unread} ran"):
+            build_graph("abcde", regime="total", t=0.5)
 
 
 class TestClosedForm:
@@ -979,11 +1014,13 @@ ALL_FLAGS = [
 ]
 
 
-def assert_lumps_to_equal_labels(labels, cfg, regime=None, t=1.0, rtol=0.0):
+def assert_lumps_to_equal_labels(labels, cfg, regime=None, t=1.0, rtol=0.0, g=None):
     """The chain over distinct labels, each row summed over each orbit of
     states under relabeling, equals the chain over as many equal labels at
-    (the orbit of the row's state, that orbit)."""
-    g = build_graph(labels, cfg, regime=regime, t=t)
+    (the orbit of the row's state, that orbit).  g is the chain over the
+    distinct labels if already built."""
+    if g is None:
+        g = build_graph(labels, cfg, regime=regime, t=t)
     lumped = build_graph("x" * len(labels), cfg, regime=regime, t=t)
     at = {w.key: k for k, w in enumerate(lumped.vertices)}
     memo, orbit_of = {}, np.empty(g.n, dtype=np.intp)
@@ -1069,6 +1106,15 @@ class TestSevenLeaves:
         assert k == pf.cells == CELL_COUNTS["abcdefg"]
         for orbit in orbits(g.vertices):
             assert len(set(cell[orbit].tolist())) == 1
+
+    def test_step_counts_lump_exactly(self, seven_leaves):
+        # the two-word carry against the chain over seven equal labels,
+        # where every state runs through the engine
+        g, _ = seven_leaves
+        assert_lumps_to_equal_labels("abcdefg", MergeConfig(), g=g)
+
+    def test_total_weights_lump(self):
+        assert_lumps_to_equal_labels("abcdefg", MergeConfig(), "total", 0.5, rtol=1e-12)
 
     def test_dense_views_refused(self, seven_leaves):
         g, pf = seven_leaves
