@@ -62,7 +62,6 @@ MAX_EMITTED_LEAVES = 150_000
 
 
 def _add_common(p):
-    p.add_argument("--mode", choices=("c", "d"), default="d", help="coproduct flavor")
     p.add_argument("--no-im", dest="im", action="store_false", default=True)
     p.add_argument("--no-sm", dest="sm", action="store_false", default=True)
     p.add_argument("--identity-sm", action="store_true")
@@ -70,11 +69,12 @@ def _add_common(p):
     p.add_argument("--atomic-sm", action="store_true")
 
 
-def _cfg(args):
+def _cfg(args, mode: str = "d"):
+    """The MergeConfig of the flag options; the chains of graph and markov are mode d."""
     from mergespace.engine import MergeConfig
 
     return MergeConfig(
-        mode=args.mode,
+        mode=mode,
         allow_im=args.im,
         allow_sm=args.sm,
         allow_identity_sm=args.identity_sm,
@@ -185,7 +185,7 @@ def cmd_successors(args):
     from mergespace.engine import MergeError, all_merge_successors, merge_pairs
 
     ws = workspace_from_json(_parse_json("--workspace", args.workspace))
-    cfg = _cfg(args)
+    cfg = _cfg(args, args.mode)
     limit = MAX_EMITTED_LEAVES // max(ws.degree, 1)
     if _pair_bound(ws) > limit and sum(1 for _ in islice(merge_pairs(ws, cfg), limit + 1)) > limit:
         raise MergeError(
@@ -295,12 +295,12 @@ def cmd_derive(args):
 
 def cmd_costs(args):
     report = _run_blob(_read_json("--script", args.script))
-    totals = report.get("totals", report)
-    if args.format == "csv" and "totals" in report:
-        lines = ["metric,value"] + [f"{k},{v}" for k, v in totals.items()]
-        _emit("\n".join(lines), args.out)
+    if args.format == "json":
+        _emit(_to_json(report.get("totals", report)), args.out)
+    elif "totals" not in report:
+        raise InputError("--format csv: a FormCopy script's report has no totals to tabulate; use --format json")
     else:
-        _emit(_to_json(totals), args.out)
+        _emit("\n".join(["metric,value"] + [f"{k},{v}" for k, v in report["totals"].items()]), args.out)
     return 0
 
 
@@ -366,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("successors", help="one-step Merge successors of a workspace")
     p.add_argument("--workspace", required=True, help="workspace JSON")
+    p.add_argument("--mode", choices=("c", "d"), default="d", help="coproduct flavor")
     _add_common(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")

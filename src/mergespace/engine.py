@@ -179,16 +179,6 @@ def merge_pairs(ws: Workspace, cfg: MergeConfig = MergeConfig()) -> Iterator[tup
                 yield (ci, (0,)), (ci, (1,))
 
 
-def apply(ws: Workspace, a: tuple, b: tuple, mode: str = "d") -> MergeStep:
-    """M_{S,S'} for a source pair that merge_pairs yields in either order
-    under every form of the mode, sibling cuts included: cut each host
-    once, graft Node(S, S') at a new root and reassemble the workspace.
-    Any other pair is a MergeError naming it."""
-    if not any(pair == (a, b) or pair == (b, a) for pair in merge_pairs(ws, _every_form(mode, True))):
-        raise MergeError(f"source pair {a!r}, {b!r} is not a Merge application in {ws!r}")
-    return _apply(ws, a, b, mode, {})
-
-
 def _cut(ws: Workspace, src: tuple, mode: str, memo: dict) -> tuple:
     """(vertices, levels) of the cut at the source (c, p), p non-empty,
     kept in memo under the source: the vertices on p from the root of

@@ -99,7 +99,8 @@ class TransitionGraph:
         }
 
     def __array__(self, dtype=None, copy=None):
-        # code written for a dense matrix (np.asarray, numpy.linalg) reads K
+        # code written for a dense matrix reads K: the benchmark's eigenvalue
+        # reference reads a graph passed to perron_frobenius this way
         return np.array(self.K, dtype=dtype, copy=copy)
 
 
@@ -554,12 +555,15 @@ def perron_frobenius(K) -> PFData:
     """Dominant eigendata by shifted power iteration on the edge arrays of K,
     a TransitionGraph or a dense matrix.
 
-    Each step is v <- (Kv + v) / max(Kv + v), with K v taken as one sum
-    per row over the row-sorted nonzero entries; the identity shift removes
-    periodicity (the unweighted chain has zero diagonal).  For v > 0 the Collatz-Wielandt
-    bracket lo = min_i (Kv)_i / v_i <= lam <= max_i (Kv)_i / v_i = hi holds,
-    and the iteration stops once hi - lo <= PF_TOL * lo, a rule that does not
-    depend on the size of K.  The same iteration on the transposed edges
+    Each step is v <- (Kv + s v) / max(Kv + s v), with K v taken as one sum
+    per row over the row-sorted nonzero entries.  For v > 0 the
+    Collatz-Wielandt bracket lo = min_i (Kv)_i / v_i <= lam <=
+    max_i (Kv)_i / v_i = hi holds, and the iteration stops once
+    hi - lo <= PF_TOL * lo, a rule that does not depend on the size of K.
+    The shift s = min(1, lo) removes periodicity (the unweighted chain has
+    zero diagonal); a unit shift alone stalls when lam << 1 (weighted
+    chains at small t without IM), since every eigenvalue of K + I then
+    lies within about lam of 1.  The same iteration on the transposed edges
     gives the left vector u, and xi = u * eta normalized, because u K = lam u
     makes (u * eta) K_hat = u * eta.  lam is the xi-weighted mean of the
     final ratios (K eta)_i / eta_i, i.e. u K eta / u eta.
@@ -744,7 +748,7 @@ def _perron_vector(rows, cols, w, n: int, start=None):
                 )
             if hi - lo <= PF_TOL * lo:
                 return v, ratios, float((hi - lo) / lo), step
-            Kv += v
+            Kv += v if lo >= 1 else lo * v
             v = Kv / Kv.max()
     raise MarkovError(
         f"power iteration stalled after {PF_MAX_ITER} steps: Collatz-Wielandt bracket "

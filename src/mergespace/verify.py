@@ -36,9 +36,9 @@ from mergespace.engine import (
     SM1,
     MergeConfig,
     MergeError,
+    _apply,
     _tag,
     all_merge_successors,
-    apply,
     form_copy_quotient,
     load_form_copy,
     load_script,
@@ -300,9 +300,10 @@ def _random_tree(rng, labels):
 
 
 def _steps_tagged(ws, tag: str, mode: str = "d") -> list:
-    """The steps of ws with one tag, in merge_pairs order; the tag is read
-    off each source pair, so no other step is built."""
-    return [apply(ws, a, b, mode) for a, b in merge_pairs(ws, MergeConfig(mode=mode)) if _tag(a, b) == tag]
+    """The steps of ws with one tag, in merge_pairs order, sharing one memo
+    of cuts; the tag is read off each source pair, so no other step is built."""
+    memo = {}
+    return [_apply(ws, a, b, mode, memo) for a, b in merge_pairs(ws, MergeConfig(mode=mode)) if _tag(a, b) == tag]
 
 
 def check_hierarchy(c: Check):

@@ -268,6 +268,14 @@ class TestGraphAndMarkov:
         assert code == 1 and not out
         assert err.startswith("error:") and "-t" in err and "--regime" in err
 
+    @pytest.mark.parametrize("command", ["graph", "markov"])
+    def test_chain_commands_take_no_mode(self, capsys, command):
+        # their transition graphs are mode d; successors keeps --mode
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--leaves", "a,b,c", "--mode", "d"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode d" in capsys.readouterr().err
+
     def test_four_leaf_graph(self, capsys):
         code, out, _ = run(capsys, "graph", "--leaves", "a,b,c,d", "--format", "json")
         blob = json.loads(out)
@@ -380,6 +388,15 @@ class TestDerive:
         code, out, err = run(capsys, "derive", "--script", str(p))
         assert code == 1 and not out
         assert err.startswith("error: flags: unknown flag 'allow_im'; known: allow_sibling_cut")
+
+    def test_costs_csv_of_a_fc_script_refused(self, capsys):
+        # a FormCopy report has no totals to tabulate; its JSON is unchanged
+        script = str(SCRIPTS / "amalgam_fc.json")
+        code, out, err = run(capsys, "costs", "--script", script, "--format", "csv")
+        assert code == 1 and not out
+        assert err.startswith("error: --format csv: a FormCopy script's report has no totals")
+        code, out, _ = run(capsys, "costs", "--script", script)
+        assert code == 0 and json.loads(out)["vertex_history"] == [17, 14, 13]
 
     def test_script_not_json(self, capsys, tmp_path):
         p = tmp_path / "bad.json"

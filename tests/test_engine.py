@@ -13,7 +13,6 @@ from mergespace.engine import (
     MergeStep,
     _tag,
     all_merge_successors,
-    apply,
     form_copy_quotient,
     load_script,
     merge_pairs,
@@ -129,13 +128,13 @@ class TestSuccessors:
         ]
         for (x, y), tag in table:
             assert _tag(x, y) == tag, (x, y)
-            step = apply(ws, x, y)
+            step = engine._apply(ws, x, y, "d", {})
             assert step.tag == tag and step.sources == (x, y)
 
 
 class TestApplyRefuses:
-    """apply builds only a pair that merge_pairs yields, in either order,
-    under the widest flags of its mode; any other is a MergeError naming it."""
+    """The kernel builds only pairs that merge_pairs yields; these it never
+    yields, in either order, under the widest flags of their mode."""
 
     @pytest.mark.parametrize(
         "x, y",
@@ -150,14 +149,16 @@ class TestApplyRefuses:
     def test_a_pair_merge_pairs_never_yields(self, x, y):
         ws = workspace(node(node(a, b), c), leaf("d"))
         for mode in ("c", "d"):
-            with pytest.raises(MergeError, match=re.escape(f"source pair {x!r}, {y!r} is not a Merge application")):
-                apply(ws, x, y, mode)
+            widest = MergeConfig(mode=mode, allow_identity_sm=True, allow_sibling_cut=True)
+            pairs = set(merge_pairs(ws, widest))
+            assert (x, y) not in pairs and (y, x) not in pairs
 
     def test_root_child_im_only_in_mode_c(self):
         ws = workspace(node(node(a, b), c), leaf("d"))
-        assert apply(ws, (0, (1,)), (0, ()), "c").tag == "IM"
-        with pytest.raises(MergeError, match="not a Merge application"):
-            apply(ws, (0, (1,)), (0, ()), "d")
+        im = (0, (1,)), (0, ())
+        pairs = {m: set(merge_pairs(ws, MergeConfig(mode=m, allow_identity_sm=True, allow_sibling_cut=True))) for m in "cd"}
+        assert im in pairs["c"] and _tag(*im) == "IM"
+        assert im not in pairs["d"]
 
 
 class TestAgainstCoproduct:
@@ -226,7 +227,7 @@ def random_workspace(draw, mode="d"):
 
 class TestSuccessorMemo:
     """all_merge_successors shares one memo of cut levels across its steps;
-    each step must still be the one apply builds alone."""
+    each step must still be the one the kernel builds with a fresh memo."""
 
     @pytest.mark.parametrize("mode", ["c", "d"])
     @pytest.mark.parametrize("flags", MEMO_FLAGS, ids=lambda f: "+".join(f) or "default")
@@ -236,7 +237,7 @@ class TestSuccessorMemo:
         ws = data.draw(random_workspace(mode))
         cfg = MergeConfig(mode=mode, **flags)
         got = all_merge_successors(ws, cfg)
-        want = [apply(ws, x, y, mode) for x, y in merge_pairs(ws, cfg)]
+        want = [engine._apply(ws, x, y, mode, {}) for x, y in merge_pairs(ws, cfg)]
         assert len(got) == len(want)
         for s, w in zip(got, want):
             assert (s.tag, s.sources, s.pair, s.extractions) == (w.tag, w.sources, w.pair, w.extractions)
@@ -335,8 +336,7 @@ class TestAgainstReferenceKernel:
         # MEMO_FLAGS setting yields a subset of those pairs.  An SM3 or ID
         # pair named the other way round must give the same output: where
         # the paths part, the left child's cut comes from the source going
-        # left, whichever is named first.  That is apply's kernel with its
-        # fresh memo, without apply's scan of merge_pairs (8 s at 6 leaves)
+        # left, whichever is named first.  The kernel runs with a fresh memo
         forests = trace_bearing() if labels == "traced" else enumerate_forests(labels)
         widest = MergeConfig(mode=mode, allow_identity_sm=True, allow_sibling_cut=True)
         for ws in forests:
@@ -360,7 +360,7 @@ class TestAgainstReferenceKernel:
         ws = workspace(Node(Node(kept, leaf("x")), Node(other, leaf("y"))))
         x, y = (0, (0, 1)), (0, (1, 1))
         for pair in ((x, y), (y, x)):
-            step = apply(ws, *pair, "d")
+            step = engine._apply(ws, *pair, "d", {})
             assert step.tag == "SM3" and same_step(step, reference_apply(ws, *pair, "d"))
             (q,) = [t for t in step.output_ws.components if t.key != "(x|y)"]
             assert q.left is kept and q.right is other

@@ -225,6 +225,24 @@ class TestAgainstLapack:
         assert (pf.eta > 0).all() and (pf.xi > 0).all()
         assert pf.residual <= 1e-12
 
+    # of the chains of 3-5 leaves with default flags, without IM, or with
+    # atomic SM and without IM, unweighted or under a regime at t = 0.5,
+    # 0.1, 1e-2, 1e-3 or 1e-4, those on which a unit shift stalled for
+    # 10 000 steps: lam << 1 here, so every eigenvalue of K + I lies within
+    # about lam of 1
+    @pytest.mark.parametrize("labels", ["abc", "abcd", "abcde"])
+    @pytest.mark.parametrize(
+        "flags", [{"allow_im": False}, {"allow_im": False, "atomic_sm_only": True}], ids=["no-im", "atomic-no-im"]
+    )
+    @pytest.mark.parametrize("regime, t", [("cl", 1e-4), ("total", 1e-3), ("total", 1e-4)])
+    def test_small_lambda_converges(self, labels, flags, regime, t):
+        g = build_graph(labels, MergeConfig(**flags), regime=regime, t=t)
+        pf = perron_frobenius(g)
+        lam = np.linalg.eigvals(g.K).real.max()
+        assert lam < 0.01 and abs(pf.lam - lam) <= 1e-12 * lam
+        assert np.abs(pf.xi @ pf.K_hat - pf.xi).max() <= 1e-12
+        assert pf.iterations <= 1000 and pf.residual <= 1e-12
+
 
 def ones_start_pf(K, tol=1e-12, max_iter=10_000):
     """(lam, eta, xi, products) by the power iterations from ones on K and on
@@ -1039,7 +1057,7 @@ class TestLumpedChain:
     sources by position, never by label, and every cost regime commutes
     with relabeling."""
 
-    @pytest.mark.parametrize("labels", ["abc", "abcd", "abcde"])
+    @pytest.mark.parametrize("labels", ["abc", "abcd", "abcde", "abcdef"])
     @pytest.mark.parametrize("flags", ALL_FLAGS)
     def test_step_counts_lump_exactly(self, labels, flags):
         assert_lumps_to_equal_labels(labels, MergeConfig(**flags))
