@@ -136,16 +136,18 @@ def build_graph(
 
     Merge and every cost regime commute with relabeling the leaves, so the
     engine and the cost model run on one representative per orbit of states
-    under label permutations (_StateKeys.orbits), and each step is priced
-    under the given regime alone.  Every representative's row comes first,
-    which fixes every state's degree and the offset of its edges.  Then
-    each orbit's other members get the representative's row carried
-    through the permutation that maps the representative onto them, each
-    member's targets sorted and written straight into the edge arrays.  The
-    first other member of each orbit is also built directly, and
-    MarkovError is raised if its (target, tag, exponent) steps differ from
-    the carried ones.  With repeated labels every state is its own orbit,
-    and no state is keyed.
+    under label permutations, its least state, and each step is priced
+    under the given regime alone.  The n - 1 adjacent label transpositions
+    generate the permutations (_StateKeys.swap), so an orbit is a component
+    of their graph (_orbit_tree).  Every representative's row comes first,
+    which fixes every state's degree and the offset of its edges.  Then one
+    breadth-first search from all representatives carries each row on: a
+    state first reached from q through a transposition gets q's targets
+    through that transposition, with their kinds, one gather per level.
+    Each carried row is sorted by target.  The least other member of each
+    orbit is also built directly, and MarkovError is raised if its
+    (target, tag, exponent) steps differ from the carried ones.  With
+    repeated labels every state is its own orbit, and no state is keyed.
     """
     labels = tuple(sorted(leaves))
     if len(labels) < 2:
@@ -161,12 +163,12 @@ def build_graph(
         raise MarkovError(f"weight parameter t must be finite and positive, got t = {t}")
     vertices, masks = forests_and_masks(labels, require_edge=True)
     index = {w.key: i for i, w in enumerate(vertices)}
-    if masks is None:  # repeated labels
-        alone = np.empty(0, dtype=np.intp)
-        orbits = [(i, alone, None) for i in range(len(vertices))]
-    else:
+    orbit = np.arange(len(vertices))
+    levels = []
+    if masks is not None:  # distinct labels
         states = _StateKeys(masks, len(labels))
-        orbits = states.orbits()
+        orbit, levels = _orbit_tree(states.swap)
+    reps = np.flatnonzero(orbit == np.arange(len(vertices))).tolist()
 
     def direct_row(i: int) -> list:
         # each exponent as a reduced (numerator, denominator) pair
@@ -176,38 +178,56 @@ def build_graph(
         ]
 
     kinds: dict = {}  # sorted (tag, exponent pair or None) pairs -> index
-    reps = []  # (the representative's steps, sorted targets, kind indices) per orbit
+    rep_rows = []  # (sorted targets, kind indices) per representative
     degree = np.zeros(len(vertices), dtype=np.intp)
-    for rep, others, _ in orbits:
-        row = direct_row(rep)
+    for rep in reps:
         edges: dict = {}  # target -> (tag, exponent) pairs
-        for j, tag, expo in row:
+        for j, tag, expo in direct_row(rep):
             edges.setdefault(j, []).append((tag, expo))
         targets = sorted(edges)
-        kind = np.array([kinds.setdefault(tuple(sorted(edges[j])), len(kinds)) for j in targets], np.int32)
-        degree[rep] = degree[others] = len(targets)
-        reps.append((row, np.array(targets, dtype=np.intp), kind))
+        degree[rep] = len(targets)
+        rep_rows.append((targets, [kinds.setdefault(tuple(sorted(edges[j])), len(kinds)) for j in targets]))
     # each state's edges in one run, in state order
+    degree = degree[orbit]
     first = np.cumsum(degree) - degree
     rows = np.repeat(np.arange(len(vertices)), degree)
     cols = np.empty(len(rows), dtype=np.intp)
     kind = np.empty(len(rows), dtype=np.int32)
-    for (rep, others, perms), (row, targets, rep_kind) in zip(orbits, reps):
-        at = slice(first[rep], first[rep] + len(targets))
-        cols[at] = targets
-        kind[at] = rep_kind
-        if len(others):
-            moved = _transport(targets, perms, states)
-            carried = dict(zip(targets.tolist(), moved[0].tolist()))
-            if Counter((carried[j], tag, x) for j, tag, x in row) != Counter(direct_row(others[0])):
+    for rep, (targets, rep_kind) in zip(reps, rep_rows):
+        cols[first[rep] : first[rep] + len(targets)] = targets
+        kind[first[rep] : first[rep] + len(targets)] = rep_kind
+    if levels:
+        # every carried edge, level by level: its position, the position of
+        # the same edge in the parent's row and the representative's, and
+        # the transposition that carries it
+        members, parents, via = (np.concatenate(x) for x in zip(*levels))
+        d = degree[members]
+        offset = np.arange(d.sum()) - np.repeat(np.cumsum(d) - d, d)
+        to = np.repeat(first[members], d) + offset
+        at = np.repeat(first[parents], d) + offset
+        via = np.repeat(via, d)
+        kind[to] = kind[np.repeat(first[orbit[members]], d) + offset]
+        bounds = np.concatenate([[0], np.cumsum(d)])[np.cumsum([0] + [len(m) for m, _, _ in levels])].tolist()
+        for lo, hi in zip(bounds, bounds[1:]):  # a level's parents are written before it
+            cols[to[lo:hi]] = states.swap[via[lo:hi], cols[at[lo:hi]]]
+        # each carried row sorted by column, the kind in the low bits of a
+        # unique key: one sort is faster than an argsort and two gathers
+        b = len(kinds).bit_length()
+        base = rows * len(vertices)
+        key = np.sort((base + cols) << b | kind)
+        cols, kind = (key >> b) - base, (key & (1 << b) - 1).astype(np.int32)
+        kind_steps = list(kinds)
+        others = np.flatnonzero(orbit != np.arange(len(vertices)))
+        for m in others[np.unique(orbit[others], return_index=True)[1]].tolist():
+            at = slice(first[m], first[m] + degree[m])
+            carried = Counter(
+                (j, tag, x) for j, k in zip(cols[at].tolist(), kind[at].tolist()) for tag, x in kind_steps[k]
+            )
+            if carried != Counter(direct_row(m)):
                 raise MarkovError(
-                    f"steps of {vertices[others[0]].key} differ from those carried over from "
-                    f"{vertices[rep].key}; Merge or the cost model is not label-invariant"
+                    f"steps of {vertices[m].key} differ from those carried over from "
+                    f"{vertices[orbit[m]].key}; Merge or the cost model is not label-invariant"
                 )
-            order = np.argsort(moved, axis=1)
-            at = first[others, None] + np.arange(len(targets))
-            cols[at] = np.take_along_axis(moved, order, axis=1)
-            kind[at] = rep_kind[order]
     table = [_kind(pairs, regime is not None) for pairs in kinds]
     per_kind = [float(len(tags)) if expos is None else _weight(t, expos) for tags, expos in table]
     values = np.array(per_kind)[kind]
@@ -241,42 +261,32 @@ _HASH = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9], dtype=np.uint64)
 
 class _StateKeys:
     """The states over n distinct labels, keyed exactly, and the action of
-    the n! permutations of the labels on them.
+    the n - 1 adjacent label transpositions on them, which generate every
+    permutation of the labels.
 
     A label's leaf mask is its bit in sorted label order.  A state's key is
     the set of leaf masks of its internal vertices, which determines it, as
     a bitset over the 2^n masks (forests_and_masks gives it), held in as
     many uint64 words as the masks fill: one up to 6 leaves, two at 7.
-    key[k][i] is word k of state i, the bits of masks 64k to 64k + 63;
-    masks[i] lists state i's masks, zero-padded to the n - 1 of a tree.  The
-    permutations of the leaf bits are numbered in itertools order, so
-    permutation 0 is the identity; word[k][m, p] is the bit in word k of
-    leaf mask m's image under permutation p, 0 for m = 0.  The keys sit in
-    an open-addressing table with linear probing: the hash picks the first
-    slot, and a state is found only when each of its words equals the
-    query's.
+    key[k][i] is word k of state i, the bits of masks 64k to 64k + 63.
+    swap[i, s] is state s with labels i and i + 1 exchanged, for i < n - 1:
+    its masks with bits i and i + 1 exchanged, keyed and looked up at once.
+    The keys sit in an open-addressing table with linear probing: the hash
+    picks the first slot, and a state is found only when each of its words
+    equals the query's.
     """
 
     def __init__(self, keys: list, n: int):
         width = max(1, (1 << n) // 64)  # key words
         self.key = [np.array([key >> 64 * k & (2**64 - 1) for key in keys], dtype=np.uint64) for k in range(width)]
-        # the set bits of each state's 64 * width, in order, fill its row of masks
+        # the set bits of each state's 64 * width, in order, fill its row of
+        # masks, zero-padded to the n - 1 of a tree
         packed = np.stack(self.key, axis=1).astype("<u8").view(np.uint8)
         bits = np.unpackbits(packed, axis=1, bitorder="little").view(bool)
         state, held = np.divmod(np.flatnonzero(bits), 64 * width)
         count = np.bincount(state, minlength=len(keys))
-        self.masks = np.zeros((len(keys), n - 1), dtype=np.intp)
-        self.masks[state, np.arange(len(state)) - np.repeat(np.cumsum(count) - count, count)] = held
-        # images[m, p], mask m under permutation p: the masks from 2^i to
-        # 2^(i + 1) are those below 2^i with bit i, which p sends to bit perms[p, i]
-        perms = np.array(list(permutations(range(n))), dtype=np.intp)
-        images = np.zeros((1 << n, len(perms)), dtype=np.intp)
-        for i, image in enumerate(1 << perms.T):
-            images[1 << i : 2 << i] = images[: 1 << i] | image
-        mask = np.arange(1 << n)
-        bits = np.left_shift(np.uint64(1), (mask % 64).astype(np.uint64))
-        bits[0] = 0
-        self.word = [np.where(mask // 64 == k, bits, np.uint64(0))[images] for k in range(width)]
+        masks = np.zeros((len(keys), n - 1), dtype=np.intp)
+        masks[state, np.arange(len(state)) - np.repeat(np.cumsum(count) - count, count)] = held
         # a hash of b bits, so at most a quarter of the 2^b slots are homes;
         # in the order of their home slots, each state takes the first free
         # slot from its home on, in a table of 2^(b + 1) slots that has room
@@ -288,6 +298,17 @@ class _StateKeys:
         rank = np.arange(len(order))
         self.table = np.full(2 << b, -1, dtype=np.intp)
         self.table[np.maximum.accumulate(home[order] - rank) + rank] = order
+        # moved[i, m]: mask m with bits i and i + 1 exchanged; word[k][i, m] is
+        # its bit in key word k, 0 for the padding m = 0.  A swapped state's
+        # key word sums its masks' bits
+        i = np.arange(n - 1)[:, None]
+        mask = np.arange(1 << n)
+        flip = (mask >> i ^ mask >> i + 1) & 1
+        moved = mask ^ (flip << i | flip << i + 1)
+        bit = np.left_shift(np.uint64(1), (moved % 64).astype(np.uint64))
+        bit[:, 0] = 0
+        word = [np.where(moved // 64 == k, bit, np.uint64(0)) for k in range(width)]
+        self.swap = self.find([w[:, masks].sum(axis=2).ravel() for w in word]).reshape(n - 1, len(keys))
 
     def _slot(self, key: list) -> np.ndarray:
         mixed = key[0]
@@ -302,15 +323,6 @@ class _StateKeys:
         for mine, word in zip(self.key[1:], key[1:]):
             out |= mine[states] != word
         return out
-
-    def words(self, states, perms) -> list:
-        """The key words of the given states under the given permutations,
-        each of shape (states, permutations)."""
-        tables = [word[:, perms] for word in self.word]
-        key = [np.uint64(0)] * len(tables)
-        for column in self.masks[states].T:
-            key = [k + table[column] for k, table in zip(key, tables)]
-        return key
 
     def find(self, key: list) -> np.ndarray:
         """The states with the given key words (1-d arrays).  Each key is
@@ -329,30 +341,40 @@ class _StateKeys:
             todo = todo[self._differs(state, [word[todo] for word in key])]
         return found
 
-    def orbits(self) -> list:
-        """(representative, other members, their permutations) per orbit,
-        walking the states in index order: the least state not yet in an
-        orbit is the next representative, its images under every
-        permutation are its orbit, and each member's permutation is the
-        first that maps the representative onto it."""
-        covered = np.zeros(len(self.key[0]), dtype=bool)
-        orbits = []
-        rep = 0
-        while not covered[rep]:
-            members, perms = np.unique(self.find(self.words(rep, slice(None))), return_index=True)
-            covered[members] = True
-            orbits.append((rep, members[1:], perms[1:]))
-            rep = int(np.argmin(covered))
-        return orbits
 
-
-def _transport(targets: np.ndarray, perms: np.ndarray, states: _StateKeys) -> np.ndarray:
-    """The states that targets become under each of the permutations perms:
-    row r holds the images under perms[r], in the order of targets.  Each
-    image's key is summed from the permutations' key-bit tables, and all
-    are looked up at once."""
-    key = states.words(targets, perms)
-    return states.find([word.ravel() for word in key]).reshape(key[0].shape).T
+def _orbit_tree(swap: np.ndarray) -> tuple:
+    """(orbit, levels) of the states under the transpositions swap (one row
+    each, as _StateKeys.swap).  orbit[s] is the least state of s's orbit,
+    its representative: the least state of its component in the graph of
+    the transpositions, by min-label propagation with pointer jumping.
+    levels lists, per level of one breadth-first search from every
+    representative at once, (members, parents, transpositions): each member
+    is its parent with the labels of that transposition exchanged, and
+    each parent lies on an earlier level or is a representative."""
+    n = swap.shape[1]
+    orbit = np.arange(n)
+    while True:
+        low = np.minimum(orbit, orbit[swap].min(axis=0))
+        low = low[low]
+        if np.array_equal(low, orbit):
+            break
+        orbit = low
+    reached = orbit == np.arange(n)
+    frontier = np.flatnonzero(reached)
+    at = np.empty(n, dtype=np.intp)
+    levels = []
+    while True:
+        image = swap[:, frontier].ravel()  # transposition-major
+        new = np.flatnonzero(~reached[image])
+        if not len(new):
+            return orbit, levels
+        # of the ways a state is first reached, keep the one whose write lands
+        at[image[new]] = new
+        new = new[at[image[new]] == new]
+        via, parent = np.divmod(new, len(frontier))
+        levels.append((image[new], frontier[parent], via))
+        frontier = image[new]
+        reached[frontier] = True
 
 
 def weighted_matrix(leaves, regime: str, t: float, cfg: MergeConfig = MergeConfig()) -> TransitionGraph:
@@ -452,6 +474,8 @@ def _edges(K) -> tuple:
     with a MarkovError naming its shape."""
     if isinstance(K, TransitionGraph):
         keep = K.values != 0  # t^cost can underflow to 0
+        if keep.all():
+            return K.rows, K.cols, K.values, K.n
         return K.rows[keep], K.cols[keep], K.values[keep], K.n
     shape = np.shape(K)
     if len(shape) != 2 or shape[0] != shape[1]:

@@ -2,8 +2,9 @@ import math
 import re
 import time
 import warnings
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -526,9 +527,11 @@ class TestOrbitTransport:
 
     @pytest.mark.parametrize("labels", ["abc", "abcd", "abcde", "abcdef", "abcdefg"])
     def test_orbits_are_the_label_erased_classes(self, labels):
-        # the walk over the permutation action finds the classes of the
-        # label erasure, and each member's permutation maps the leaf sets of
-        # its representative's internal vertices onto the member's own
+        # the components of the transpositions' graph are the classes of the
+        # label erasure, each labeled by its least state; swap[i, s] has the
+        # leaf sets of s's internal vertices with labels i and i + 1
+        # exchanged; the tree reaches every other state once, from a state
+        # reached before
         def clusters(t, out):
             if isinstance(t, Leaf):
                 return frozenset(t.name)
@@ -543,16 +546,50 @@ class TestOrbitTransport:
             return out
 
         vertices, masks = forests_and_masks(labels, require_edge=True)
-        walked = markov._StateKeys(masks, len(labels)).orbits()
-        assert [[rep, *others.tolist()] for rep, others, _ in walked] == orbits(vertices)
-        perms = list(permutations(range(len(labels))))
-        for rep, others, member_perms in walked:
-            assert len(others) == len(member_perms)
-            source = state_clusters(vertices[rep])
-            for member, p in zip(others.tolist(), member_perms.tolist()):
-                relabel = {x: labels[i] for x, i in zip(labels, perms[p])}
-                image = {frozenset(relabel[x] for x in c) for c in source}
-                assert image == state_clusters(vertices[member]), (vertices[rep].key, vertices[member].key)
+        states = markov._StateKeys(masks, len(labels))
+        orbit, levels = markov._orbit_tree(states.swap)
+        classes = {}
+        for s, o in enumerate(orbit.tolist()):
+            classes.setdefault(o, []).append(s)
+        assert list(classes.values()) == orbits(vertices)
+        assert list(classes) == [members[0] for members in orbits(vertices)]
+        source = [state_clusters(ws) for ws in vertices]
+        assert states.swap.shape == (len(labels) - 1, len(vertices))
+        for i, images in enumerate(states.swap.tolist()):
+            relabel = {x: x for x in labels} | {labels[i]: labels[i + 1], labels[i + 1]: labels[i]}
+            for s, image in enumerate(images):
+                assert {frozenset(relabel[x] for x in c) for c in source[s]} == source[image], (i, vertices[s].key)
+        reached = orbit == np.arange(len(vertices))
+        for members, parents, via in levels:
+            assert reached[parents].all() and not reached[members].any()
+            assert len(set(members.tolist())) == len(members)
+            assert np.array_equal(states.swap[via, parents], members)
+            reached[members] = True
+        assert reached.all()
+
+    @pytest.mark.parametrize(
+        "labels, states", [("abc", 6), ("abcd", 36), ("abcde", 265), ("abcdef", 2_430), ("abcdefg", 27_006)]
+    )
+    def test_orbit_sizes_from_shapes(self, labels, states):
+        # orbit-stabilizer, independent of any walk: each orbit has
+        # n! / |Aut| states, Aut the relabelings that fix its least state,
+        # read off the label-free shape: 2 for each vertex whose children
+        # have the same shape, m! for each component shape that occurs m times
+        def aut(t):
+            if isinstance(t, Leaf):
+                return 1
+            return aut(t.left) * aut(t.right) * (2 if t.left.key == t.right.key else 1)
+
+        vertices, masks = forests_and_masks(labels, require_edge=True)
+        orbit, _ = markov._orbit_tree(markov._StateKeys(masks, len(labels)).swap)
+        reps, sizes = np.unique(orbit, return_counts=True)
+        memo = {}
+        for rep, size in zip(reps.tolist(), sizes.tolist()):
+            shapes = [erased(c, memo) for c in vertices[rep].components]
+            order = math.prod(aut(c) for c in shapes)
+            order *= math.prod(math.factorial(m) for m in Counter(c.key for c in shapes).values())
+            assert size == math.factorial(len(labels)) // order, vertices[rep].key
+        assert len(reps) == CELL_COUNTS[labels] and sizes.sum() == states == len(vertices)
 
     def test_engine_runs_on_representatives(self, monkeypatch):
         # 9 orbits of states at 5 distinct leaves: each representative and
@@ -571,45 +608,53 @@ class TestOrbitTransport:
         def never(*args):
             raise AssertionError("a state with repeated labels was carried over")
 
-        monkeypatch.setattr(markov, "_transport", never)
+        monkeypatch.setattr(markov, "_StateKeys", never)
+        monkeypatch.setattr(markov, "_orbit_tree", never)
         assert build_graph("aabc").n == 22
 
     def test_corrupted_carried_row_is_caught(self, monkeypatch):
-        transport = markov._transport
+        # the tree's first level carries state 0's row to state 1, the
+        # least other member of its orbit, which is spot-checked; after the
+        # tree is built, that transposition sends the row's first target
+        # where it sends the second, so state 1's carried row names one
+        # target twice
+        g = build_graph("abcd")
+        first, second = g.cols[:2].tolist()
+        assert g.rows[1] == 0
+        tree = markov._orbit_tree
         corrupted = []
 
-        def corrupt_first(targets, *args):
-            cols = transport(targets, *args)  # one row per carried member
-            if not corrupted:
-                corrupted.append(cols[0, 0])
-                cols[0, 0] = cols[0, 1]
-            return cols
+        def corrupt_after_tree(swap):
+            orbit, levels = tree(swap)
+            members, parents, via = levels[0]
+            at = members.tolist().index(1)
+            assert orbit[1] == parents[at] == 0
+            corrupted.append(swap[via[at], first])
+            swap[via[at], first] = swap[via[at], second]
+            return orbit, levels
 
-        monkeypatch.setattr(markov, "_transport", corrupt_first)
+        monkeypatch.setattr(markov, "_orbit_tree", corrupt_after_tree)
         with pytest.raises(MarkovError, match="differ from those carried over"):
             build_graph("abcd")
         assert corrupted
 
     def test_carried_image_off_the_states_is_refused(self, monkeypatch):
-        # after the walk, the first carried permutation sends the mask of all
-        # leaves, every tree's root, to the mask of leaf a alone, which no
-        # internal vertex has: each carried tree leaves the state set
-        walk = markov._StateKeys.orbits
+        # the first swapped state's key also gets the mask of leaf a alone,
+        # which no internal vertex has: that key is no state's, at one key
+        # word (4 leaves) as at two (7 leaves)
+        find = markov._StateKeys.find
         corrupted = []
 
-        def corrupt_after_walk(states):
-            out = walk(states)
-            p = next(perms[0] for _, others, perms in out if len(others))
-            for word in states.word:
-                word[-1, p] = word[1, 0]
-            corrupted.append(p)
-            return out
+        def corrupt_first_key(states, key):
+            key[0][0] |= np.uint64(1 << 1)
+            corrupted.append(len(key))
+            return find(states, key)
 
-        monkeypatch.setattr(markov._StateKeys, "orbits", corrupt_after_walk)
+        monkeypatch.setattr(markov._StateKeys, "find", corrupt_first_key)
         for labels in ("abcd", "abcdefg"):
             with pytest.raises(MarkovError, match="a carried target is not a state of the chain"):
                 build_graph(labels)
-        assert len(corrupted) == 2
+        assert corrupted == [1, 2]
 
 
 class TestStateKeys:
@@ -621,9 +666,9 @@ class TestStateKeys:
         n = len(labels)
         vertices, masks = forests_and_masks(labels, require_edge=True)
         states = markov._StateKeys(masks, n)
-        assert len(states.key) == len(states.word) == (1 if n <= 6 else 2)
+        assert len(states.key) == (1 if n <= 6 else 2)
         every = np.arange(len(vertices))
-        key = [word.ravel() for word in states.words(every, [0])]
+        key = states.key
         assert [sum(int(w) << 64 * k for k, w in enumerate(words)) for words in zip(*key)] == masks
         assert np.array_equal(states.find(key), every)
         for i in every.tolist():
@@ -1007,6 +1052,19 @@ class TestEdgeArrays:
             perron_frobenius(g)
         with pytest.raises(MarkovError, match=r"^reducible support; .*: state 0 cannot reach state 3$"):
             perron_frobenius(g.K)
+
+    def test_edges_of_a_graph_copy_only_after_underflow(self):
+        # with every weight positive the routines read the graph's own
+        # arrays; with some underflowed, the nonzero edges in order
+        g = build_graph("abcd", regime="total", t=0.5)
+        rows, cols, w, n = markov._edges(g)
+        assert rows is g.rows and cols is g.cols and w is g.values and n == g.n
+        g = build_graph("abc", regime="cl", t=1e-200)
+        rows, cols, w, n = markov._edges(g)
+        keep = g.values != 0
+        assert 0 < len(w) < len(g.values) and n == g.n
+        for got, want in [(rows, g.rows[keep]), (cols, g.cols[keep]), (w, g.values[keep])]:
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
